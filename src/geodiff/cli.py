@@ -264,9 +264,10 @@ def run_roots(rng: random.Random, cases: int, tol: float | None) -> list[Record]
 
 
 def _quad_root_near(a: float, b: float, c: float, near: float) -> float:
+    # q carries the sign of b, so neither root comes from a cancelling -b + disc
     disc = math.sqrt(b * b - 4.0 * a * c)
-    roots = ((-b + disc) / (2.0 * a), (-b - disc) / (2.0 * a))
-    return min(roots, key=lambda r: abs(r - near))
+    q = -0.5 * (b + math.copysign(disc, b))
+    return min((q / a, c / q), key=lambda r: abs(r - near))
 
 
 # --- driver ---------------------------------------------------------------------

@@ -22,10 +22,10 @@ forms they must reproduce:
 from __future__ import annotations
 
 import math
+import statistics
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
-
-import numpy as np
 
 from . import formulas
 from .dual import DualScalar, value
@@ -159,13 +159,14 @@ def convergence(problem: OdeProblem, h_values,
     exact = reference_endpoint(problem)
     endpoints = tuple(integrate(problem, h) for h in h_values)
     errors = tuple(abs(e - exact) for e in endpoints)
-    floor = 50.0 * np.finfo(float).eps * max(1.0, abs(exact))
+    floor = 50.0 * sys.float_info.epsilon * max(1.0, abs(exact))
     informative = [(h, e) for h, e in zip(h_values, errors) if e > floor]
     if len(informative) >= 2:
         hs, errs = zip(*informative)
     else:
         hs, errs = h_values, [max(e, ERR_FLOOR) for e in errors]
-    fitted = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
+    fitted = statistics.linear_regression([math.log(h) for h in hs],
+                                         [math.log(e) for e in errs]).slope
     res = residual(problem, residual_samples)
     return ConvergenceReport(problem.name, h_values, endpoints, errors, fitted,
                              res.max_residual,

@@ -10,11 +10,14 @@ Paths use complex arithmetic with a random unit twist on the start system:
 real coefficient paths generically pass through discriminant zeros, while a
 twisted path misses them with probability one.  Twisted paths can still pass
 *near* each other, and a predictor that jumps across such an encounter lands
-in the Newton basin of the wrong root, so each macro step is accepted only
-when one full step and two half steps agree (step-doubling error control) and
-the Newton correction stays small; otherwise the step is refined locally, to
-a bounded depth.  A hop that survives all of that would have to produce a
-duplicate, which the final pairing check turns into a hard error.
+in the Newton basin of the wrong root.  Each root therefore carries its own
+step size, set by the step-doubling error of the last attempt (adaptive
+predictor/corrector control after Bates, Hauenstein, Sommese & Wampler,
+"Adaptive multiprecision path tracking", SIAM J. Numer. Anal. 2008): a step
+is accepted only when one full step and two half steps agree and the Newton
+correction stays small, and the step shrinks until it is, down to a bounded
+minimum.  A hop that survives all of that would have to produce a duplicate,
+which the final pairing check turns into a hard error.
 """
 
 from __future__ import annotations
@@ -23,9 +26,6 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
-
-import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 LEADING_TOL = 1e-12
 START_RESIDUAL_TOL = 1e-10
@@ -137,86 +137,112 @@ def make_path(target: Poly, steps: int = 64,
 def track(path: ContinuationPath) -> list[complex]:
     """Advance every start root to t = 1 and return the corrected roots.
 
-    path.steps is the macro schedule; a macro step that fails the
-    step-doubling agreement or the corrector quality test is split in half
-    recursively, at most MAX_REFINE_DEPTH times, before giving up with a
-    path-singularity error.
+    Each root carries its own step size h, starting at 1/path.steps, which
+    is also the largest step it may take.  After every attempt h is scaled
+    by 0.9 * err**-0.2, clipped to [1/4, 2], where err is the step-doubling
+    disagreement relative to LOCAL_TOL (err <= 1 passes).  An attempt that
+    passes that test but fails the corrector, or that meets a vanishing P',
+    halves h instead.  A root whose step falls below
+    (1/path.steps) / 2**MAX_REFINE_DEPTH raises PathSingularityError.
+
+    Three tests guard every accepted step against a hop onto a neighbouring
+    path: one full RK4 step and two half steps agree to LOCAL_TOL; Newton
+    reaches a 1e-13 relative residual without P' dropping under DERIV_FLOOR;
+    and the Newton correction is at most a quarter of the predicted move.
+    After the final polish on the target, a non-finite root, a residual of
+    FINAL_RESIDUAL_TOL or more, or two paths on one simple root raise
+    TrackingFailureError.
     """
-    rates = path.coeff_rate()
+    rates = path.coeff_rate()[::-1]
     n = path.target.degree
-    cache: dict[float, Poly] = {}
+    h_max = 1.0 / path.steps
+    h_min = h_max / 2 ** MAX_REFINE_DEPTH
 
-    def poly_at(t: float) -> Poly:
-        p = cache.get(t)
-        if p is None:
-            p = cache[t] = path.at(t)
-        return p
+    def horner(c: tuple) -> tuple[tuple, tuple]:
+        return c[::-1], tuple(k * c[k] for k in range(n, 0, -1))
 
-    def velocity(p_t: Poly, x: complex, step_index: int) -> complex:
-        dp = p_t.deriv(x)
-        if abs(dp) < DERIV_FLOOR * p_t.scale * max(1.0, abs(x)) ** (n - 1):
-            raise PathSingularityError(
-                f"P' vanished along the path at step {step_index}")
+    start_p, start_d = horner(tuple(path.gamma * s for s in path.start.coeffs))
+    target_p, target_d = horner(path.target.coeffs)
+
+    def data_at(t: float) -> tuple:
+        """P_t and P'_t coefficients in Horner order, and the scale of P_t.
+
+        The same homotopy as path.at, without building a validated Poly for
+        every t: that construction alone cost more than the RK4 arithmetic.
+        """
+        g = 1.0 - t
+        c = tuple(g * s + t * q for s, q in zip(start_p, target_p))
+        return (c, tuple(g * s + t * q for s, q in zip(start_d, target_d)),
+                max(map(abs, c)))
+
+    def velocity(data: tuple, x: complex, t: float) -> complex:
+        dp = 0.0 + 0.0j
+        for a in data[1]:
+            dp = dp * x + a
+        if abs(dp) < DERIV_FLOOR * data[2] * max(1.0, abs(x)) ** (n - 1):
+            raise PathSingularityError(f"P' vanished along the path at t={t!r}")
         num = 0.0 + 0.0j
-        for k in range(n, -1, -1):
-            num = num * x + rates[k]
+        for a in rates:
+            num = num * x + a
         return -num / dp
 
-    def rk4(t0: float, t1: float, x: complex, step_index: int) -> complex:
-        h = t1 - t0
-        pm = poly_at(t0 + h / 2.0)
-        k1 = velocity(poly_at(t0), x, step_index)
-        k2 = velocity(pm, x + h / 2.0 * k1, step_index)
-        k3 = velocity(pm, x + h / 2.0 * k2, step_index)
-        k4 = velocity(poly_at(t1), x + h * k3, step_index)
+    def rk4(dm: tuple, d1: tuple, h: float, x: complex, k1: complex,
+            t: float) -> complex:
+        k2 = velocity(dm, x + h / 2.0 * k1, t)
+        k3 = velocity(dm, x + h / 2.0 * k2, t)
+        k4 = velocity(d1, x + h * k3, t)
         return x + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
 
-    def advance(t0: float, t1: float, x: complex, step_index: int,
-                depth: int) -> complex:
-        tm = 0.5 * (t0 + t1)
-        accepted = False
-        corrected = x
-        try:
-            one = rk4(t0, t1, x, step_index)
-            two = rk4(tm, t1, rk4(t0, tm, x, step_index), step_index)
-            if abs(one - two) <= LOCAL_TOL * max(1.0, abs(two)):
-                p_end = poly_at(t1)
-                corrected = two
-                converged = False
-                for _ in range(NEWTON_STEPS):
-                    fx = p_end(corrected)
-                    if abs(fx) <= 1e-13 * p_end.scale \
-                            * max(1.0, abs(corrected)) ** n:
-                        converged = True
-                        break
-                    dp = p_end.deriv(corrected)
-                    if abs(dp) < DERIV_FLOOR * p_end.scale \
-                            * max(1.0, abs(corrected)) ** (n - 1):
-                        raise PathSingularityError(
-                            f"P' vanished in correction at step {step_index}")
-                    corrected = corrected - fx / dp
-                else:
-                    converged = abs(p_end(corrected)) <= 1e-13 * p_end.scale \
-                        * max(1.0, abs(corrected)) ** n
-                accepted = converged and abs(corrected - two) \
-                    <= 0.25 * abs(two - x) + 1e-12 * max(1.0, abs(corrected))
-        except PathSingularityError:
-            if depth >= MAX_REFINE_DEPTH:
-                raise
-            accepted = False
-        if accepted:
-            return corrected
-        if depth >= MAX_REFINE_DEPTH:
-            raise PathSingularityError(
-                f"refinement exhausted at step {step_index} (t={t0:.6f})")
-        xm = advance(t0, tm, x, step_index, depth + 1)
-        return advance(tm, t1, xm, step_index, depth + 1)
+    def correct(data: tuple, x: complex, t: float) -> complex | None:
+        """Newton on P_t from x; None if the residual test is never met."""
+        coeffs, dcoeffs, scale = data
+        for i in range(NEWTON_STEPS + 1):
+            fx = 0.0 + 0.0j
+            for a in coeffs:
+                fx = fx * x + a
+            if abs(fx) <= 1e-13 * scale * max(1.0, abs(x)) ** n:
+                return x
+            if i == NEWTON_STEPS:
+                return None
+            dp = 0.0 + 0.0j
+            for a in dcoeffs:
+                dp = dp * x + a
+            if abs(dp) < DERIV_FLOOR * scale * max(1.0, abs(x)) ** (n - 1):
+                raise PathSingularityError(f"P' vanished in correction at t={t!r}")
+            x = x - fx / dp
+        return None
 
     out = []
-    dt = 1.0 / path.steps
+    data_start = data_at(0.0)
     for x in path.start_roots:
-        for i in range(path.steps):
-            x = advance(i * dt, (i + 1) * dt, x, i, 0)
+        t, h, d0 = 0.0, h_max, data_start
+        while t < 1.0:
+            t1 = min(1.0, t + h)
+            tm = 0.5 * (t + t1)
+            dm, d1 = data_at(tm), data_at(t1)
+            try:
+                k1 = velocity(d0, x, t)
+                one = rk4(dm, d1, t1 - t, x, k1, t)
+                half = rk4(data_at(0.5 * (t + tm)), dm, tm - t, x, k1, t)
+                two = rk4(data_at(0.5 * (tm + t1)), d1, t1 - tm, half,
+                          velocity(dm, half, tm), tm)
+                err = abs(one - two) / (LOCAL_TOL * max(1.0, abs(two)))
+                # the 1e-4 floor only avoids 0 ** -0.2; the cap of 2 binds from 0.02
+                factor = min(2.0, max(0.25, 0.9 * max(err, 1e-4) ** -0.2))
+                if err <= 1.0:
+                    corrected = correct(d1, two, t1)
+                    if corrected is not None and abs(corrected - two) \
+                            <= 0.25 * abs(two - x) + 1e-12 * max(1.0, abs(corrected)):
+                        t, x, d0 = t1, corrected, d1
+                        h = min(h_max, h * factor)
+                        continue
+                    factor = 0.5
+                h *= factor
+            except PathSingularityError:
+                h /= 2.0
+            if h < h_min:
+                raise PathSingularityError(
+                    f"step size fell below {h_min!r} at t={t!r}")
         for _ in range(3 * NEWTON_STEPS):  # final polish on the exact target
             fx = path.target(x)
             dp = path.target.deriv(x)
@@ -277,9 +303,38 @@ def oracle_roots(p: Poly, max_iter: int = 1000) -> list[complex]:
 
 
 def match_distance(found: list[complex], reference: list[complex]) -> float:
-    """Largest pairing distance under the optimal one-to-one assignment."""
+    """Largest pairing distance under the optimal one-to-one assignment.
+
+    This is the bottleneck assignment: the smallest d such that every found
+    root pairs with its own reference root at distance <= d.  d is one of the
+    pairwise distances, so a binary search over them, deciding each candidate
+    with Kuhn's augmenting paths, finds it exactly.
+    """
     if len(found) != len(reference):
         raise ValueError("root multisets differ in size")
-    cost = np.array([[abs(f - r) for r in reference] for f in found])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+    n = len(found)
+    dist = [[abs(f - r) for r in reference] for f in found]
+    levels = sorted({d for row in dist for d in row}) or [0.0]
+
+    def pairs_within(limit: float) -> bool:
+        owner: list[int | None] = [None] * n  # found index paired with each reference
+
+        def augment(i: int, seen: set[int]) -> bool:
+            for j in range(n):
+                if dist[i][j] <= limit and j not in seen:
+                    seen.add(j)
+                    if owner[j] is None or augment(owner[j], seen):
+                        owner[j] = i
+                        return True
+            return False
+
+        return all(augment(i, set()) for i in range(n))
+
+    lo, hi = 0, len(levels) - 1  # the largest distance always admits a pairing
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pairs_within(levels[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return levels[lo]

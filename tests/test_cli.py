@@ -1,8 +1,12 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import geodiff
 from geodiff.cli import (ConfigError, RunConfig, main, parse_config, run,
                          write_report)
 
@@ -92,6 +96,15 @@ class TestSuites:
         report = run(RunConfig(suite="roots", cases=5, seed=1))
         assert report.summary["failures"] == 0
 
+    def test_quad_sens_root_near_zero(self):
+        # case 0 of `--suite roots --seed 2`: r2 is near 0, where the textbook
+        # (-b + disc) / (2a) cancels and its finite differences miss SENS_TOL
+        report = run(RunConfig(suite="roots", cases=1, seed=2))
+        rec = next(r for r in report.records if r.op == "quad_sens")
+        assert rec.inputs == ("0.8820328975350586;1.1667033199732073;"
+                              "-0.005588140144550972;0.004772464856140468")
+        assert rec.passed and rec.rel_err < 1e-6
+
     def test_random_cases_never_hit_domain_errors(self):
         # generation respects the type invariants by construction
         report = run(RunConfig(suite="theorems", cases=50, seed=77))
@@ -167,3 +180,13 @@ class TestMain:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"bogus": 1}))
         assert main(["--config", str(path)]) == 2
+
+
+def test_cli_import_loads_neither_numpy_nor_scipy():
+    src = os.path.dirname(os.path.dirname(geodiff.__file__))
+    code = ("import sys, geodiff.cli; "
+            "print(sorted({'numpy', 'scipy'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

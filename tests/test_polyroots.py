@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 
@@ -65,6 +66,18 @@ class TestTrack:
         start, _ = unit_circle_start(2)
         with pytest.raises(ValueError):
             ContinuationPath(start, (0.5 + 0j, 2.0 + 0j), Poly((-4.0, 0.0, 1.0)))
+
+    def test_step_cap_does_not_change_the_roots(self):
+        # path.steps only caps the step; the error control sets the rest
+        rng = random.Random("polyroots-steps")
+        for _ in range(4):
+            coeffs = [rng.uniform(-5.0, 5.0) for _ in range(8)] + [1.0]
+            path = make_path(Poly(tuple(complex(c) for c in coeffs)), rng=rng)
+            runs = [track(ContinuationPath(path.start, path.start_roots,
+                                           path.target, steps, path.gamma))
+                    for steps in (8, 64, 256)]
+            for roots in runs[1:]:
+                assert max(abs(a - b) for a, b in zip(runs[0], roots)) < 1e-12
 
     def test_repeated_target_root_fails_loudly(self):
         # (x-1)^2: the path ends on a double root where P' vanishes
@@ -148,6 +161,22 @@ class TestRandomPolynomials:
                 assert abs(target(x)) < 1e-8 * scale * max(1.0, abs(x)) ** degree
             conj = [x.conjugate() for x in roots]
             assert match_distance(conj, roots) < 1e-8
+
+    def test_match_distance_is_the_bottleneck(self):
+        # pairing in order costs 0 + 3, crosswise 2 + 2: the sum prefers the
+        # first, the largest distance the second
+        far = 2.0 * cmath.exp(2j * math.asin(0.75))
+        assert match_distance([0j, 2 + 0j], [0j, far]) == pytest.approx(2.0)
+
+    def test_match_distance_agrees_with_brute_force(self):
+        rng = random.Random("bottleneck")
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            found, ref = ([complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                           for _ in range(n)] for _ in range(2))
+            brute = min(max(abs(f - ref[j]) for f, j in zip(found, perm))
+                        for perm in itertools.permutations(range(n)))
+            assert match_distance(found, ref) == brute
 
     def test_match_distance_requires_equal_sizes(self):
         with pytest.raises(ValueError):
