@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 Point = tuple[float, float]
 
-TOTAL_ANGLE_TOL = 1e-13   # bisection target on the central-angle sum
+TOTAL_ANGLE_TOL = 1e-13   # solver target on the central-angle sum
 CHORD_TOL = 1e-10         # relative chord-length reproduction
 
 
@@ -248,54 +248,92 @@ class CyclicEmbedding:
     points: tuple[Point, Point, Point, Point]
 
 
-def embed_cyclic(q) -> CyclicEmbedding:
-    """Place the quadrilateral on its circumcircle by bisection on R.
+def cyclic_constructible(sides) -> bool:
+    """Whether the sides close up on a circle with the center inside.
 
-    The central angle of side s on a circle of radius R is 2*asin(s/(2R)) and
-    their sum decreases monotonically in R, so bisection between R_min (the
-    largest side as diameter) and a geometrically grown upper bound converges.
-    Only the all-convex configuration (every central angle < pi, center inside)
-    is supported.
+    With the longest side as a diameter (R = max(sides)/2) the central angles
+    2*asin(s/(2R)) must already reach 2*pi; they shrink as R grows.
+    """
+    lo = max(sides) / 2.0
+    return sum(2.0 * math.asin(min(1.0, s / (2.0 * lo))) for s in sides) \
+        >= 2.0 * math.pi
+
+
+def embed_cyclic(q) -> CyclicEmbedding:
+    """Place the quadrilateral on its circumcircle.
+
+    The unknown is phi, half the central angle of the longest side s_max.
+    On a circle of radius R = s_max / (2 sin phi) side s_i subtends
+    2*asin(k_i sin phi) with k_i = s_i / s_max, so the sides close up where
+
+        f(phi) = 2 phi + sum_{i != max} 2 asin(k_i sin phi) - 2 pi = 0.
+
+    f is increasing and concave on [0, pi/2], f(0) = -2 pi, and
+    ``cyclic_constructible`` is f(pi/2) >= 0, so Newton's method started
+    left of the root climbs to it without overshooting.  The bracket
+    [0, pi/2] is kept, and a step that leaves it, or a non-finite one, falls
+    back to bisection.  Iteration stops one Newton step after
+    |f| < TOTAL_ANGLE_TOL, which leaves f at the rounding level.
+
+    The slope f' = 2 + sum 2 k_i cos phi / sqrt(cos^2 phi + (1 - k_i^2) sin^2 phi)
+    stays between 2 and 8, so phi is well conditioned everywhere.  Solving
+    for R instead is ill-conditioned near the smallest radius, where s_max is
+    almost a diameter and the angle sum has an infinite slope in R.  The
+    square root is cos(asin(k sin phi)) without the cancellation of
+    1 - k^2 sin^2 phi, and the half angles are atan2 of it and k sin phi.
+
+    Only the all-convex configuration (every central angle < pi, center
+    inside) is supported; anything else raises NotConstructibleError.  The
+    result must reproduce the angle sum 2 pi to 1e-10 and every side to
+    CHORD_TOL, or InvariantViolation is raised.
     """
     sides = q.sides
-    lo = max(sides) / 2.0
-
-    def total(radius: float) -> float:
-        return sum(2.0 * math.asin(min(1.0, s / (2.0 * radius))) for s in sides)
-
-    if total(lo) < 2.0 * math.pi:
+    if not cyclic_constructible(sides):
         raise NotConstructibleError(
             f"sides {sides} need the center-outside configuration")
-    hi = lo
-    for _ in range(200):
-        hi *= 2.0
-        if total(hi) < 2.0 * math.pi:
-            break
-    else:
-        raise NotConstructibleError(f"no bracketing radius for sides {sides}")
+    longest = max(range(4), key=sides.__getitem__)
+    s_max = sides[longest]
+    ks = [s / s_max for i, s in enumerate(sides) if i != longest]
+    one_minus_k2 = [(1.0 - k) * (1.0 + k) for k in ks]
 
-    radius = 0.5 * (lo + hi)
-    for _ in range(300):
-        radius = 0.5 * (lo + hi)
-        err = total(radius) - 2.0 * math.pi
+    def half_angles(phi: float) -> list[tuple[float, float]]:
+        """asin(k_i sin phi) and its derivative in phi, for each k_i."""
+        sin, cos = math.sin(phi), math.cos(phi)
+        out = []
+        for k, c in zip(ks, one_minus_k2):
+            root = math.sqrt(cos * cos + c * sin * sin)
+            out.append((math.atan2(k * sin, root), k * cos / root))
+        return out
+
+    lo, hi = 0.0, 0.5 * math.pi
+    # the Newton step from phi = 0, where f = -2 pi and f' = 2 + 2 sum k_i
+    phi = min(math.pi / (1.0 + sum(ks)), hi)
+    for _ in range(100):
+        terms = half_angles(phi)
+        err = 2.0 * (phi + sum(a for a, _ in terms)) - 2.0 * math.pi
+        if err < 0.0:
+            lo = phi
+        elif err > 0.0:
+            hi = phi
+        phi -= err / (2.0 + 2.0 * sum(d for _, d in terms))
+        if not lo < phi < hi:  # also catches a non-finite step
+            phi = 0.5 * (lo + hi)
         if abs(err) < TOTAL_ANGLE_TOL:
-            break
-        if err > 0.0:
-            lo = radius
-        else:
-            hi = radius
-        if hi - lo <= 1e-16 * radius:
-            break
+            break  # after one more step, which leaves |f| at rounding level
+    terms = half_angles(phi)
 
-    thetas = tuple(2.0 * math.asin(min(1.0, s / (2.0 * radius))) for s in sides)
+    radius = s_max / (2.0 * math.sin(phi))
+    halves = iter(terms)
+    thetas = tuple(2.0 * phi if i == longest else 2.0 * next(halves)[0]
+                   for i in range(4))
     if abs(sum(thetas) - 2.0 * math.pi) > 1e-10:
         raise InvariantViolation(
             f"central angles sum to {sum(thetas)} for sides {sides}")
-    phi = 0.0
+    at = 0.0
     points = []
     for th in thetas:
-        points.append((radius * math.cos(phi), radius * math.sin(phi)))
-        phi += th
+        points.append((radius * math.cos(at), radius * math.sin(at)))
+        at += th
     for p, pn, s in zip(points, points[1:] + points[:1], sides):
         if abs(dist(p, pn) - s) > CHORD_TOL * s:
             raise InvariantViolation(f"chord {dist(p, pn)} does not match side {s}")

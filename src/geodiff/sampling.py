@@ -2,7 +2,10 @@
 
 Lengths are log-uniform in [0.1, 10]; triangle and quadrilateral inequalities
 are enforced by rejection with a relative degeneracy margin of 1e-3, which
-keeps conditioning benign without hiding interesting shapes.
+keeps conditioning benign without hiding interesting shapes.  Cyclic
+quadrilaterals are also rejected unless ``oracle.cyclic_constructible`` holds
+(circumcenter inside).  That is the test ``oracle.embed_cyclic`` starts
+with, so the sampler accepts what it would embed without embedding it.
 """
 
 from __future__ import annotations
@@ -40,14 +43,10 @@ def cyclic_quad(rng: random.Random, margin: float = MARGIN) -> geom.CyclicQuad:
     while True:
         s = [length(rng) for _ in range(4)]
         total = sum(s)
-        if min(total - 2.0 * v for v in s) <= margin * total:
+        if min(total - 2.0 * v for v in s) <= margin * total \
+                or not oracle.cyclic_constructible(s):
             continue
-        quad = geom.CyclicQuad(*s)
-        try:
-            oracle.embed_cyclic(quad)
-        except oracle.NotConstructibleError:
-            continue
-        return quad
+        return geom.CyclicQuad(*s)
 
 
 def trirect(rng: random.Random) -> geom.TrirectTetra:

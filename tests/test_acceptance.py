@@ -9,7 +9,7 @@ import random
 import time
 
 from geodiff import geom, homogeneity, odes, polyroots, sampling
-from geodiff.cli import RunConfig, run
+from geodiff.cli import RunConfig, quad_sens_error, run
 
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
@@ -139,20 +139,8 @@ def test_criterion_7_root_tracking():
         r1 = rng.uniform(-3.0, 3.0)
         r2 = r1 + rng.uniform(0.5, 3.0)
         b, c = -a * (r1 + r2), a * r1 * r2
-        sens = polyroots.quadratic_sensitivities(a, b, c, r2)
-        h = 1e-7
-
-        def root_near(aa, bb, cc):
-            d = math.sqrt(bb * bb - 4 * aa * cc)
-            return min(((-bb + d) / (2 * aa), (-bb - d) / (2 * aa)),
-                       key=lambda r: abs(r - r2))
-
-        fd = ((root_near(a + h, b, c) - root_near(a - h, b, c)) / (2 * h),
-              (root_near(a, b + h, c) - root_near(a, b - h, c)) / (2 * h),
-              (root_near(a, b, c + h) - root_near(a, b, c - h)) / (2 * h))
-        worst_sens = max(worst_sens,
-                         max(abs(s.real - f) / max(abs(f), 1e-30)
-                             for s, f in zip(sens, fd)))
+        # sensitivities vs central differences, step 1e-7 (shared with cli)
+        worst_sens = max(worst_sens, quad_sens_error(a, b, c, r2))
     elapsed = time.time() - t0
     ok = worst_track < 1e-6 and worst_sens < 1e-5 and elapsed < 10.0
     report(7, ok,

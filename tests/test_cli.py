@@ -1,14 +1,17 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 
 import geodiff
-from geodiff.cli import (ConfigError, RunConfig, main, parse_config, run,
-                         write_report)
+from geodiff import oracle
+from geodiff.cli import (ConfigError, Record, RunConfig, main, parse_config,
+                         run, write_report)
 
 
 class TestParseConfig:
@@ -105,6 +108,19 @@ class TestSuites:
                               "-0.005588140144550972;0.004772464856140468")
         assert rec.passed and rec.rel_err < 1e-6
 
+    def test_cyclic_oracle_failure_becomes_records(self, monkeypatch):
+        def broken(quad):
+            raise oracle.InvariantViolation("chord does not match")
+
+        monkeypatch.setattr(oracle, "embed_cyclic", broken)
+        report = run(RunConfig(suite="theorems", cases=3, seed=5))
+        assert len(report.records) == 51
+        failed = [r for r in report.records if not r.passed]
+        assert len(failed) == 6 == report.summary["failures"]
+        assert {r.op for r in failed} == {"ptolemy_diagonal", "cyclic_quad_area"}
+        assert all(r.actual == "InvariantViolation" and r.rel_err == math.inf
+                   for r in failed)
+
     def test_random_cases_never_hit_domain_errors(self):
         # generation respects the type invariants by construction
         report = run(RunConfig(suite="theorems", cases=50, seed=77))
@@ -152,6 +168,45 @@ class TestReportFiles:
         assert payload["records"][0].keys() == {
             "suite", "case_id", "op", "inputs", "expected", "actual",
             "rel_err", "passed"}
+
+
+def _json_dump_bytes(report):
+    payload = {
+        "timestamp": report.timestamp,
+        "version": report.version,
+        "config": asdict(report.config),
+        "summary": report.summary,
+        "records": [asdict(r) for r in report.records],
+    }
+    return json.dumps(payload, indent=1) + "\n"
+
+
+class TestJsonWriter:
+    """The streamed writer must give exactly json.dump's indent=1 bytes."""
+
+    def check(self, report, tmp_path):
+        path = tmp_path / "out.json"
+        write_report(report, str(path), "json")
+        assert path.read_text(encoding="utf-8") == _json_dump_bytes(report)
+
+    def test_derive_report(self, tmp_path):
+        self.check(run(RunConfig(suite="derive", cases=10, format="json")),
+                   tmp_path)
+
+    def test_failure_records(self, tmp_path):
+        report = run(RunConfig(suite="theorems", cases=2, seed=1))
+        report.records.append(Record("theorems", 2, "cyclic_quad_area",
+                                     "1.0;2.0", "0.5", "InvariantViolation",
+                                     math.inf, False))
+        report.records.append(Record("x", 3, "op \"q\" \u00e9\n", "", "", "",
+                                     -math.inf, True))
+        report.records.append(Record("x", 4, "op", "", "", "", math.nan, False))
+        self.check(report, tmp_path)
+
+    def test_no_records(self, tmp_path):
+        report = run(RunConfig(suite="derive", cases=2))
+        report.records.clear()
+        self.check(report, tmp_path)
 
 
 class TestMain:

@@ -1,10 +1,11 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import assert_close, quads, rotate_translate, triangles
-from geodiff import geom, oracle
+from geodiff import geom, oracle, sampling
 
 
 class TestEmbedding:
@@ -129,6 +130,41 @@ class TestCyclicEmbedding:
     def test_center_outside_rejected(self):
         with pytest.raises(oracle.NotConstructibleError):
             oracle.embed_cyclic(geom.CyclicQuad(5.0, 2.0, 2.0, 1.5))
+        assert not oracle.cyclic_constructible((5.0, 2.0, 2.0, 1.5))
+        assert oracle.cyclic_constructible((1.0, 2.0, 1.5, 1.8))
+
+    @pytest.mark.parametrize("sides", [
+        # the longest side is almost a diameter, where the angle sum has an
+        # infinite slope in R; a solve in R missed the invariant checks here
+        (0.2568794086862331, 0.9214384736617623, 3.8792933398741476,
+         3.698985011552588),
+        (8.467865052524978, 8.47112434120543, 0.11261593162077684,
+         0.12251407906999023),
+    ])
+    def test_near_diameter_quads_embed(self, sides):
+        e = oracle.embed_cyclic(geom.CyclicQuad(*sides))
+        assert abs(sum(e.thetas) - 2.0 * math.pi) < 1e-10
+        pts = list(e.points)
+        for p, pn, s in zip(pts, pts[1:] + pts[:1], sides):
+            assert abs(oracle.dist(p, pn) - s) <= oracle.CHORD_TOL * s
+        assert_close(oracle.cyclic_diagonal(e),
+                     geom.ptolemy_diagonal(geom.CyclicQuad(*sides)), 1e-12)
+
+
+def test_cyclic_sampler_stream_is_pinned():
+    # the constructibility test must accept exactly the quads a full
+    # embedding accepts: these are the quads an embedding sampler drew
+    rng = random.Random(2024)
+    got = [sampling.cyclic_quad(rng).sides for _ in range(3)]
+    assert got == [
+        (0.6034093998931805, 0.49044781883185823, 0.2525196317146418,
+         0.7138611387303806),
+        (7.312520601755827, 1.225516150537341, 7.451843759812566,
+         2.7600990876815654),
+        (1.318458054304633, 1.2262258188168071, 0.42606818902599025,
+         0.17608763256048615),
+    ]
+    assert rng.random() == 0.028919720517454617
 
 
 @given(quads)
