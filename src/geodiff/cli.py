@@ -7,6 +7,9 @@ Suites: theorems (closed forms vs the coordinate oracle), derive (ODE
 convergence and residuals), scale (homogeneity sweep), roots (continuation
 vs simultaneous iteration), or all.  Reports are deterministic for a fixed
 (config, seed); the timestamp lives in the JSON header, never in records.
+
+The derive suite draws nothing at random, so it ignores ``--seed``; it reads
+``--cases`` as the number of sample points of each residual-mode entry.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ class RunConfig:
             raise ConfigError(f"unknown format {self.format!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Record:
     suite: str
     case_id: int
@@ -88,16 +91,18 @@ class Report:
 
 
 def _fmt(*values) -> str:
-    return ";".join(repr(float(v)) for v in values)
+    return ";".join(map(repr, map(float, values)))
 
 
 def _rel(actual: float, expected: float) -> float:
     return abs(actual - expected) / max(abs(expected), 1e-30)
 
 
-def _record(suite, case_id, op, inputs, expected, actual, tol) -> Record:
-    err = _rel(actual, expected)
-    return Record(suite, case_id, op, inputs, _fmt(expected), _fmt(actual),
+def _record(suite, case_id, op, inputs, expected: float, actual: float,
+            tol) -> Record:
+    """Record of one float comparison; for floats, repr is what _fmt gives."""
+    err = abs(actual - expected) / max(abs(expected), 1e-30)
+    return Record(suite, case_id, op, inputs, repr(expected), repr(actual),
                   err, err < tol)
 
 
@@ -111,6 +116,11 @@ def run_theorems(rng: random.Random, cases: int, tol: float) -> list[Record]:
         e = oracle.embed_triangle(t)
         ins = _fmt(*t.sides)
         split = sampling.cevian_split(rng, t.z)
+        # measured once each: the incenter and circumcenter are rebuilt per call
+        full_m = oracle.measure_bisector_full(e)
+        to_incenter_m = oracle.measure_bisector_to_incenter(e)
+        big_m = oracle.measure_circumradius(e)
+        r_m = oracle.measure_inradius(e)
         pairs = [
             ("median", geom.median(t), oracle.measure_median(e), ins),
             ("cevian", geom.cevian(t, split),
@@ -119,19 +129,14 @@ def run_theorems(rng: random.Random, cases: int, tol: float) -> list[Record]:
             ("triangle_area", geom.triangle_area(t), oracle.measure_area(e), ins),
             ("angle_from_sides", geom.angle_from_sides(t),
              oracle.measure_angle_gamma(e), ins),
-            ("bisector_full", geom.bisector_full(t),
-             oracle.measure_bisector_full(e), ins),
+            ("bisector_full", geom.bisector_full(t), full_m, ins),
             ("bisector_to_incenter", geom.bisector_to_incenter(t),
-             oracle.measure_bisector_to_incenter(e), ins),
-            ("incenter_ratio", geom.incenter_ratio(t),
-             oracle.measure_bisector_to_incenter(e)
-             / oracle.measure_bisector_full(e), ins),
-            ("circumradius", geom.circumradius(t),
-             oracle.measure_circumradius(e), ins),
-            ("inradius", geom.inradius(t), oracle.measure_inradius(e), ins),
+             to_incenter_m, ins),
+            ("incenter_ratio", geom.incenter_ratio(t), to_incenter_m / full_m,
+             ins),
+            ("circumradius", geom.circumradius(t), big_m, ins),
+            ("inradius", geom.inradius(t), r_m, ins),
         ]
-        r_m = oracle.measure_inradius(e)
-        big_m = oracle.measure_circumradius(e)
         pairs.append(("euler_distance",
                       geom.euler_distance(geom.IncirclePair(r_m, big_m)),
                       oracle.measure_euler_distance(e), _fmt(r_m, big_m)))
@@ -199,9 +204,19 @@ def run_derive(cases: int, h_values, tol: float | None) -> tuple[list[Record], d
                               _fmt(res.max_residual), res.max_residual,
                               res.max_residual < residual_tol))
             continue
-        rep = odes.convergence(entry, h_values)
-        orders[entry.name] = rep.fitted_order
         exact = odes.reference_endpoint(entry)
+        try:
+            rep = odes.convergence(entry, h_values)
+        except odes.SingularityError as exc:
+            # the entry's usual records, each failing under the exception name
+            failed = type(exc).__name__
+            out.extend(Record("derive", 0, f"{entry.name}:h={h:g}", _fmt(h),
+                              _fmt(exact), failed, math.inf, False)
+                       for h in h_values)
+            out.append(Record("derive", 0, f"{entry.name}:order",
+                              _fmt(*h_values), "4.0", failed, math.inf, False))
+            continue
+        orders[entry.name] = rep.fitted_order
         for h, endpoint, err in zip(rep.h_values, rep.endpoints, rep.errors):
             judged = h == min(rep.h_values)
             out.append(Record("derive", 0, f"{entry.name}:h={h:g}", _fmt(h),
@@ -351,16 +366,32 @@ _JSON_RECORD = ('\n  {\n   "suite": %s,\n   "case_id": %d,\n   "op": %s,'
 
 
 def _json_records(records):
-    """One indent=1 JSON object per record, comma-separated."""
+    """One indent=1 JSON object per record, comma-separated.
+
+    Suite and op names repeat throughout a report, so each distinct one is
+    encoded once.  Consecutive records often share one ``inputs`` string
+    object (a theorems case shares it across its triangle operations), so it
+    is re-encoded only when the object changes.
+    """
     string = json.encoder.encode_basestring_ascii
+    names = {}
+    inputs, inputs_json = None, ""
     sep = ""
     for r in records:
+        suite = names.get(r.suite)
+        if suite is None:
+            suite = names[r.suite] = string(r.suite)
+        op = names.get(r.op)
+        if op is None:
+            op = names[r.op] = string(r.op)
+        if r.inputs is not inputs:
+            inputs = r.inputs
+            inputs_json = string(inputs)
         err = float.__repr__(r.rel_err) if math.isfinite(r.rel_err) \
             else json.dumps(r.rel_err)
         yield sep + _JSON_RECORD % (
-            string(r.suite), r.case_id, string(r.op), string(r.inputs),
-            string(r.expected), string(r.actual), err,
-            "true" if r.passed else "false")
+            suite, r.case_id, op, inputs_json, string(r.expected),
+            string(r.actual), err, "true" if r.passed else "false")
         sep = ","
 
 

@@ -18,17 +18,21 @@ from . import geom, oracle
 LENGTH_LO = 0.1
 LENGTH_HI = 10.0
 MARGIN = 1e-3
+_LOG_LO = math.log(LENGTH_LO)
+_LOG_HI = math.log(LENGTH_HI)
 
 
 def length(rng: random.Random, lo: float = LENGTH_LO, hi: float = LENGTH_HI) -> float:
-    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+    log_lo = _LOG_LO if lo == LENGTH_LO else math.log(lo)
+    log_hi = _LOG_HI if hi == LENGTH_HI else math.log(hi)
+    return math.exp(rng.uniform(log_lo, log_hi))
 
 
 def triangle(rng: random.Random, margin: float = MARGIN) -> geom.Triangle:
     while True:
-        x, y, z = (length(rng) for _ in range(3))
-        peri = x + y + z
-        if min(x + y - z, y + z - x, z + x - y) > margin * peri:
+        x, y, z = length(rng), length(rng), length(rng)
+        tol = margin * (x + y + z)
+        if x + y - z > tol and y + z - x > tol and z + x - y > tol:
             return geom.Triangle(x, y, z)
 
 
@@ -43,7 +47,8 @@ def cyclic_quad(rng: random.Random, margin: float = MARGIN) -> geom.CyclicQuad:
     while True:
         s = [length(rng) for _ in range(4)]
         total = sum(s)
-        if min(total - 2.0 * v for v in s) <= margin * total \
+        # total - 2v falls as v grows, also when rounded: the longest side decides
+        if total - 2.0 * max(s) <= margin * total \
                 or not oracle.cyclic_constructible(s):
             continue
         return geom.CyclicQuad(*s)

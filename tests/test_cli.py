@@ -9,7 +9,7 @@ from dataclasses import asdict
 import pytest
 
 import geodiff
-from geodiff import oracle
+from geodiff import odes, oracle
 from geodiff.cli import (ConfigError, Record, RunConfig, main, parse_config,
                          run, write_report)
 
@@ -121,6 +121,27 @@ class TestSuites:
         assert all(r.actual == "InvariantViolation" and r.rel_err == math.inf
                    for r in failed)
 
+    def test_derive_singularity_becomes_records(self, monkeypatch):
+        integrate = odes.integrate
+
+        def singular(problem, h):
+            if problem.name == "pythagoras":
+                raise odes.SingularityError("non-finite right-hand side")
+            return integrate(problem, h)
+
+        monkeypatch.setattr(odes, "integrate", singular)
+        report = run(RunConfig(suite="derive", cases=10))
+        assert len(report.records) == 72
+        failed = [r for r in report.records if not r.passed]
+        assert len(failed) == 4 == report.summary["failures"]
+        assert [r.op for r in failed] == [
+            "pythagoras:h=0.1", "pythagoras:h=0.01", "pythagoras:h=0.001",
+            "pythagoras:order"]
+        assert all(r.actual == "SingularityError" and r.rel_err == math.inf
+                   for r in failed)
+        assert "pythagoras" not in report.summary["fitted_orders"]
+        assert math.isfinite(report.summary["max_rel_err"])
+
     def test_random_cases_never_hit_domain_errors(self):
         # generation respects the type invariants by construction
         report = run(RunConfig(suite="theorems", cases=50, seed=77))
@@ -143,6 +164,37 @@ class TestDeterminism:
         a = run(RunConfig(suite="theorems", cases=5, seed=1)).records
         b = run(RunConfig(suite="theorems", cases=5, seed=2)).records
         assert a != b
+
+    # the JSON writer encodes each shared inputs string once; these compare it
+    # against json.dump on reports whose records share and repeat inputs
+
+    def check_json(self, report, tmp_path):
+        path = tmp_path / "out.json"
+        write_report(report, str(path), "json")
+        assert path.read_text(encoding="utf-8") == _json_dump_bytes(report)
+
+    def test_theorems_json_matches_json_dump(self, tmp_path):
+        report = run(RunConfig(suite="theorems", cases=20, seed=3))
+        shared = sum(a.inputs is b.inputs
+                     for a, b in zip(report.records, report.records[1:]))
+        assert shared >= 20 * 6
+        self.check_json(report, tmp_path)
+
+    def test_scale_json_matches_json_dump(self, tmp_path):
+        self.check_json(run(RunConfig(suite="scale", cases=5, seed=3)),
+                        tmp_path)
+
+    def test_equal_distinct_inputs_match_json_dump(self, tmp_path):
+        report = run(RunConfig(suite="derive", cases=2))
+        report.records.clear()
+        first = "".join(["1.5;", "2.5"])
+        second = "".join(["1.5;", "2.5"])
+        assert first == second and first is not second
+        report.records += [Record("x", 0, "a", first, "1.0", "1.0", 0.0, True),
+                           Record("x", 0, "b", second, "1.0", "1.0", 0.0, True),
+                           Record("x", 1, "a", "3.5", "2.0", "2.0", 0.0, True),
+                           Record("x", 1, "b", first, "2.0", "2.0", 0.0, True)]
+        self.check_json(report, tmp_path)
 
 
 class TestReportFiles:

@@ -167,6 +167,21 @@ def test_cyclic_sampler_stream_is_pinned():
     assert rng.random() == 0.028919720517454617
 
 
+def test_triangle_sampler_and_length_streams_are_pinned():
+    # the rng stream is pinned: reports replay only if these draws stay put
+    rng = random.Random(2025)
+    got = [sampling.triangle(rng).sides for _ in range(3)]
+    assert got == [
+        (1.3046810082496507, 1.9574461604105935, 0.9020122349398435),
+        (0.15801435037750783, 0.1254469530095909, 0.11369440628063213),
+        (7.59642398155375, 1.894086263666822, 6.959230990583738),
+    ]
+    assert rng.random() == 0.3544707560519317
+    rng = random.Random(3)
+    assert sampling.length(rng, 0.5, 2.0) == 0.6954068841685702
+    assert sampling.length(rng) == 1.2259096130103324
+
+
 @given(quads)
 @settings(max_examples=60, deadline=None)
 def test_cyclic_vertices_concyclic(q):
