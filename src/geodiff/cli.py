@@ -101,7 +101,7 @@ def _rel(actual: float, expected: float) -> float:
 def _record(suite, case_id, op, inputs, expected: float, actual: float,
             tol) -> Record:
     """Record of one float comparison; for floats, repr is what _fmt gives."""
-    err = abs(actual - expected) / max(abs(expected), 1e-30)
+    err = _rel(actual, expected)
     return Record(suite, case_id, op, inputs, repr(expected), repr(actual),
                   err, err < tol)
 
@@ -366,32 +366,16 @@ _JSON_RECORD = ('\n  {\n   "suite": %s,\n   "case_id": %d,\n   "op": %s,'
 
 
 def _json_records(records):
-    """One indent=1 JSON object per record, comma-separated.
-
-    Suite and op names repeat throughout a report, so each distinct one is
-    encoded once.  Consecutive records often share one ``inputs`` string
-    object (a theorems case shares it across its triangle operations), so it
-    is re-encoded only when the object changes.
-    """
+    """One indent=1 JSON object per record, comma-separated."""
     string = json.encoder.encode_basestring_ascii
-    names = {}
-    inputs, inputs_json = None, ""
     sep = ""
     for r in records:
-        suite = names.get(r.suite)
-        if suite is None:
-            suite = names[r.suite] = string(r.suite)
-        op = names.get(r.op)
-        if op is None:
-            op = names[r.op] = string(r.op)
-        if r.inputs is not inputs:
-            inputs = r.inputs
-            inputs_json = string(inputs)
         err = float.__repr__(r.rel_err) if math.isfinite(r.rel_err) \
             else json.dumps(r.rel_err)
         yield sep + _JSON_RECORD % (
-            suite, r.case_id, op, inputs_json, string(r.expected),
-            string(r.actual), err, "true" if r.passed else "false")
+            string(r.suite), r.case_id, string(r.op), string(r.inputs),
+            string(r.expected), string(r.actual), err,
+            "true" if r.passed else "false")
         sep = ","
 
 

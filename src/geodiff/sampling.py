@@ -22,10 +22,8 @@ _LOG_LO = math.log(LENGTH_LO)
 _LOG_HI = math.log(LENGTH_HI)
 
 
-def length(rng: random.Random, lo: float = LENGTH_LO, hi: float = LENGTH_HI) -> float:
-    log_lo = _LOG_LO if lo == LENGTH_LO else math.log(lo)
-    log_hi = _LOG_HI if hi == LENGTH_HI else math.log(hi)
-    return math.exp(rng.uniform(log_lo, log_hi))
+def length(rng: random.Random) -> float:
+    return math.exp(rng.uniform(_LOG_LO, _LOG_HI))
 
 
 def triangle(rng: random.Random, margin: float = MARGIN) -> geom.Triangle:

