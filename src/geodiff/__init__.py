@@ -2,13 +2,14 @@
 
 Closed-form theorem operations (geom), an independent coordinate-geometry
 oracle (oracle), the differential re-derivations with RK4 and residual checks
-(odes), the dual-number homogeneity checker (homogeneity), and a polynomial
-root continuation tracker (polyroots), driven by the ``geodiff`` CLI.
+(odes), the dual-number homogeneity checker (homogeneity), the operation
+table both suites iterate (ops), and a polynomial root continuation tracker
+(polyroots), driven by the ``geodiff`` CLI.
 """
 
 __version__ = "0.1.0"
 
-from . import dual, formulas, geom, homogeneity, odes, oracle, polyroots, sampling
+from . import dual, formulas, geom, homogeneity, odes, ops, oracle, polyroots, sampling
 
-__all__ = ["dual", "formulas", "geom", "homogeneity", "odes", "oracle",
+__all__ = ["dual", "formulas", "geom", "homogeneity", "odes", "ops", "oracle",
            "polyroots", "sampling", "__version__"]

@@ -23,7 +23,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 
-from . import __version__, geom, homogeneity, odes, oracle, polyroots, sampling
+from . import __version__, geom, homogeneity, odes, ops, oracle, polyroots
 
 SUITES = ("theorems", "derive", "scale", "roots", "all")
 DEFAULT_H = (1e-1, 1e-2, 1e-3)
@@ -111,73 +111,28 @@ def _record(suite, case_id, op, inputs, expected: float, actual: float,
 
 def run_theorems(rng: random.Random, cases: int, tol: float) -> list[Record]:
     out = []
+    theorem_ops = sorted((op for op in ops.table() if op.oracle),
+                         key=lambda op: ops.FAMILIES.index(op.family))
     for i in range(cases):
-        t = sampling.triangle(rng)
-        e = oracle.embed_triangle(t)
-        ins = _fmt(*t.sides)
-        split = sampling.cevian_split(rng, t.z)
-        # measured once each: the incenter and circumcenter are rebuilt per call
-        full_m = oracle.measure_bisector_full(e)
-        to_incenter_m = oracle.measure_bisector_to_incenter(e)
-        big_m = oracle.measure_circumradius(e)
-        r_m = oracle.measure_inradius(e)
-        pairs = [
-            ("median", geom.median(t), oracle.measure_median(e), ins),
-            ("cevian", geom.cevian(t, split),
-             oracle.measure_cevian(e, split.m, split.n),
-             _fmt(t.x, t.y, split.m, split.n)),
-            ("triangle_area", geom.triangle_area(t), oracle.measure_area(e), ins),
-            ("angle_from_sides", geom.angle_from_sides(t),
-             oracle.measure_angle_gamma(e), ins),
-            ("bisector_full", geom.bisector_full(t), full_m, ins),
-            ("bisector_to_incenter", geom.bisector_to_incenter(t),
-             to_incenter_m, ins),
-            ("incenter_ratio", geom.incenter_ratio(t), to_incenter_m / full_m,
-             ins),
-            ("circumradius", geom.circumradius(t), big_m, ins),
-            ("inradius", geom.inradius(t), r_m, ins),
-        ]
-        pairs.append(("euler_distance",
-                      geom.euler_distance(geom.IncirclePair(r_m, big_m)),
-                      oracle.measure_euler_distance(e), _fmt(r_m, big_m)))
+        case = ops.Case(rng)
+        formatted = {}  # a family's operations share one point
+        for op in theorem_ops:
+            point = op.point(case)
+            ins = formatted.get(point)
+            if ins is None:
+                ins = formatted[point] = _fmt(*point)
+            closed = op.closed(*point)
+            try:
+                measured = op.oracle(case)
+            except oracle.OracleError as exc:
+                # no oracle value: the closed form stands as the expected one
+                out.append(Record("theorems", i, op.name, ins, _fmt(closed),
+                                  type(exc).__name__, math.inf, False))
+            else:
+                out.append(_record("theorems", i, op.name, ins, measured,
+                                   closed, tol))
 
-        legs = (sampling.length(rng), sampling.length(rng))
-        pairs.append(("hypotenuse", geom.hypotenuse(*legs),
-                      oracle.right_triangle_hypotenuse(*legs), _fmt(*legs)))
-        x3 = sampling.length(rng)
-        beta, gamma = sampling.angle_pair(rng)
-        pairs.append(("third_side", geom.third_side(x3, beta, gamma),
-                      oracle.third_side_by_construction(x3, beta, gamma),
-                      _fmt(x3, beta, gamma)))
-        theta = sampling.central_angle(rng)
-        apex = theta + rng.uniform(0.02, 0.98) * (2.0 * math.pi - theta)
-        pairs.append(("inscribed_angle", geom.inscribed_angle(theta),
-                      oracle.inscribed_angle_by_construction(theta, apex),
-                      _fmt(theta)))
-        tt = sampling.trirect(rng)
-        pairs.append(("trirect_face_area", geom.trirect_face_area(tt),
-                      oracle.measure_trirect(tt), _fmt(tt.x, tt.y, tt.z)))
-
-        for op, actual, expected, inputs in pairs:
-            out.append(_record("theorems", i, op, inputs, expected, actual, tol))
-
-        quad = sampling.cyclic_quad(rng)
-        q_ins = _fmt(*quad.sides)
-        cyclic = (("ptolemy_diagonal", geom.ptolemy_diagonal(quad),
-                   oracle.cyclic_diagonal),
-                  ("cyclic_quad_area", geom.cyclic_quad_area(quad),
-                   oracle.cyclic_area))
-        try:
-            ce = oracle.embed_cyclic(quad)
-        except oracle.OracleError as exc:
-            # no oracle value: the closed form stands as the expected one
-            out.extend(Record("theorems", i, op, q_ins, _fmt(closed),
-                              type(exc).__name__, math.inf, False)
-                       for op, closed, _ in cyclic)
-        else:
-            out.extend(_record("theorems", i, op, q_ins, measure(ce), closed, tol)
-                       for op, closed, measure in cyclic)
-
+        t = case.t
         abc = geom.incenter_bisector_lengths(t)
         try:
             recovered = geom.bisector_problem_solve(*abc)
@@ -234,18 +189,18 @@ def run_derive(cases: int, h_values, tol: float | None) -> tuple[list[Record], d
 def run_scale(rng: random.Random, cases: int, tol: float | None) -> list[Record]:
     out = []
     res_tol = tol if tol is not None else SCALE_TOL
-    for fd in homogeneity.registry():
+    for op in ops.table():
         for i in range(cases):
-            point = fd.sample(rng)
-            res = homogeneity.scale_residual(fd, point)
-            out.append(Record("scale", i, fd.name, _fmt(*point), "0.0",
+            point = op.sample(rng)
+            res = homogeneity.scale_residual(op, point)
+            out.append(Record("scale", i, op.name, _fmt(*point), "0.0",
                               _fmt(res), res, res < res_tol))
-            f0 = fd.evaluate(*point)
+            f0 = op.closed(*point)
             for lam in (0.5, 2.0):
-                scaled = fd.evaluate(*homogeneity.scaled_point(fd, point, lam))
-                want = lam ** fd.out_dim * f0
+                scaled = op.closed(*homogeneity.scaled_point(op, point, lam))
+                want = lam ** op.out_dim * f0
                 err = _rel(scaled, want)
-                out.append(Record("scale", i, f"{fd.name}:lam={lam:g}",
+                out.append(Record("scale", i, f"{op.name}:lam={lam:g}",
                                   _fmt(*point), _fmt(want), _fmt(scaled), err,
                                   err < LAMBDA_TOL))
     return out

@@ -10,136 +10,38 @@ n*|f|; that extension beyond dimensions >= 1 is ours.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-from typing import Callable
-
-from . import formulas, sampling
 from .dual import DualScalar, value
+from .ops import Op
 
 TINY = 1e-30
 
 
-@dataclass(frozen=True)
-class FormulaDescriptor:
-    """One registered metric formula with its dimension table and sampler."""
-
-    name: str
-    evaluate: Callable[..., object]
-    out_dim: int
-    arg_dims: tuple[int, ...]
-    sample: Callable[[random.Random], tuple[float, ...]]
-
-
-def partials(fd: FormulaDescriptor, point: tuple[float, ...]):
+def partials(op: Op, point: tuple[float, ...]):
     """(f(point), [df/dx_i]) via one dual pass per argument."""
     grads = []
     f_val = None
     for i in range(len(point)):
         args = [DualScalar(p, 1.0 if j == i else 0.0)
                 for j, p in enumerate(point)]
-        out = fd.evaluate(*args)
+        out = op.closed(*args)
         f_val = value(out)
         grads.append(out.der if isinstance(out, DualScalar) else 0.0)
     return f_val, grads
 
 
-def scale_residual(fd: FormulaDescriptor, point: tuple[float, ...]) -> float:
+def scale_residual(op: Op, point: tuple[float, ...]) -> float:
     """Dimensionless defect of the scale identity at one point."""
-    f_val, grads = partials(fd, point)
+    f_val, grads = partials(op, point)
     weighted = sum(ni * xi * gi
-                   for ni, xi, gi in zip(fd.arg_dims, point, grads))
-    if fd.out_dim == 0:
+                   for ni, xi, gi in zip(op.arg_dims, point, grads))
+    if op.out_dim == 0:
         floor = sum(abs(xi * gi) for xi, gi in zip(point, grads))
         return abs(weighted) / max(floor, TINY)
-    return abs(fd.out_dim * f_val - weighted) / max(fd.out_dim * abs(f_val), TINY)
+    return abs(op.out_dim * f_val - weighted) / max(op.out_dim * abs(f_val), TINY)
 
 
-def scaled_point(fd: FormulaDescriptor, point: tuple[float, ...],
+def scaled_point(op: Op, point: tuple[float, ...],
                  lam: float) -> tuple[float, ...]:
     """Multiply the length-valued arguments by lam; leave angles alone."""
     return tuple(xi * lam if ni == 1 else xi
-                 for xi, ni in zip(point, fd.arg_dims))
-
-
-def _bisector_problem_z(a, b, c):
-    roots = formulas.side_from_bisectors(a, b, c)
-    if len(roots) != 1:
-        raise ValueError(f"expected one admissible side, got {len(roots)}")
-    return roots[0]
-
-
-def _triangle_point(rng):
-    return sampling.triangle(rng).sides
-
-
-def _quad_point(rng):
-    return sampling.cyclic_quad(rng).sides
-
-
-def _cevian_point(rng):
-    t = sampling.triangle(rng)
-    s = sampling.cevian_split(rng, t.z)
-    return (t.x, t.y, s.m, s.n)
-
-
-def _pair_point(rng):
-    return (sampling.length(rng), sampling.length(rng))
-
-
-def _incircle_point(rng):
-    p = sampling.incircle_pair(rng)
-    return (p.r, p.big_r)
-
-
-def _third_side_point(rng):
-    beta, gamma = sampling.angle_pair(rng)
-    return (sampling.length(rng), beta, gamma)
-
-
-def _radius_point(rng):
-    return (sampling.length(rng),)
-
-
-def _theta_point(rng):
-    return (sampling.central_angle(rng),)
-
-
-def _trirect_point(rng):
-    tt = sampling.trirect(rng)
-    return (tt.x, tt.y, tt.z)
-
-
-def registry() -> list[FormulaDescriptor]:
-    """Every closed-form operation, plus the circle-area and sphere-volume laws."""
-    entries = [
-        ("hypotenuse", formulas.hypotenuse, 1, (1, 1), _pair_point),
-        ("median", formulas.median, 1, (1, 1, 1), _triangle_point),
-        ("cevian", formulas.cevian, 1, (1, 1, 1, 1), _cevian_point),
-        ("triangle_area", formulas.triangle_area, 2, (1, 1, 1), _triangle_point),
-        ("angle_from_sides", formulas.angle_gamma, 0, (1, 1, 1), _triangle_point),
-        ("bisector_full", formulas.bisector_full, 1, (1, 1, 1), _triangle_point),
-        ("bisector_to_incenter", formulas.bisector_to_incenter, 1, (1, 1, 1),
-         _triangle_point),
-        ("incenter_ratio",
-         lambda x, y, z: formulas.bisector_to_incenter(x, y, z)
-         / formulas.bisector_full(x, y, z),
-         0, (1, 1, 1), _triangle_point),
-        ("trirect_face_area", formulas.trirect_face_area, 2, (1, 1, 1),
-         _trirect_point),
-        ("inscribed_angle", formulas.inscribed_angle, 0, (0,), _theta_point),
-        ("circumradius", formulas.circumradius, 1, (1, 1, 1), _triangle_point),
-        ("inradius", formulas.inradius, 1, (1, 1, 1), _triangle_point),
-        ("euler_distance", formulas.euler_distance, 1, (1, 1), _incircle_point),
-        ("third_side", formulas.third_side, 1, (1, 0, 0), _third_side_point),
-        ("ptolemy_diagonal", formulas.ptolemy_diagonal, 1, (1, 1, 1, 1),
-         _quad_point),
-        ("cyclic_quad_area", formulas.cyclic_quad_area, 2, (1, 1, 1, 1),
-         _quad_point),
-        ("bisector_problem_z", _bisector_problem_z, 1, (1, 1, 1),
-         sampling.bisector_lengths),
-        ("circle_area", formulas.circle_area, 2, (1,), _radius_point),
-        ("sphere_volume", formulas.sphere_volume, 3, (1,), _radius_point),
-    ]
-    return [FormulaDescriptor(name, fn, n, dims, sample)
-            for name, fn, n, dims, sample in entries]
+                 for xi, ni in zip(point, op.arg_dims))

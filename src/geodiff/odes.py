@@ -68,7 +68,6 @@ class ConvergenceReport:
     endpoints: tuple[float, ...]
     errors: tuple[float, ...]
     fitted_order: float
-    max_residual: float
     rk4_exact: bool = False  # every endpoint error sat at the roundoff floor
 
 
@@ -143,8 +142,7 @@ def reference_endpoint(problem: OdeProblem) -> float:
     return value(problem.closed_form(problem.s_range[1], problem.params))
 
 
-def convergence(problem: OdeProblem, h_values,
-                residual_samples: int = 256) -> ConvergenceReport:
+def convergence(problem: OdeProblem, h_values) -> ConvergenceReport:
     """Endpoint errors per step size and the least-squares order fit.
 
     Errors at the roundoff floor (50 ulp of the endpoint) carry no
@@ -167,9 +165,7 @@ def convergence(problem: OdeProblem, h_values,
         hs, errs = h_values, [max(e, ERR_FLOOR) for e in errors]
     fitted = statistics.linear_regression([math.log(h) for h in hs],
                                          [math.log(e) for e in errs]).slope
-    res = residual(problem, residual_samples)
     return ConvergenceReport(problem.name, h_values, endpoints, errors, fitted,
-                             res.max_residual,
                              rk4_exact=all(e <= floor for e in errors))
 
 

@@ -165,30 +165,6 @@ def measure_euler_distance(e: TriangleEmbedding) -> float:
     return dist(circumcenter(e), incenter(e))
 
 
-_MEASURES = {
-    "median": measure_median,
-    "area": measure_area,
-    "angle_gamma": measure_angle_gamma,
-    "bisector_full": measure_bisector_full,
-    "bisector_to_incenter": measure_bisector_to_incenter,
-    "circumradius": measure_circumradius,
-    "inradius": measure_inradius,
-    "euler_distance": measure_euler_distance,
-}
-
-
-def measure(e: TriangleEmbedding, quantity: str, split=None) -> float:
-    """Measure one named quantity; ``cevian`` needs split=(m, n)."""
-    if quantity == "cevian":
-        if split is None:
-            raise OracleError("cevian measurement needs split=(m, n)")
-        return measure_cevian(e, split[0], split[1])
-    try:
-        return _MEASURES[quantity](e)
-    except KeyError:
-        raise OracleError(f"unknown quantity {quantity!r}") from None
-
-
 # --- independent constructions for the non-triangle operations -----------------
 
 

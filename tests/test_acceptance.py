@@ -8,7 +8,7 @@ import math
 import random
 import time
 
-from geodiff import geom, homogeneity, odes, polyroots, sampling
+from geodiff import geom, homogeneity, odes, ops, polyroots, sampling
 from geodiff.cli import RunConfig, quad_sens_error, run
 
 SQ2 = math.sqrt(2.0)
@@ -89,16 +89,16 @@ def test_criterion_5_homogeneity():
     rng = random.Random(55)
     worst_res = 0.0
     worst_lam = 0.0
-    for fd in homogeneity.registry():
+    for op in ops.table():
         for _ in range(1000):
-            point = fd.sample(rng)
-            worst_res = max(worst_res, homogeneity.scale_residual(fd, point))
+            point = op.sample(rng)
+            worst_res = max(worst_res, homogeneity.scale_residual(op, point))
         for _ in range(100):
-            point = fd.sample(rng)
-            f0 = fd.evaluate(*point)
+            point = op.sample(rng)
+            f0 = op.closed(*point)
             for lam in (0.5, 2.0):
-                got = fd.evaluate(*homogeneity.scaled_point(fd, point, lam))
-                want = lam ** fd.out_dim * f0
+                got = op.closed(*homogeneity.scaled_point(op, point, lam))
+                want = lam ** op.out_dim * f0
                 worst_lam = max(worst_lam,
                                 abs(got - want) / max(abs(want), 1e-30))
     ok = worst_res < 1e-10 and worst_lam < 1e-12

@@ -121,6 +121,18 @@ class TestSuites:
         assert all(r.actual == "InvariantViolation" and r.rel_err == math.inf
                    for r in failed)
 
+    def test_any_oracle_failure_becomes_a_record(self, monkeypatch):
+        def broken(e, m, n):
+            raise oracle.OracleError("split does not match")
+
+        monkeypatch.setattr(oracle, "measure_cevian", broken)
+        report = run(RunConfig(suite="theorems", cases=2, seed=5))
+        assert len(report.records) == 34
+        failed = [r for r in report.records if not r.passed]
+        assert [r.op for r in failed] == ["cevian", "cevian"]
+        assert all(r.actual == "OracleError" and r.rel_err == math.inf
+                   and float(r.expected) > 0.0 for r in failed)
+
     def test_derive_singularity_becomes_records(self, monkeypatch):
         integrate = odes.integrate
 

@@ -119,6 +119,12 @@ class TestAngle:
         assert_close(geom.angle_from_sides(geom.Triangle(2, 3, 4)),
                      1.8234765819369754, 1e-12)
 
+    def test_needle(self):
+        # acos of the cosine law is off by 8e-13 here; reference by mpmath at
+        # 40 digits from the same binary sides
+        t = geom.Triangle(8.3125, 8.37280547895568, 0.1015625)
+        assert_close(geom.angle_from_sides(t), 0.009795572240721471916, 1e-15)
+
 
 class TestBisectors:
     def test_full_right_triangle_is_square_diagonal(self):

@@ -5,15 +5,18 @@ import pytest
 
 from conftest import assert_close
 from geodiff import homogeneity
-from geodiff.homogeneity import registry, scale_residual, scaled_point
+from geodiff.homogeneity import scale_residual, scaled_point
+from geodiff.ops import table
 
-BY_NAME = {fd.name: fd for fd in registry()}
+BY_NAME = {op.name: op for op in table()}
 
 
 class TestRegistry:
     def test_size(self):
         # 17 closed-form operations plus the circle-area and sphere-volume laws
-        assert len(registry()) == 19
+        assert len(table()) == 19
+        # bisector_problem_z is checked by round trip, the laws by nothing
+        assert sum(op.oracle is not None for op in table()) == 16
 
     def test_dimension_table(self):
         assert BY_NAME["euler_distance"].out_dim == 1
@@ -27,10 +30,10 @@ class TestRegistry:
 
     def test_every_formula_has_sampler(self):
         rng = random.Random(7)
-        for fd in registry():
-            point = fd.sample(rng)
-            assert len(point) == len(fd.arg_dims)
-            fd.evaluate(*point)  # must be in-domain
+        for op in table():
+            point = op.sample(rng)
+            assert len(point) == len(op.arg_dims)
+            op.closed(*point)  # must be in-domain
 
 
 class TestScaleResidual:
@@ -46,28 +49,28 @@ class TestScaleResidual:
         assert scale_residual(BY_NAME["angle_from_sides"], (2.0, 3.0, 4.0)) < 1e-12
 
     def test_sweep_all_formulas(self, rng):
-        for fd in registry():
+        for op in table():
             for _ in range(50):
-                assert scale_residual(fd, fd.sample(rng)) < 1e-10, fd.name
+                assert scale_residual(op, op.sample(rng)) < 1e-10, op.name
 
 
 class TestFiniteLambdaScaling:
     def test_direct_scaling(self, rng):
-        for fd in registry():
+        for op in table():
             for _ in range(25):
-                point = fd.sample(rng)
-                f0 = fd.evaluate(*point)
+                point = op.sample(rng)
+                f0 = op.closed(*point)
                 for lam in (0.5, 2.0):
-                    scaled = fd.evaluate(*scaled_point(fd, point, lam))
-                    assert_close(scaled, lam ** fd.out_dim * f0, 1e-12, fd.name)
+                    scaled = op.closed(*scaled_point(op, point, lam))
+                    assert_close(scaled, lam ** op.out_dim * f0, 1e-12, op.name)
 
 
 class TestDerivativesMatchFiniteDifferences:
     def test_all_formulas(self, rng):
-        for fd in registry():
+        for op in table():
             for _ in range(10):
-                point = fd.sample(rng)
-                _, grads = homogeneity.partials(fd, point)
+                point = op.sample(rng)
+                _, grads = homogeneity.partials(op, point)
                 for i, g in enumerate(grads):
                     h = 1e-6 * max(abs(point[i]), 1.0)
                     hi = list(point)
@@ -75,13 +78,13 @@ class TestDerivativesMatchFiniteDifferences:
                     hi[i] += h
                     lo[i] -= h
                     try:
-                        fd_grad = (fd.evaluate(*hi) - fd.evaluate(*lo)) / (2 * h)
+                        fd_grad = (op.closed(*hi) - op.closed(*lo)) / (2 * h)
                     except ValueError:
                         continue  # stepped out of the domain
                     if abs(fd_grad) < 1e-10:
-                        assert abs(g - fd_grad) < 1e-6, fd.name
+                        assert abs(g - fd_grad) < 1e-6, op.name
                     else:
-                        assert_close(g, fd_grad, 1e-6, f"{fd.name} d/dx_{i}")
+                        assert_close(g, fd_grad, 1e-6, f"{op.name} d/dx_{i}")
 
 
 def test_out_of_domain_is_an_error():

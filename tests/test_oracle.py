@@ -47,15 +47,6 @@ class TestMeasurements:
         assert i[0] == pytest.approx(2.0, rel=1e-13)
         assert i[1] == pytest.approx(1.0, rel=1e-13)
 
-    def test_measure_dispatch(self):
-        e = oracle.embed_triangle(geom.Triangle(3, 4, 5))
-        assert oracle.measure(e, "area") == pytest.approx(6.0)
-        assert oracle.measure(e, "cevian", split=(2, 3)) > 0.0
-        with pytest.raises(oracle.OracleError):
-            oracle.measure(e, "perimeter")
-        with pytest.raises(oracle.OracleError):
-            oracle.measure(e, "cevian")
-
 
 @given(triangles, st.floats(min_value=-math.pi, max_value=math.pi),
        st.floats(min_value=-5, max_value=5), st.floats(min_value=-5, max_value=5))
@@ -67,12 +58,15 @@ def test_rigid_motion_invariance(t, angle, dx, dy):
         rotate_translate(e.b, angle, (dx, dy)),
         rotate_translate(e.c, angle, (dx, dy)))
     peri = sum(t.sides)
-    for q in ("median", "area", "angle_gamma", "bisector_full",
-              "bisector_to_incenter", "circumradius", "inradius",
-              "euler_distance"):
-        ref = oracle.measure(e, q)
+    for measure in (oracle.measure_median, oracle.measure_area,
+                    oracle.measure_angle_gamma, oracle.measure_bisector_full,
+                    oracle.measure_bisector_to_incenter,
+                    oracle.measure_circumradius, oracle.measure_inradius,
+                    oracle.measure_euler_distance):
+        ref = measure(e)
         # absolute cushion keeps identically-zero quantities comparable
-        assert abs(oracle.measure(moved, q) - ref) < 1e-10 * (abs(ref) + peri), q
+        assert abs(measure(moved) - ref) < 1e-10 * (abs(ref) + peri), \
+            measure.__name__
     m, n = 0.4 * t.z, 0.6 * t.z
     ref = oracle.measure_cevian(e, m, n)
     assert abs(oracle.measure_cevian(moved, m, n) - ref) < 1e-10 * (ref + peri)
