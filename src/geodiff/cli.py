@@ -192,8 +192,9 @@ def run_scale(rng: random.Random, cases: int, tol: float | None) -> list[Record]
     for op in ops.table():
         for i in range(cases):
             point = op.sample(rng)
+            ins = _fmt(*point)
             res = homogeneity.scale_residual(op, point)
-            out.append(Record("scale", i, op.name, _fmt(*point), "0.0",
+            out.append(Record("scale", i, op.name, ins, "0.0",
                               _fmt(res), res, res < res_tol))
             f0 = op.closed(*point)
             for lam in (0.5, 2.0):
@@ -201,7 +202,7 @@ def run_scale(rng: random.Random, cases: int, tol: float | None) -> list[Record]
                 want = lam ** op.out_dim * f0
                 err = _rel(scaled, want)
                 out.append(Record("scale", i, f"{op.name}:lam={lam:g}",
-                                  _fmt(*point), _fmt(want), _fmt(scaled), err,
+                                  ins, _fmt(want), _fmt(scaled), err,
                                   err < LAMBDA_TOL))
     return out
 

@@ -3,18 +3,20 @@
 A root x of P(x) = sum a_k x^k responds to coefficient changes through
 dx/da_k = -x^k / P'(x).  Moving the coefficients linearly from a start system
 with known roots to a target polynomial and chaining these sensitivities
-gives dx/dt = -sum_k (da_k/dt) x^k / P'_t(x), integrated here with RK4 and
-re-converged after every step by a few Newton corrections.
+gives dx/dt = -sum_k (da_k/dt) x^k / P'_t(x), integrated here with the
+Dormand-Prince 5(4) pair ("A family of embedded Runge-Kutta formulae",
+J. Comput. Appl. Math. 6, 1980) and re-converged after every step by a few
+Newton corrections.
 
 Paths use complex arithmetic with a random unit twist on the start system:
 real coefficient paths generically pass through discriminant zeros, while a
 twisted path misses them with probability one.  Twisted paths can still pass
 *near* each other, and a predictor that jumps across such an encounter lands
 in the Newton basin of the wrong root.  Each root therefore carries its own
-step size, set by the step-doubling error of the last attempt (adaptive
+step size, set by the embedded error estimate of the last attempt (adaptive
 predictor/corrector control after Bates, Hauenstein, Sommese & Wampler,
 "Adaptive multiprecision path tracking", SIAM J. Numer. Anal. 2008): a step
-is accepted only when one full step and two half steps agree and the Newton
+is accepted only when the order-5 and order-4 solutions agree and the Newton
 correction stays small, and the step shrinks until it is, down to a bounded
 minimum.  A hop that survives all of that would have to produce a duplicate,
 which the final pairing check turns into a hard error.
@@ -32,7 +34,7 @@ START_RESIDUAL_TOL = 1e-10
 FINAL_RESIDUAL_TOL = 1e-8
 DERIV_FLOOR = 1e-12
 NEWTON_STEPS = 5
-LOCAL_TOL = 1e-8      # step-doubling agreement, relative to the root scale
+LOCAL_TOL = 1e-8      # order-5 vs order-4 agreement, relative to the root scale
 MAX_REFINE_DEPTH = 20
 
 
@@ -138,18 +140,21 @@ def track(path: ContinuationPath) -> list[complex]:
     """Advance every start root to t = 1 and return the corrected roots.
 
     Each root carries its own step size h, starting at 1/path.steps, which
-    is also the largest step it may take.  After every attempt h is scaled
-    by 0.9 * err**-0.2, clipped to [1/4, 2], where err is the step-doubling
-    disagreement relative to LOCAL_TOL (err <= 1 passes).  An attempt that
+    is also the largest step it may take.  An attempt is one Dormand-Prince
+    5(4) step: seven velocity evaluations, the first reused after a
+    rejection, the last at the order-5 value.  After every attempt h is
+    scaled by 0.9 * err**-0.2, clipped to [1/4, 2], where err is the gap
+    between the order-5 and order-4 values relative to LOCAL_TOL (err <= 1
+    passes); the step advances with the order-5 value.  An attempt that
     passes that test but fails the corrector, or that meets a vanishing P',
     halves h instead.  A root whose step falls below
     (1/path.steps) / 2**MAX_REFINE_DEPTH raises PathSingularityError.
 
     Three tests guard every accepted step against a hop onto a neighbouring
-    path: one full RK4 step and two half steps agree to LOCAL_TOL; Newton
-    reaches a 1e-13 relative residual without P' dropping under DERIV_FLOOR;
-    and the Newton correction is at most a quarter of the predicted move.
-    After the final polish on the target, a non-finite root, a residual of
+    path: the order-5 and order-4 values agree to LOCAL_TOL; Newton reaches
+    a 1e-13 relative residual without P' dropping under DERIV_FLOOR; and the
+    Newton correction is at most a quarter of the predicted move.  After the
+    final polish on the target, a non-finite root, a residual of
     FINAL_RESIDUAL_TOL or more, or two paths on one simple root raise
     TrackingFailureError.
     """
@@ -163,39 +168,65 @@ def track(path: ContinuationPath) -> list[complex]:
 
     start_p, start_d = horner(tuple(path.gamma * s for s in path.start.coeffs))
     target_p, target_d = horner(path.target.coeffs)
+    start_scale, target_scale = max(map(abs, start_p)), max(map(abs, target_p))
 
     def data_at(t: float) -> tuple:
-        """P_t and P'_t coefficients in Horner order, and the scale of P_t.
+        """P'_t coefficients (Horner order), a bound B(t) on P_t's scale, t.
 
         The same homotopy as path.at, without building a validated Poly for
-        every t: that construction alone cost more than the RK4 arithmetic.
+        every t.  B(t) = (1-t) max|gamma s_k| + t max|q_k|, widened by 1e-12
+        against rounding, is never below the computed scale of P_t, so a
+        derivative that clears the DERIV_FLOOR test with B clears it with the
+        scale too.  P_t itself and its scale (exact_at) are built only for
+        the corrector and for a derivative that fails the test with B.
         """
         g = 1.0 - t
-        c = tuple(g * s + t * q for s, q in zip(start_p, target_p))
-        return (c, tuple(g * s + t * q for s, q in zip(start_d, target_d)),
-                max(map(abs, c)))
+        return (tuple(g * s + t * q for s, q in zip(start_d, target_d)),
+                (g * start_scale + t * target_scale) * (1.0 + 1e-12), t)
 
-    def velocity(data: tuple, x: complex, t: float) -> complex:
+    def exact_at(t: float) -> tuple:
+        """P_t coefficients in Horner order and their scale, built on demand."""
+        g = 1.0 - t
+        c = tuple(g * s + t * q for s, q in zip(start_p, target_p))
+        return c, max(map(abs, c))
+
+    def velocity(data: tuple, x: complex) -> complex:
+        dcoeffs, bound, t = data
         dp = 0.0 + 0.0j
-        for a in data[1]:
+        for a in dcoeffs:
             dp = dp * x + a
-        if abs(dp) < DERIV_FLOOR * data[2] * max(1.0, abs(x)) ** (n - 1):
+        m = max(1.0, abs(x)) ** (n - 1)
+        if abs(dp) < DERIV_FLOOR * bound * m \
+                and abs(dp) < DERIV_FLOOR * exact_at(t)[1] * m:
             raise PathSingularityError(f"P' vanished along the path at t={t!r}")
         num = 0.0 + 0.0j
         for a in rates:
             num = num * x + a
         return -num / dp
 
-    def rk4(dm: tuple, d1: tuple, h: float, x: complex, k1: complex,
-            t: float) -> complex:
-        k2 = velocity(dm, x + h / 2.0 * k1, t)
-        k3 = velocity(dm, x + h / 2.0 * k2, t)
-        k4 = velocity(d1, x + h * k3, t)
-        return x + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    def dopri(d1: tuple, t: float, h: float, x: complex,
+              k1: complex) -> tuple[complex, complex]:
+        """One Dormand-Prince 5(4) step: the order-5 value y5 and y5 - y4."""
+        k2 = velocity(data_at(t + h / 5.0), x + h * (k1 / 5.0))
+        k3 = velocity(data_at(t + 0.3 * h), x + h * (3 / 40 * k1 + 9 / 40 * k2))
+        k4 = velocity(data_at(t + 0.8 * h),
+                      x + h * (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3))
+        k5 = velocity(data_at(t + 8 / 9 * h),
+                      x + h * (19372 / 6561 * k1 - 25360 / 2187 * k2
+                               + 64448 / 6561 * k3 - 212 / 729 * k4))
+        k6 = velocity(d1, x + h * (9017 / 3168 * k1 - 355 / 33 * k2
+                                   + 46732 / 5247 * k3 + 49 / 176 * k4
+                                   - 5103 / 18656 * k5))
+        y5 = x + h * (35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4
+                      - 2187 / 6784 * k5 + 11 / 84 * k6)
+        k7 = velocity(d1, y5)
+        return y5, h * (71 / 57600 * k1 - 71 / 16695 * k3 + 71 / 1920 * k4
+                        - 17253 / 339200 * k5 + 22 / 525 * k6 - 1 / 40 * k7)
 
-    def correct(data: tuple, x: complex, t: float) -> complex | None:
+    def correct(data: tuple, x: complex) -> complex | None:
         """Newton on P_t from x; None if the residual test is never met."""
-        coeffs, dcoeffs, scale = data
+        dcoeffs, _, t = data
+        coeffs, scale = exact_at(t)
         for i in range(NEWTON_STEPS + 1):
             fx = 0.0 + 0.0j
             for a in coeffs:
@@ -215,25 +246,22 @@ def track(path: ContinuationPath) -> list[complex]:
     out = []
     data_start = data_at(0.0)
     for x in path.start_roots:
-        t, h, d0 = 0.0, h_max, data_start
+        t, h, d0, k1 = 0.0, h_max, data_start, None
         while t < 1.0:
             t1 = min(1.0, t + h)
-            tm = 0.5 * (t + t1)
-            dm, d1 = data_at(tm), data_at(t1)
+            d1 = data_at(t1)
             try:
-                k1 = velocity(d0, x, t)
-                one = rk4(dm, d1, t1 - t, x, k1, t)
-                half = rk4(data_at(0.5 * (t + tm)), dm, tm - t, x, k1, t)
-                two = rk4(data_at(0.5 * (tm + t1)), d1, t1 - tm, half,
-                          velocity(dm, half, tm), tm)
-                err = abs(one - two) / (LOCAL_TOL * max(1.0, abs(two)))
+                if k1 is None:  # x and t are unchanged after a rejection
+                    k1 = velocity(d0, x)
+                y5, delta = dopri(d1, t, t1 - t, x, k1)
+                err = abs(delta) / (LOCAL_TOL * max(1.0, abs(y5)))
                 # the 1e-4 floor only avoids 0 ** -0.2; the cap of 2 binds from 0.02
                 factor = min(2.0, max(0.25, 0.9 * max(err, 1e-4) ** -0.2))
                 if err <= 1.0:
-                    corrected = correct(d1, two, t1)
-                    if corrected is not None and abs(corrected - two) \
-                            <= 0.25 * abs(two - x) + 1e-12 * max(1.0, abs(corrected)):
-                        t, x, d0 = t1, corrected, d1
+                    corrected = correct(d1, y5)
+                    if corrected is not None and abs(corrected - y5) \
+                            <= 0.25 * abs(y5 - x) + 1e-12 * max(1.0, abs(corrected)):
+                        t, x, d0, k1 = t1, corrected, d1, None
                         h = min(h_max, h * factor)
                         continue
                     factor = 0.5

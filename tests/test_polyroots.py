@@ -86,6 +86,58 @@ class TestTrack:
                             polyroots.TrackingFailureError)):
             track(make_path(target))
 
+    def test_start_with_every_coefficient_nonzero(self):
+        # the scale bound of P_t sums both ends, not just the target's
+        start = Poly((2.0, -1.0 + 0.5j, 3.0, 1.0))
+        target = Poly((1.0 - 2.0j, 0.5j, -1.5 + 1.0j, 2.0 - 0.5j))
+        path = ContinuationPath(start, tuple(oracle_roots(start)), target,
+                                gamma=cmath.exp(0.9j))
+        assert match_distance(track(path), oracle_roots(target)) < 1e-12
+
+    def test_untwisted_path_through_a_double_root(self):
+        # (1-t)(x^2 - 1) + t(x^2 + 1) = x^2 + 2t - 1 has a double root at t = 1/2
+        start, roots = unit_circle_start(2)
+        path = ContinuationPath(start, roots, Poly((1.0, 0.0, 1.0)))
+        with pytest.raises(polyroots.PathSingularityError):
+            track(path)
+
+    def test_roots_are_pinned(self):
+        # any change to the predictor, the step control or the corrector
+        # moves these bits; re-pin them only with a change that explains it
+        rng = random.Random("polyroots-pinned")
+        for want in PINNED_ROOTS:
+            coeffs = [rng.uniform(-5.0, 5.0) for _ in range(8)] + [1.0]
+            path = make_path(Poly(tuple(complex(c) for c in coeffs)), rng=rng)
+            assert list(map(repr, track(path))) == list(map(repr, want))
+
+
+PINNED_ROOTS = (
+    ((0.9011865741574957+0.5279291537550607j),
+     (0.7902675878617381+1.6739397742819584j),
+     (-0.5299313793575506+1.0009361596303745j),
+     (-0.6078045923491536+0j),
+     (-1.2007331672658026+3.587324068671532e-42j),
+     (-0.5299313793575506-1.0009361596303745j),
+     (0.7902675878617381-1.6739397742819586j),
+     (0.9011865741574957-0.5279291537550607j)),
+    ((1.2049156080049943+4.484155085839415e-44j),
+     (0.5077735961627002+0.6314923693056981j),
+     (-1.1198706044964417+1.0798695850126145j),
+     (-0.480481020587589+0.8124538380287739j),
+     (-1.976044252120233+7.52316384526264e-37j),
+     (-1.1198706044964417-1.0798695850126145j),
+     (-0.480481020587589-0.812453838028774j),
+     (0.5077735961627002-0.6314923693056981j)),
+    ((0.9416425432520886-0.38198959677552224j),
+     (0.9416425432520886+0.38198959677552224j),
+     (0.23822271751162186+0.8178356727355957j),
+     (-0.8240590505598272+1.0148722612803647j),
+     (-4.413602629344147-5.64237288394698e-37j),
+     (-0.8086015581558212+0j),
+     (-0.8240590505598272-1.0148722612803647j),
+     (0.23822271751162186-0.8178356727355957j)),
+)
+
 
 class TestQuadraticSensitivities:
     def test_unit_parabola_positive_root(self):
