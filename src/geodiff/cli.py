@@ -106,6 +106,12 @@ def _record(suite, case_id, op, inputs, expected: float, actual: float,
                   err, err < tol)
 
 
+def _failed(suite, case_id, op, inputs, expected: str, exc) -> Record:
+    """Failing record of a comparison that exc stopped, named after it."""
+    return Record(suite, case_id, op, inputs, expected, type(exc).__name__,
+                  math.inf, False)
+
+
 # --- suites ---------------------------------------------------------------------
 
 
@@ -126,8 +132,7 @@ def run_theorems(rng: random.Random, cases: int, tol: float) -> list[Record]:
                 measured = op.oracle(case)
             except oracle.OracleError as exc:
                 # no oracle value: the closed form stands as the expected one
-                out.append(Record("theorems", i, op.name, ins, _fmt(closed),
-                                  type(exc).__name__, math.inf, False))
+                out.append(_failed("theorems", i, op.name, ins, _fmt(closed), exc))
             else:
                 out.append(_record("theorems", i, op.name, ins, measured,
                                    closed, tol))
@@ -140,9 +145,8 @@ def run_theorems(rng: random.Random, cases: int, tol: float) -> list[Record]:
             out.append(Record("theorems", i, "bisector_problem", _fmt(*abc),
                               _fmt(*t.sides), _fmt(*recovered), err, err < tol))
         except geom.GeometryError as exc:
-            out.append(Record("theorems", i, "bisector_problem", _fmt(*abc),
-                              _fmt(*t.sides), type(exc).__name__,
-                              math.inf, False))
+            out.append(_failed("theorems", i, "bisector_problem", _fmt(*abc),
+                               _fmt(*t.sides), exc))
     return out
 
 
@@ -164,12 +168,11 @@ def run_derive(cases: int, h_values, tol: float | None) -> tuple[list[Record], d
             rep = odes.convergence(entry, h_values)
         except odes.SingularityError as exc:
             # the entry's usual records, each failing under the exception name
-            failed = type(exc).__name__
-            out.extend(Record("derive", 0, f"{entry.name}:h={h:g}", _fmt(h),
-                              _fmt(exact), failed, math.inf, False)
+            out.extend(_failed("derive", 0, f"{entry.name}:h={h:g}", _fmt(h),
+                               _fmt(exact), exc)
                        for h in h_values)
-            out.append(Record("derive", 0, f"{entry.name}:order",
-                              _fmt(*h_values), "4.0", failed, math.inf, False))
+            out.append(_failed("derive", 0, f"{entry.name}:order",
+                               _fmt(*h_values), "4.0", exc))
             continue
         orders[entry.name] = rep.fitted_order
         for h, endpoint, err in zip(rep.h_values, rep.endpoints, rep.errors):
@@ -196,10 +199,7 @@ def run_scale(rng: random.Random, cases: int, tol: float | None) -> list[Record]
             res = homogeneity.scale_residual(op, point)
             out.append(Record("scale", i, op.name, ins, "0.0",
                               _fmt(res), res, res < res_tol))
-            f0 = op.closed(*point)
-            for lam in (0.5, 2.0):
-                scaled = op.closed(*homogeneity.scaled_point(op, point, lam))
-                want = lam ** op.out_dim * f0
+            for lam, want, scaled in homogeneity.finite_scaling(op, point):
                 err = _rel(scaled, want)
                 out.append(Record("scale", i, f"{op.name}:lam={lam:g}",
                                   ins, _fmt(want), _fmt(scaled), err,
@@ -224,8 +224,7 @@ def run_roots(rng: random.Random, cases: int, tol: float | None) -> list[Record]
                               dist < track_tol))
         except (polyroots.PathSingularityError, polyroots.TrackingFailureError,
                 polyroots.OracleFailureError) as exc:
-            out.append(Record("roots", i, "track", _fmt(*coeffs), "0.0",
-                              type(exc).__name__, math.inf, False))
+            out.append(_failed("roots", i, "track", _fmt(*coeffs), "0.0", exc))
 
         a = rng.uniform(0.5, 3.0)
         r1 = rng.uniform(-3.0, 3.0)

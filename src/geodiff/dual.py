@@ -103,11 +103,10 @@ def asin(x):
     return math.asin(x)
 
 
-def acos(x):
+def atan(x):
     if isinstance(x, DualScalar):
-        return DualScalar(math.acos(x.val),
-                          -x.der / math.sqrt(1.0 - x.val * x.val))
-    return math.acos(x)
+        return DualScalar(math.atan(x.val), x.der / (1.0 + x.val * x.val))
+    return math.atan(x)
 
 
 def value(x) -> float:

@@ -9,10 +9,12 @@ all bisector/median/cevian expressions act on that vertex / the z-side.
 from __future__ import annotations
 
 import math
+import sys
 
-from .dual import DualScalar, acos, cos, sin, sqrt, value
+from .dual import DualScalar, atan, cos, sin, sqrt, value
 
 PI = math.pi
+F_NOISE = 8.0 * sys.float_info.epsilon  # rounding level of a Horner cubic
 
 
 def hypotenuse(x, y):
@@ -36,8 +38,17 @@ def triangle_area(x, y, z):
 
 
 def angle_gamma(x, y, z):
-    """Angle between the x- and y-sides (opposite z), in (0, pi)."""
-    return acos((x * x + y * y - z * z) / (2.0 * x * y))
+    """Angle between the x- and y-sides (opposite z), in (0, pi).
+
+    Kahan's needle-safe form ("Miscalculating Area and Angles of a
+    Needle-like Triangle"): acos of the cosine law loses about
+    2*log10(1/gamma) digits on thin triangles, this keeps a few ulps.  Both
+    forms of mu equal z - (a - b), so the branch taken on the values leaves
+    the derivative of a dual argument alone.
+    """
+    a, b = (x, y) if value(x) >= value(y) else (y, x)
+    mu = z - (a - b) if value(b) >= value(z) else b - (a - z)
+    return 2.0 * atan(sqrt(((a - b) + z) * mu / ((a + (b + z)) * ((a - z) + b))))
 
 
 def bisector_full(x, y, z):
@@ -49,6 +60,12 @@ def bisector_full(x, y, z):
 def bisector_to_incenter(x, y, z):
     """Distance from the gamma vertex to the incenter along the bisector."""
     return sqrt(x * y * (x + y - z) / (x + y + z))
+
+
+def incenter_ratio(x, y, z):
+    """bisector_to_incenter / bisector_full; kept as that ratio, since its
+    identity with (x+y)/(x+y+z) is what the incenter-ratio checks test."""
+    return bisector_to_incenter(x, y, z) / bisector_full(x, y, z)
 
 
 def trirect_face_area(x, y, z):
@@ -144,10 +161,11 @@ def cubic_real_roots(p, q, r):
             if fp == 0.0:
                 w += 1e-9 * max(1.0, abs(w))
                 continue
-            step = f / fp
-            w -= step
-            if abs(step) <= 1e-15 * max(1.0, abs(w)):
-                break
+            aw = abs(w)
+            noise = F_NOISE * (((aw + abs(p)) * aw + abs(q)) * aw + abs(r))
+            w -= f / fp
+            if abs(f) <= noise:
+                break  # one step after |f| fell to its rounding level
         f = ((w + p) * w + q) * w + r
         if abs(f) > 1e-7 * scale * max(1.0, abs(w)) ** 3:
             continue
@@ -162,8 +180,9 @@ def side_from_bisectors(a, b, c):
     a and b are the vertex-to-incenter bisector lengths at the two endpoints
     of the sought side.  Roots w = z^2 are admissible when they lie strictly
     inside ((a-b)^2, (a+b)^2) and above a^2 + b^2.  Dual arguments are
-    supported: the float root is re-polished in dual arithmetic, which yields
-    the exact implicit derivative.
+    supported: a root w of P(w) = w^3 + p w^2 + q w + r moves with the
+    coefficients as w' = -(p' w^2 + q' w + r') / P'(w), the root-sensitivity
+    formula dw/da_k = -w^k / P'(w), so the float root gets that derivative.
     """
     av, bv, cv = value(a), value(b), value(c)
     p, q, r = bisector_cubic_coeffs(av, bv, cv)
@@ -175,12 +194,15 @@ def side_from_bisectors(a, b, c):
     if not dualised:
         return [math.sqrt(w) for w in admissible]
     pd, qd, rd = bisector_cubic_coeffs(a, b, c)
-    out = []
-    for w in admissible:
-        wd = DualScalar(w, 0.0)
-        for _ in range(3):  # one step suffices from a converged root
-            f = ((wd + pd) * wd + qd) * wd + rd
-            fp = (3.0 * wd + 2.0 * pd) * wd + qd
-            wd = wd - f / fp
-        out.append(sqrt(wd))
-    return out
+    return [sqrt(DualScalar(w, -((pd.der * w + qd.der) * w + rd.der)
+                            / ((3.0 * w + 2.0 * p) * w + q)))
+            for w in admissible]
+
+
+def bisector_side(a, b, c):
+    """The one admissible side of side_from_bisectors; ValueError unless
+    exactly one root is admissible."""
+    roots = side_from_bisectors(a, b, c)
+    if len(roots) != 1:
+        raise ValueError(f"expected one admissible side, got {len(roots)}")
+    return roots[0]

@@ -65,11 +65,10 @@ class Triangle:
     x: float
     y: float
     z: float
-    eps_deg: float = EPS_DEG
 
     def __post_init__(self):
         _require_positive(x=self.x, y=self.y, z=self.z)
-        margin = self.eps_deg * (self.x + self.y + self.z)
+        margin = EPS_DEG * (self.x + self.y + self.z)
         for a, b, c in ((self.x, self.y, self.z), (self.y, self.z, self.x),
                         (self.z, self.x, self.y)):
             if a + b - c <= margin:
@@ -168,16 +167,8 @@ def triangle_area(t: Triangle) -> float:
 
 
 def angle_from_sides(t: Triangle) -> float:
-    """Gamma, the angle between the x- and y-sides, in (0, pi).
-
-    Kahan's needle-safe form ("Miscalculating Area and Angles of a
-    Needle-like Triangle"): acos of the cosine law loses about
-    2*log10(1/gamma) digits on thin triangles, this keeps a few ulps.
-    """
-    a, b, c = max(t.x, t.y), min(t.x, t.y), t.z
-    mu = c - (a - b) if b >= c else b - (a - c)
-    return 2.0 * math.atan(math.sqrt(((a - b) + c) * mu
-                                     / ((a + (b + c)) * ((a - c) + b))))
+    """Gamma, the angle between the x- and y-sides, in (0, pi)."""
+    return formulas.angle_gamma(t.x, t.y, t.z)
 
 
 def bisector_full(t: Triangle) -> float:
@@ -192,7 +183,7 @@ def bisector_to_incenter(t: Triangle) -> float:
 
 def incenter_ratio(t: Triangle) -> float:
     """bisector_to_incenter / bisector_full; equals (x+y)/(x+y+z)."""
-    return bisector_to_incenter(t) / bisector_full(t)
+    return formulas.incenter_ratio(t.x, t.y, t.z)
 
 
 def trirect_face_area(tt: TrirectTetra) -> float:

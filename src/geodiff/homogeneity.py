@@ -40,8 +40,11 @@ def scale_residual(op: Op, point: tuple[float, ...]) -> float:
     return abs(op.out_dim * f_val - weighted) / max(op.out_dim * abs(f_val), TINY)
 
 
-def scaled_point(op: Op, point: tuple[float, ...],
-                 lam: float) -> tuple[float, ...]:
-    """Multiply the length-valued arguments by lam; leave angles alone."""
-    return tuple(xi * lam if ni == 1 else xi
-                 for xi, ni in zip(point, op.arg_dims))
+def finite_scaling(op: Op, point: tuple[float, ...]):
+    """[(lam, lam**n f(x), f(lam x))] for lam = 0.5 and 2.0, where lam x
+    multiplies the length-valued arguments by lam and leaves angles alone."""
+    f0 = op.closed(*point)
+    return [(lam, lam ** op.out_dim * f0,
+             op.closed(*(xi * lam if ni == 1 else xi
+                         for xi, ni in zip(point, op.arg_dims))))
+            for lam in (0.5, 2.0)]

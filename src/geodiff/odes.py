@@ -182,13 +182,6 @@ def _heron_discriminant(x, y, z):
             - x ** 4 - y ** 4 - z ** 4)
 
 
-def _bisprob_closed(s, p):
-    roots = formulas.side_from_bisectors(p["a"], p["b"], s)
-    if len(roots) != 1:
-        raise ValueError(f"expected a unique admissible side, got {len(roots)}")
-    return roots[0]
-
-
 def catalog() -> list[OdeProblem]:
     """All twenty-one derivations, in their fixed order."""
     sq13 = math.sqrt(13.0)
@@ -304,7 +297,7 @@ def catalog() -> list[OdeProblem]:
                         + 3.0 * _sq(_sq(p["a"]) - _sq(p["b"])) * _sq(f)
                         - (_sq(p["a"]) + _sq(p["b"]))
                         * _sq(_sq(p["a"]) - _sq(p["b"]))))),
-            _bisprob_closed,
+            lambda s, p: formulas.bisector_side(p["a"], p["b"], s),
             None, "solution only implicit (cubic root); checked pointwise"),
         OdeProblem(
             "pyth_alt", (0.0, 4.0), {"y": 3.0},
@@ -331,6 +324,3 @@ def catalog() -> list[OdeProblem]:
             (0.0, 0.0), "zero radius encloses zero volume"),
     ]
     return entries
-
-
-RESIDUAL_ONLY = ("ptolemy", "inradius", "bisprob", "heron_alt")

@@ -69,13 +69,6 @@ class Op:
     oracle: Callable[[Case], float] | None = None
 
 
-def _bisector_problem_z(a, b, c):
-    roots = formulas.side_from_bisectors(a, b, c)
-    if len(roots) != 1:
-        raise ValueError(f"expected one admissible side, got {len(roots)}")
-    return roots[0]
-
-
 def table() -> list[Op]:
     """Every closed-form operation, plus the circle-area and sphere-volume laws."""
     length = sampling.length
@@ -122,10 +115,8 @@ def table() -> list[Op]:
         on_triangle("bisector_full", formulas.bisector_full, 1, lambda c: c.full),
         on_triangle("bisector_to_incenter", formulas.bisector_to_incenter, 1,
                     lambda c: c.to_incenter),
-        on_triangle("incenter_ratio",
-                    lambda x, y, z: formulas.bisector_to_incenter(x, y, z)
-                    / formulas.bisector_full(x, y, z),
-                    0, lambda c: c.to_incenter / c.full),
+        on_triangle("incenter_ratio", formulas.incenter_ratio, 0,
+                    lambda c: c.to_incenter / c.full),
         Op("trirect_face_area", formulas.trirect_face_area, 2, (1, 1, 1), trirect,
            "trirect", lambda c: (c.tt.x, c.tt.y, c.tt.z),
            lambda c: oracle.measure_trirect(c.tt)),
@@ -142,7 +133,7 @@ def table() -> list[Op]:
         on_quad("ptolemy_diagonal", formulas.ptolemy_diagonal, 1,
                 oracle.cyclic_diagonal),
         on_quad("cyclic_quad_area", formulas.cyclic_quad_area, 2, oracle.cyclic_area),
-        Op("bisector_problem_z", _bisector_problem_z, 1, (1, 1, 1),
+        Op("bisector_problem_z", formulas.bisector_side, 1, (1, 1, 1),
            sampling.bisector_lengths),
         Op("circle_area", formulas.circle_area, 2, (1,), lambda rng: (length(rng),)),
         Op("sphere_volume", formulas.sphere_volume, 3, (1,),

@@ -183,16 +183,14 @@ def third_side_by_construction(x: float, beta: float, gamma: float) -> float:
     return dist(a, c)
 
 
-def inscribed_angle_by_construction(theta: float, at: float | None = None) -> float:
+def inscribed_angle_by_construction(theta: float, at: float) -> float:
     """Inscribed angle measured at a point of the complementary arc.
 
-    theta must lie strictly inside (0, 2*pi); ``at`` picks the apex position
-    angle (defaults to the midpoint of the complementary arc).
+    theta must lie strictly inside (0, 2*pi); ``at`` is the position angle
+    of the apex on the complementary arc.
     """
     if not 0.0 < theta < 2.0 * math.pi:
         raise OracleError("central angle must be strictly inside (0, 2*pi)")
-    if at is None:
-        at = theta / 2.0 + math.pi
     p1 = (math.cos(0.0), math.sin(0.0))
     p2 = (math.cos(theta), math.sin(theta))
     apex = (math.cos(at), math.sin(at))

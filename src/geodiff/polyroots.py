@@ -36,6 +36,7 @@ DERIV_FLOOR = 1e-12
 NEWTON_STEPS = 5
 LOCAL_TOL = 1e-8      # order-5 vs order-4 agreement, relative to the root scale
 MAX_REFINE_DEPTH = 20
+ORACLE_MAX_ITER = 1000  # Durand-Kerner sweeps before OracleFailureError
 
 
 class PathSingularityError(RuntimeError):
@@ -127,13 +128,12 @@ class ContinuationPath:
                      for s, q in zip(self.start.coeffs, self.target.coeffs))
 
 
-def make_path(target: Poly, steps: int = 64,
-              rng: random.Random | None = None) -> ContinuationPath:
+def make_path(target: Poly, rng: random.Random | None = None) -> ContinuationPath:
     """Default path from the twisted unit-circle start system."""
     start, roots = unit_circle_start(target.degree)
     u = rng.random() if rng is not None else 0.6180339887498949
-    gamma = cmath.exp(2j * math.pi * u)
-    return ContinuationPath(start, roots, target, steps, gamma)
+    return ContinuationPath(start, roots, target,
+                            gamma=cmath.exp(2j * math.pi * u))
 
 
 def track(path: ContinuationPath) -> list[complex]:
@@ -305,7 +305,7 @@ def quadratic_sensitivities(a: float, b: float, c: float,
     return (-x * x / denom, -x / denom, -1.0 / denom)
 
 
-def oracle_roots(p: Poly, max_iter: int = 1000) -> list[complex]:
+def oracle_roots(p: Poly) -> list[complex]:
     """All roots by simultaneous (Durand-Kerner) iteration.
 
     Starts are perturbed points on a circle of Cauchy-bound radius, offset
@@ -315,7 +315,7 @@ def oracle_roots(p: Poly, max_iter: int = 1000) -> list[complex]:
     lead = p.coeffs[-1]
     radius = 1.0 + max(abs(c) for c in p.coeffs[:-1]) / abs(lead)
     xs = [radius * cmath.exp(2j * math.pi * (k + 0.25) / n) for k in range(n)]
-    for _ in range(max_iter):
+    for _ in range(ORACLE_MAX_ITER):
         biggest = 0.0
         for i in range(n):
             prod = lead
@@ -327,7 +327,7 @@ def oracle_roots(p: Poly, max_iter: int = 1000) -> list[complex]:
             biggest = max(biggest, abs(delta))
         if biggest < 1e-12 * max(1.0, max(abs(x) for x in xs)):
             return xs
-    raise OracleFailureError(f"no convergence after {max_iter} iterations")
+    raise OracleFailureError(f"no convergence after {ORACLE_MAX_ITER} iterations")
 
 
 def match_distance(found: list[complex], reference: list[complex]) -> float:

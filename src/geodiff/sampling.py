@@ -26,10 +26,10 @@ def length(rng: random.Random) -> float:
     return math.exp(rng.uniform(_LOG_LO, _LOG_HI))
 
 
-def triangle(rng: random.Random, margin: float = MARGIN) -> geom.Triangle:
+def triangle(rng: random.Random) -> geom.Triangle:
     while True:
         x, y, z = length(rng), length(rng), length(rng)
-        tol = margin * (x + y + z)
+        tol = MARGIN * (x + y + z)
         if x + y - z > tol and y + z - x > tol and z + x - y > tol:
             return geom.Triangle(x, y, z)
 
@@ -40,13 +40,13 @@ def cevian_split(rng: random.Random, z: float) -> geom.CevianSplit:
     return geom.CevianSplit(m, z - m)
 
 
-def cyclic_quad(rng: random.Random, margin: float = MARGIN) -> geom.CyclicQuad:
+def cyclic_quad(rng: random.Random) -> geom.CyclicQuad:
     """Cyclic quadrilateral constructible with the circumcenter inside."""
     while True:
         s = [length(rng) for _ in range(4)]
         total = sum(s)
         # total - 2v falls as v grows, also when rounded: the longest side decides
-        if total - 2.0 * max(s) <= margin * total \
+        if total - 2.0 * max(s) <= MARGIN * total \
                 or not oracle.cyclic_constructible(s):
             continue
         return geom.CyclicQuad(*s)

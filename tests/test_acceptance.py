@@ -8,8 +8,8 @@ import math
 import random
 import time
 
-from geodiff import geom, homogeneity, odes, ops, polyroots, sampling
-from geodiff.cli import RunConfig, quad_sens_error, run
+from geodiff import geom, homogeneity, odes, ops, sampling
+from geodiff.cli import RunConfig, run, run_roots
 
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
@@ -76,10 +76,8 @@ def test_criterion_3_derivation_convergence():
 
 
 def test_criterion_4_residual_mode():
-    worst = {}
-    for name in odes.RESIDUAL_ONLY:
-        entry = next(p for p in odes.catalog() if p.name == name)
-        worst[name] = odes.residual(entry, 1000).max_residual
+    worst = {entry.name: odes.residual(entry, 1000).max_residual
+             for entry in odes.catalog() if entry.residual_only}
     ok = all(v < 1e-8 for v in worst.values())
     detail = ", ".join(f"{k}={v:.1e}" for k, v in worst.items())
     report(4, ok, f"residual-mode entries over 10^3 points: {detail} (< 1e-8)")
@@ -94,11 +92,7 @@ def test_criterion_5_homogeneity():
             point = op.sample(rng)
             worst_res = max(worst_res, homogeneity.scale_residual(op, point))
         for _ in range(100):
-            point = op.sample(rng)
-            f0 = op.closed(*point)
-            for lam in (0.5, 2.0):
-                got = op.closed(*homogeneity.scaled_point(op, point, lam))
-                want = lam ** op.out_dim * f0
+            for _, want, got in homogeneity.finite_scaling(op, op.sample(rng)):
                 worst_lam = max(worst_lam,
                                 abs(got - want) / max(abs(want), 1e-30))
     ok = worst_res < 1e-10 and worst_lam < 1e-12
@@ -124,23 +118,12 @@ def test_criterion_6_bisector_problem_roundtrip():
 
 def test_criterion_7_root_tracking():
     t0 = time.time()
-    rng = random.Random(77)
-    worst_track = 0.0
-    worst_sens = 0.0
-    for _ in range(100):
-        degree = rng.randint(2, 8)
-        coeffs = [rng.uniform(-5.0, 5.0) for _ in range(degree)] + [1.0]
-        target = polyroots.Poly(tuple(complex(c) for c in coeffs))
-        tracked = polyroots.track(polyroots.make_path(target, rng=rng))
-        dist = polyroots.match_distance(tracked, polyroots.oracle_roots(target))
-        worst_track = max(worst_track, dist)
-
-        a = rng.uniform(0.5, 3.0)
-        r1 = rng.uniform(-3.0, 3.0)
-        r2 = r1 + rng.uniform(0.5, 3.0)
-        b, c = -a * (r1 + r2), a * r1 * r2
-        # sensitivities vs central differences, step 1e-7 (shared with cli)
-        worst_sens = max(worst_sens, quad_sens_error(a, b, c, r2))
+    # track: bottleneck distance to Durand-Kerner roots; quad_sens:
+    # sensitivities vs central differences with step 1e-7; a failed track
+    # reads inf
+    records = run_roots(random.Random(77), 100, None)
+    worst_track = max(r.rel_err for r in records if r.op == "track")
+    worst_sens = max(r.rel_err for r in records if r.op == "quad_sens")
     elapsed = time.time() - t0
     ok = worst_track < 1e-6 and worst_sens < 1e-5 and elapsed < 10.0
     report(7, ok,

@@ -82,7 +82,8 @@ class TestIndependentConstructions:
         assert_close(got, 1.3230358976316432, 1e-12)
 
     def test_inscribed_angle_examples(self):
-        got = oracle.inscribed_angle_by_construction(2.0 * math.pi / 3.0)
+        theta = 2.0 * math.pi / 3.0
+        got = oracle.inscribed_angle_by_construction(theta, theta / 2.0 + math.pi)
         assert_close(got, math.pi / 3.0, 1e-12)
         # apex position on the complementary arc does not matter
         got = oracle.inscribed_angle_by_construction(1.1, at=1.1 + 0.3)
