@@ -21,7 +21,7 @@ import math
 import random
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from . import __version__, geom, homogeneity, odes, ops, oracle, polyroots
 
@@ -115,8 +115,9 @@ def _failed(suite, case_id, op, inputs, expected: str, exc) -> Record:
 # --- suites ---------------------------------------------------------------------
 
 
-def run_theorems(rng: random.Random, cases: int, tol: float) -> list[Record]:
+def run_theorems(rng: random.Random, cases: int, tol: float | None) -> list[Record]:
     out = []
+    tol = tol if tol is not None else THEOREMS_TOL
     theorem_ops = sorted((op for op in ops.table() if op.oracle),
                          key=lambda op: ops.FAMILIES.index(op.family))
     for i in range(cases):
@@ -270,8 +271,7 @@ def run(config: RunConfig) -> Report:
     for name in wanted:
         rng = random.Random(f"{config.seed}:{name}")
         if name == "theorems":
-            report.records.extend(run_theorems(
-                rng, config.cases, config.tol or THEOREMS_TOL))
+            report.records.extend(run_theorems(rng, config.cases, config.tol))
         elif name == "derive":
             recs, orders = run_derive(config.cases, config.h_values, config.tol)
             report.records.extend(recs)
@@ -349,6 +349,7 @@ def parse_config(argv, config_file: str | None = None) -> RunConfig:
     parser.add_argument("--config", dest="config_path")
     ns = parser.parse_args(argv)
 
+    keys = [f.name for f in fields(RunConfig)]
     values: dict = {}
     path = config_file or ns.config_path
     if path:
@@ -359,12 +360,11 @@ def parse_config(argv, config_file: str | None = None) -> RunConfig:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
-        known = {"suite", "cases", "seed", "tol", "h_values", "output", "format"}
         for key, val in loaded.items():
-            if key not in known:
+            if key not in keys:
                 raise ConfigError(f"unknown config key {key!r}")
             values[key] = tuple(val) if key == "h_values" else val
-    for key in ("suite", "cases", "seed", "tol", "h_values", "output", "format"):
+    for key in keys:
         flag = getattr(ns, key)
         if flag is not None:
             values[key] = flag

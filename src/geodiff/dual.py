@@ -89,20 +89,6 @@ def cos(x):
     return math.cos(x)
 
 
-def tan(x):
-    if isinstance(x, DualScalar):
-        t = math.tan(x.val)
-        return DualScalar(t, (1.0 + t * t) * x.der)
-    return math.tan(x)
-
-
-def asin(x):
-    if isinstance(x, DualScalar):
-        return DualScalar(math.asin(x.val),
-                          x.der / math.sqrt(1.0 - x.val * x.val))
-    return math.asin(x)
-
-
 def atan(x):
     if isinstance(x, DualScalar):
         return DualScalar(math.atan(x.val), x.der / (1.0 + x.val * x.val))

@@ -1,9 +1,10 @@
 """Closed-form metric expressions on raw scalars.
 
 Every function here accepts plain floats or DualScalar arguments and applies
-no input validation; the typed wrappers in ``geom`` guard the domains. The
-angle opposite the z-side (between the x- and y-sides) is always gamma, and
-all bisector/median/cevian expressions act on that vertex / the z-side.
+no input validation; the samplers draw valid inputs through the types in
+``geom``. The angle opposite the z-side (between the x- and y-sides) is
+always gamma, and all bisector/median/cevian expressions act on that vertex /
+the z-side.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .dual import DualScalar, atan, cos, sin, sqrt, value
+from .dual import DualScalar, atan, sin, sqrt, value
 
 PI = math.pi
 F_NOISE = 8.0 * sys.float_info.epsilon  # rounding level of a Horner cubic

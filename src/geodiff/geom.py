@@ -1,4 +1,4 @@
-"""Validated metric types and theorem operations.
+"""Validated metric types and the inverse bisector problem.
 
 Conventions, fixed once for the whole package:
 
@@ -15,8 +15,9 @@ a, b, c             vertex-to-incenter bisector segments at the alpha, beta
                     and gamma vertices (opposite x, y, z respectively)
 ==================  =========================================================
 
-All angles are radians.  Median/cevian/bisector operations act on the gamma
-vertex / the z-side; callers permute sides to reach the other vertices.
+All angles are radians.  The median/cevian/bisector kernels in ``formulas``
+act on the gamma vertex / the z-side; callers permute sides to reach the
+other vertices.  The samplers draw valid inputs as the types below.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from itertools import product
 from . import formulas
 
 EPS_DEG = 1e-12          # relative degeneracy margin on strict inequalities
-SPLIT_TOL = 1e-9         # relative tolerance for z = m + n
 ROUNDTRIP_TOL = 1e-8     # bisector-problem root acceptance
 
 
@@ -37,11 +37,7 @@ class GeometryError(ValueError):
 
 
 class DomainError(GeometryError):
-    """Input outside the operation's domain."""
-
-
-class InconsistentSplitError(DomainError):
-    """Cevian split does not sum to the z-side."""
+    """Input outside a type's domain."""
 
 
 class NoTriangleError(GeometryError):
@@ -138,93 +134,6 @@ class IncirclePair:
         if self.big_r < 2.0 * self.r:
             raise DomainError(
                 f"no triangle has R={self.big_r} < 2r={2.0 * self.r}")
-
-
-# --- operations ----------------------------------------------------------------
-
-
-def hypotenuse(x: float, y: float) -> float:
-    _require_positive(x=x, y=y)
-    return formulas.hypotenuse(x, y)
-
-
-def median(t: Triangle) -> float:
-    """Median to the z-side."""
-    return formulas.median(t.x, t.y, t.z)
-
-
-def cevian(t: Triangle, split: CevianSplit) -> float:
-    """Cevian from the gamma vertex whose foot splits the z-side into m and n."""
-    total = split.m + split.n
-    if abs(t.z - total) > SPLIT_TOL * max(t.z, total):
-        raise InconsistentSplitError(
-            f"split m+n={total} does not match z={t.z}")
-    return formulas.cevian(t.x, t.y, split.m, split.n)
-
-
-def triangle_area(t: Triangle) -> float:
-    return formulas.triangle_area(t.x, t.y, t.z)
-
-
-def angle_from_sides(t: Triangle) -> float:
-    """Gamma, the angle between the x- and y-sides, in (0, pi)."""
-    return formulas.angle_gamma(t.x, t.y, t.z)
-
-
-def bisector_full(t: Triangle) -> float:
-    """Internal bisector of gamma, vertex to foot."""
-    return formulas.bisector_full(t.x, t.y, t.z)
-
-
-def bisector_to_incenter(t: Triangle) -> float:
-    """Gamma vertex to incenter, along the bisector."""
-    return formulas.bisector_to_incenter(t.x, t.y, t.z)
-
-
-def incenter_ratio(t: Triangle) -> float:
-    """bisector_to_incenter / bisector_full; equals (x+y)/(x+y+z)."""
-    return formulas.incenter_ratio(t.x, t.y, t.z)
-
-
-def trirect_face_area(tt: TrirectTetra) -> float:
-    return formulas.trirect_face_area(tt.x, tt.y, tt.z)
-
-
-def inscribed_angle(theta: float) -> float:
-    """Inscribed angle subtending the same arc as the central angle theta."""
-    if not math.isfinite(theta) or theta < 0.0 or theta > 2.0 * math.pi:
-        raise DomainError(f"central angle {theta!r} outside [0, 2*pi]")
-    return formulas.inscribed_angle(theta)
-
-
-def circumradius(t: Triangle) -> float:
-    return formulas.circumradius(t.x, t.y, t.z)
-
-
-def inradius(t: Triangle) -> float:
-    return formulas.inradius(t.x, t.y, t.z)
-
-
-def euler_distance(p: IncirclePair) -> float:
-    """Distance between the incenter and the circumcenter."""
-    return formulas.euler_distance(p.r, p.big_r)
-
-
-def third_side(x: float, beta: float, gamma: float) -> float:
-    """Side y opposite beta, given side x and its adjacent angles beta, gamma."""
-    _require_positive(x=x)
-    if beta <= 0.0 or gamma <= 0.0 or beta + gamma >= math.pi:
-        raise DomainError(f"angles beta={beta}, gamma={gamma} do not fit a triangle")
-    return formulas.third_side(x, beta, gamma)
-
-
-def ptolemy_diagonal(q: CyclicQuad) -> float:
-    """Diagonal joining the (v,x) and (y,u) vertices."""
-    return formulas.ptolemy_diagonal(q.x, q.y, q.u, q.v)
-
-
-def cyclic_quad_area(q: CyclicQuad) -> float:
-    return formulas.cyclic_quad_area(q.x, q.y, q.u, q.v)
 
 
 def incenter_bisector_lengths(t: Triangle) -> tuple[float, float, float]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import statistics
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from . import formulas
@@ -57,13 +57,11 @@ class OdeProblem:
 @dataclass(frozen=True)
 class ResidualResult:
     max_residual: float
-    samples: int
     skipped: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    name: str
     h_values: tuple[float, ...]
     endpoints: tuple[float, ...]
     errors: tuple[float, ...]
@@ -134,7 +132,7 @@ def residual(problem: OdeProblem, samples: int) -> ResidualResult:
             skipped.append(s)
             continue
         worst = max(worst, abs(dfds - r) / max(abs(r), 1e-30))
-    return ResidualResult(worst, samples, tuple(skipped))
+    return ResidualResult(worst, tuple(skipped))
 
 
 def reference_endpoint(problem: OdeProblem) -> float:
@@ -165,7 +163,7 @@ def convergence(problem: OdeProblem, h_values) -> ConvergenceReport:
         hs, errs = h_values, [max(e, ERR_FLOOR) for e in errors]
     fitted = statistics.linear_regression([math.log(h) for h in hs],
                                          [math.log(e) for e in errs]).slope
-    return ConvergenceReport(problem.name, h_values, endpoints, errors, fitted,
+    return ConvergenceReport(h_values, endpoints, errors, fitted,
                              rk4_exact=all(e <= floor for e in errors))
 
 

@@ -8,7 +8,7 @@ import math
 import random
 import time
 
-from geodiff import geom, homogeneity, odes, ops, sampling
+from geodiff import formulas, geom, homogeneity, odes, ops, sampling
 from geodiff.cli import RunConfig, run, run_roots
 
 SQ2 = math.sqrt(2.0)
@@ -36,11 +36,10 @@ def test_criterion_1_theorem_oracle_equivalence():
 
 def test_criterion_2_anchor_values():
     checks = [
-        ("R(1,1,1)", geom.circumradius(geom.Triangle(1, 1, 1)), SQ3 / 3.0),
-        ("A(1,1,sqrt2)", geom.triangle_area(geom.Triangle(1, 1, SQ2)), 0.5),
-        ("d(R/2,R)", geom.euler_distance(geom.IncirclePair(1.25, 2.5)), 0.0),
-        ("r(2sqrt3,..)", geom.inradius(
-            geom.Triangle(2 * SQ3, 2 * SQ3, 2 * SQ3)), 1.0),
+        ("R(1,1,1)", formulas.circumradius(1, 1, 1), SQ3 / 3.0),
+        ("A(1,1,sqrt2)", formulas.triangle_area(1, 1, SQ2), 0.5),
+        ("d(R/2,R)", formulas.euler_distance(1.25, 2.5), 0.0),
+        ("r(2sqrt3,..)", formulas.inradius(2 * SQ3, 2 * SQ3, 2 * SQ3), 1.0),
     ]
     worst = 0.0
     for label, got, want in checks:
@@ -50,7 +49,7 @@ def test_criterion_2_anchor_values():
     for _ in range(100):
         t = sampling.triangle(rng)
         want = (t.x + t.y) / (t.x + t.y + t.z)
-        worst = max(worst, abs(geom.incenter_ratio(t) - want) / want)
+        worst = max(worst, abs(formulas.incenter_ratio(*t.sides) - want) / want)
     report(2, worst < 1e-12,
            f"anchor values and incenter ratio reproduced, worst rel err "
            f"{worst:.2e} < 1e-12")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import assert_close, quads, rotate_translate, triangles
-from geodiff import geom, oracle, sampling
+from geodiff import formulas, geom, oracle, sampling
 
 
 class TestEmbedding:
@@ -93,7 +93,7 @@ class TestIndependentConstructions:
         assert_close(oracle.measure_trirect(geom.TrirectTetra(1, 1, 1)),
                      math.sqrt(3.0) / 2.0, 1e-13)
         assert_close(oracle.measure_trirect(geom.TrirectTetra(3, 4, 12)),
-                     geom.trirect_face_area(geom.TrirectTetra(3, 4, 12)), 1e-12)
+                     formulas.trirect_face_area(3, 4, 12), 1e-12)
         assert_close(oracle.measure_trirect(geom.TrirectTetra(1.0, 1e-12, 1.0)),
                      0.5, 1e-9)
 
@@ -119,8 +119,10 @@ class TestCyclicEmbedding:
     def test_diagonal_cross_validates_closed_form(self):
         q = geom.CyclicQuad(1.0, 2.0, 1.5, 1.8)
         e = oracle.embed_cyclic(q)
-        assert_close(oracle.cyclic_diagonal(e), geom.ptolemy_diagonal(q), 1e-9)
-        assert_close(oracle.cyclic_area(e), geom.cyclic_quad_area(q), 1e-9)
+        assert_close(oracle.cyclic_diagonal(e), formulas.ptolemy_diagonal(*q.sides),
+                     1e-9)
+        assert_close(oracle.cyclic_area(e), formulas.cyclic_quad_area(*q.sides),
+                     1e-9)
 
     def test_center_outside_rejected(self):
         with pytest.raises(oracle.NotConstructibleError):
@@ -142,8 +144,8 @@ class TestCyclicEmbedding:
         pts = list(e.points)
         for p, pn, s in zip(pts, pts[1:] + pts[:1], sides):
             assert abs(oracle.dist(p, pn) - s) <= oracle.CHORD_TOL * s
-        assert_close(oracle.cyclic_diagonal(e),
-                     geom.ptolemy_diagonal(geom.CyclicQuad(*sides)), 1e-12)
+        assert_close(oracle.cyclic_diagonal(e), formulas.ptolemy_diagonal(*sides),
+                     1e-12)
 
 
 def test_cyclic_sampler_stream_is_pinned():
