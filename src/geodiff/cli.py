@@ -15,6 +15,7 @@ The derive suite draws nothing at random, so it ignores ``--seed``; it reads
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import math
@@ -237,27 +238,28 @@ def run_roots(rng: random.Random, cases: int, tol: float | None) -> list[Record]
     return out
 
 
-def _quad_root_near(a: float, b: float, c: float, near: float) -> float:
+def _quad_root_near(a: complex, b: complex, c: complex, near: float) -> complex:
     # q carries the sign of b, so neither root comes from a cancelling -b + disc
-    disc = math.sqrt(b * b - 4.0 * a * c)
-    q = -0.5 * (b + math.copysign(disc, b))
+    disc = cmath.sqrt(b * b - 4.0 * a * c)
+    q = -0.5 * (b + math.copysign(1.0, b.real) * disc)
     return min((q / a, c / q), key=lambda r: abs(r - near))
 
 
 def quad_sens_error(a: float, b: float, c: float, r2: float) -> float:
-    """Worst relative gap between d r2/d(a, b, c) and central differences.
+    """Worst relative gap between d r2/d(a, b, c) and complex-step derivatives.
 
-    r2 is a root of a x^2 + b x + c; the differences re-solve the perturbed
-    quadratic with step 1e-7 in each coefficient.
+    r2 is a root of a x^2 + b x + c.  The reference re-solves the quadratic
+    with the step 1e-20j added to one coefficient at a time and reads the
+    derivative off the imaginary part of the root (Squire & Trapp, SIAM
+    Review 40, 1998): no difference is taken, so nothing cancels, even for a
+    root near 0.
     """
     sens = polyroots.quadratic_sensitivities(a, b, c, r2)
-    step = 1e-7
-    fds = []
-    for delta in ((step, 0, 0), (0, step, 0), (0, 0, step)):
-        hi = _quad_root_near(a + delta[0], b + delta[1], c + delta[2], r2)
-        lo = _quad_root_near(a - delta[0], b - delta[1], c - delta[2], r2)
-        fds.append((hi - lo) / (2.0 * step))
-    return max(abs(s.real - f) / max(abs(f), 1e-30) for s, f in zip(sens, fds))
+    step = 1e-20
+    refs = [_quad_root_near(a + da, b + db, c + dc, r2).imag / step
+            for da, db, dc in ((step * 1j, 0, 0), (0, step * 1j, 0),
+                               (0, 0, step * 1j))]
+    return max(abs(s.real - f) / max(abs(f), 1e-30) for s, f in zip(sens, refs))
 
 
 # --- driver ---------------------------------------------------------------------

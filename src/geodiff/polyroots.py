@@ -13,7 +13,8 @@ real coefficient paths generically pass through discriminant zeros, while a
 twisted path misses them with probability one.  Twisted paths can still pass
 *near* each other, and a predictor that jumps across such an encounter lands
 in the Newton basin of the wrong root.  Each root therefore carries its own
-step size, set by the embedded error estimate of the last attempt (adaptive
+step size, set by the embedded error estimate of the last attempt and limited
+only by the rest of the path (adaptive
 predictor/corrector control after Bates, Hauenstein, Sommese & Wampler,
 "Adaptive multiprecision path tracking", SIAM J. Numer. Anal. 2008): a step
 is accepted only when the order-5 and order-4 solutions agree and the Newton
@@ -98,7 +99,11 @@ def unit_circle_start(n: int) -> tuple[Poly, tuple[complex, ...]]:
 
 @dataclass(frozen=True)
 class ContinuationPath:
-    """Linear coefficient homotopy (1-t)*gamma*start + t*target."""
+    """Linear coefficient homotopy (1-t)*gamma*start + t*target.
+
+    steps sets the first step of every tracked root, 1/steps; after that the
+    error estimate alone chooses the step (see track).
+    """
 
     start: Poly
     start_roots: tuple[complex, ...]
@@ -139,15 +144,15 @@ def make_path(target: Poly, rng: random.Random | None = None) -> ContinuationPat
 def track(path: ContinuationPath) -> list[complex]:
     """Advance every start root to t = 1 and return the corrected roots.
 
-    Each root carries its own step size h, starting at 1/path.steps, which
-    is also the largest step it may take.  An attempt is one Dormand-Prince
-    5(4) step: seven velocity evaluations, the first reused after a
-    rejection, the last at the order-5 value.  After every attempt h is
-    scaled by 0.9 * err**-0.2, clipped to [1/4, 2], where err is the gap
-    between the order-5 and order-4 values relative to LOCAL_TOL (err <= 1
-    passes); the step advances with the order-5 value.  An attempt that
-    passes that test but fails the corrector, or that meets a vanishing P',
-    halves h instead.  A root whose step falls below
+    Each root carries its own step size h, starting at 1/path.steps; no cap
+    follows, so only the rest of the span, 1 - t, limits a step.  An attempt
+    is one Dormand-Prince 5(4) step: seven velocity evaluations, the first
+    reused after a rejection, the last at the order-5 value.  After every
+    attempt h is scaled by 0.9 * err**-0.2, clipped to [1/4, 2], where err is
+    the gap between the order-5 and order-4 values relative to LOCAL_TOL
+    (err <= 1 passes); the step advances with the order-5 value.  An
+    attempt that passes that test but fails the corrector, or that meets a
+    vanishing P', halves h instead.  A root whose step falls below
     (1/path.steps) / 2**MAX_REFINE_DEPTH raises PathSingularityError.
 
     Three tests guard every accepted step against a hop onto a neighbouring
@@ -160,8 +165,8 @@ def track(path: ContinuationPath) -> list[complex]:
     """
     rates = path.coeff_rate()[::-1]
     n = path.target.degree
-    h_max = 1.0 / path.steps
-    h_min = h_max / 2 ** MAX_REFINE_DEPTH
+    h_first = 1.0 / path.steps
+    h_min = h_first / 2 ** MAX_REFINE_DEPTH
 
     def horner(c: tuple) -> tuple[tuple, tuple]:
         return c[::-1], tuple(k * c[k] for k in range(n, 0, -1))
@@ -246,7 +251,7 @@ def track(path: ContinuationPath) -> list[complex]:
     out = []
     data_start = data_at(0.0)
     for x in path.start_roots:
-        t, h, d0, k1 = 0.0, h_max, data_start, None
+        t, h, d0, k1 = 0.0, h_first, data_start, None
         while t < 1.0:
             t1 = min(1.0, t + h)
             d1 = data_at(t1)
@@ -262,7 +267,7 @@ def track(path: ContinuationPath) -> list[complex]:
                     if corrected is not None and abs(corrected - y5) \
                             <= 0.25 * abs(y5 - x) + 1e-12 * max(1.0, abs(corrected)):
                         t, x, d0, k1 = t1, corrected, d1, None
-                        h = min(h_max, h * factor)
+                        h *= factor
                         continue
                     factor = 0.5
                 h *= factor

@@ -118,8 +118,8 @@ def test_criterion_6_bisector_problem_roundtrip():
 def test_criterion_7_root_tracking():
     t0 = time.time()
     # track: bottleneck distance to Durand-Kerner roots; quad_sens:
-    # sensitivities vs central differences with step 1e-7; a failed track
-    # reads inf
+    # sensitivities vs complex-step derivatives of the stable root formula;
+    # a failed track reads inf
     records = run_roots(random.Random(77), 100, None)
     worst_track = max(r.rel_err for r in records if r.op == "track")
     worst_sens = max(r.rel_err for r in records if r.op == "quad_sens")
@@ -127,7 +127,7 @@ def test_criterion_7_root_tracking():
     ok = worst_track < 1e-6 and worst_sens < 1e-5 and elapsed < 10.0
     report(7, ok,
            f"100 random polynomials: track-vs-oracle {worst_track:.2e} < 1e-6, "
-           f"sensitivities vs finite differences {worst_sens:.2e} < 1e-5, "
+           f"sensitivities vs complex step {worst_sens:.2e} < 1e-5, "
            f"{elapsed:.1f}s < 10s")
 
 

@@ -11,7 +11,7 @@ import pytest
 import geodiff
 from geodiff import odes, oracle
 from geodiff.cli import (ConfigError, Record, RunConfig, main, parse_config,
-                         run, write_report)
+                         quad_sens_error, run, write_report)
 
 
 class TestParseConfig:
@@ -107,6 +107,14 @@ class TestSuites:
         assert rec.inputs == ("0.8820328975350586;1.1667033199732073;"
                               "-0.005588140144550972;0.004772464856140468")
         assert rec.passed and rec.rel_err < 1e-6
+
+    def test_quad_sens_reference_at_a_tiny_root(self):
+        # case 55 of `--suite roots --cases 100 --seed 104001`: at r2 = -1.7e-4
+        # a central difference with step 1e-7 keeps too few digits of the
+        # root's change to meet SENS_TOL (it reads 1.09e-5)
+        err = quad_sens_error(1.4205414022117355, 3.780320167753912,
+                              0.0006432527485905177, -0.00017016915378320618)
+        assert err < 1e-12
 
     def test_cyclic_oracle_failure_becomes_records(self, monkeypatch):
         def broken(quad):

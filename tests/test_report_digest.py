@@ -1,12 +1,14 @@
 """Pinned digests of every suite's records at 20 cases, seed 0.
 
-A refactor that moves one byte of one record fails here.  The roots value
-was pinned when the root tracker's predictor became a Dormand-Prince 5(4)
-pair, which moves the last bits of tracked roots.  The theorems, derive,
-scale and all values were re-pinned when the needle-safe angle became the
+A refactor that moves one byte of one record fails here.  The theorems,
+derive and scale values were pinned when the needle-safe angle became the
 ``formulas.angle_gamma`` kernel, the bisector cubic's dual root took its
 derivative from the root-sensitivity formula, and ``cubic_real_roots``
-started to stop at the rounding level of the cubic.  Python 3.12 changed
+started to stop at the rounding level of the cubic.  The roots and all
+values were re-pinned when the root tracker stopped capping its step at
+``1/steps`` (the error estimate alone sets it now, which moves the last bits
+of tracked roots) and the ``quad_sens`` reference became a complex-step
+derivative (which moves every ``quad_sens`` error).  Python 3.12 changed
 float ``sum()`` (compensated) and ``statistics``, which moves the last ulps
 of some cyclic theorems records, scale records and derive ``:order``
 records, so it has its own set.
@@ -26,16 +28,16 @@ DIGESTS = {
     "theorems": "1ba7fe00e923fa58f2c7b8d368eb51dbc27eed7a6eb255e6a218ad544c417063",
     "derive": "ac88a905fb11d795cd68b86b21c22efc9ee9390d181c250f51fd1e8cb2c63406",
     "scale": "167e327c22cf13167ce97284be0af96a37d10bda8059118159e0716d4c0c50ba",
-    "roots": "a1cd4d9e1f90bc4f738d0b48c0c2e96f2c4d730ab53bd6c717e75fc27ada63fd",
-    "all": "22d274039189fec682d2630d46cfd0f2428ffe7ee3aa254ba45de2b5788c282d",
+    "roots": "5a04b6bdbd3deb18043272e3e8ff4b0791930948d4e4881929dd1e1372f39efe",
+    "all": "a082455e1f869fc64e2e9f2183be0f66277160e79e2d5cf6c8fbb5a37f9b9bec",
 }
 
 DIGESTS_PY312 = {
     "theorems": "57bf8a0636e1513687566fc23efe70ce642b0374a0d131ab77b73d92bc58623d",
     "derive": "75f81fa9c36c391bdd4b566a217dcfc1c43e2f7acdecc3da39dbb834b156ff09",
     "scale": "c87f7ea9f756003e074d112a859c27df42deded3c67938dab415e5c1118c55d8",
-    "roots": "a1cd4d9e1f90bc4f738d0b48c0c2e96f2c4d730ab53bd6c717e75fc27ada63fd",
-    "all": "a1508125b1774a1bac9c3a42a827d30b3b9be8c9b378f44705b02bd4a14643a7",
+    "roots": "5a04b6bdbd3deb18043272e3e8ff4b0791930948d4e4881929dd1e1372f39efe",
+    "all": "8900b4e8b56c378df7d036341551dba5444c0cc5aa8555addc853db13381171e",
 }
 
 
