@@ -2,10 +2,13 @@
 
 Every metric formula f with output dimension n and input dimensions n_i must
 satisfy n*f = sum_i n_i * x_i * d f/d x_i (lengths have n_i = 1, angles 0).
-The partial derivatives come from one forward dual-number pass per argument.
+The right-hand side is the derivative of f(lam^n_i x_i) at lam = 1, a single
+directional derivative, so one forward dual-number pass seeded with n_i x_i
+gives it exactly.
 
 Angle-valued formulas (n = 0) are normalized by sum_i |x_i d_i f| instead of
-n*|f|; that extension beyond dimensions >= 1 is ours.
+n*|f|; that normaliser needs every partial, so they take one dual pass per
+argument.  That extension beyond dimensions >= 1 is ours.
 """
 
 from __future__ import annotations
@@ -31,12 +34,16 @@ def partials(op: Op, point: tuple[float, ...]):
 
 def scale_residual(op: Op, point: tuple[float, ...]) -> float:
     """Dimensionless defect of the scale identity at one point."""
-    f_val, grads = partials(op, point)
-    weighted = sum(ni * xi * gi
-                   for ni, xi, gi in zip(op.arg_dims, point, grads))
     if op.out_dim == 0:
+        _, grads = partials(op, point)
+        weighted = sum(ni * xi * gi
+                       for ni, xi, gi in zip(op.arg_dims, point, grads))
         floor = sum(abs(xi * gi) for xi, gi in zip(point, grads))
         return abs(weighted) / max(floor, TINY)
+    out = op.closed(*(DualScalar(xi, ni * xi)
+                      for xi, ni in zip(point, op.arg_dims)))
+    f_val = value(out)
+    weighted = out.der if isinstance(out, DualScalar) else 0.0
     return abs(op.out_dim * f_val - weighted) / max(op.out_dim * abs(f_val), TINY)
 
 

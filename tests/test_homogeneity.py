@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -5,6 +6,7 @@ import pytest
 
 from conftest import assert_close
 from geodiff import homogeneity
+from geodiff.dual import DualScalar
 from geodiff.homogeneity import finite_scaling, scale_residual
 from geodiff.ops import table
 
@@ -47,6 +49,24 @@ class TestScaleResidual:
 
     def test_angle_is_degree_zero(self):
         assert scale_residual(BY_NAME["angle_from_sides"], (2.0, 3.0, 4.0)) < 1e-12
+
+    def test_one_pass_is_the_weighted_sum_of_partials(self, rng):
+        # seeding x_i with n_i x_i gives sum_i n_i x_i df/dx_i in one pass
+        for op in table():
+            if op.out_dim == 0:
+                continue
+            for _ in range(50):
+                point = op.sample(rng)
+                out = op.closed(*(DualScalar(xi, ni * xi)
+                                  for xi, ni in zip(point, op.arg_dims)))
+                _, grads = homogeneity.partials(op, point)
+                weighted = sum(ni * xi * gi
+                               for ni, xi, gi in zip(op.arg_dims, point, grads))
+                assert_close(out.der, weighted, 1e-12, op.name)
+
+    def test_dimension_slip_is_caught(self):
+        wrong = dataclasses.replace(BY_NAME["median"], out_dim=2)
+        assert scale_residual(wrong, (3.0, 4.0, 5.0)) > 0.1
 
     def test_sweep_all_formulas(self, rng):
         for op in table():
