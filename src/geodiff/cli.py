@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import gc
 import json
 import math
 import random
@@ -101,9 +102,12 @@ def _rel(actual: float, expected: float) -> float:
 
 def _record(suite, case_id, op, inputs, expected: float, actual: float,
             tol) -> Record:
-    """Record of one float comparison; for floats, repr is what _fmt gives."""
+    """Record of one float comparison; for floats, repr is what _fmt gives.
+    An actual equal to a nonzero expected reuses its text (zeros have signs)."""
     err = _rel(actual, expected)
-    return Record(suite, case_id, op, inputs, repr(expected), repr(actual),
+    text = repr(expected)
+    return Record(suite, case_id, op, inputs, text,
+                  text if actual == expected and expected else repr(actual),
                   err, err < tol)
 
 
@@ -139,16 +143,16 @@ def run_theorems(rng: random.Random, cases: int, tol: float | None) -> list[Reco
                 out.append(_record("theorems", i, op.name, ins, measured,
                                    closed, tol))
 
-        t = case.t
-        abc = geom.incenter_bisector_lengths(t)
+        sides = case.triangle
+        abc = geom.incenter_bisector_lengths(case.t)
         try:
             recovered = geom.bisector_problem_solve(*abc)
-            err = max(_rel(got, want) for got, want in zip(recovered, t.sides))
+            err = max(_rel(got, want) for got, want in zip(recovered, sides))
             out.append(Record("theorems", i, "bisector_problem", _fmt(*abc),
-                              _fmt(*t.sides), _fmt(*recovered), err, err < tol))
+                              formatted[sides], _fmt(*recovered), err, err < tol))
         except geom.GeometryError as exc:
             out.append(_failed("theorems", i, "bisector_problem", _fmt(*abc),
-                               _fmt(*t.sides), exc))
+                               formatted[sides], exc))
     return out
 
 
@@ -270,17 +274,27 @@ def run(config: RunConfig) -> Report:
                     timestamp=time.strftime("%Y-%m-%dT%H:%M:%S"))
     wanted = SUITES[:-1] if config.suite == "all" else (config.suite,)
     orders = {}
-    for name in wanted:
-        rng = random.Random(f"{config.seed}:{name}")
-        if name == "theorems":
-            report.records.extend(run_theorems(rng, config.cases, config.tol))
-        elif name == "derive":
-            recs, orders = run_derive(config.cases, config.h_values, config.tol)
-            report.records.extend(recs)
-        elif name == "scale":
-            report.records.extend(run_scale(rng, config.cases, config.tol))
-        elif name == "roots":
-            report.records.extend(run_roots(rng, config.cases, config.tol))
+    # Every case keeps its Records (17 per theorems case, each tracked by the
+    # cyclic collector) until the report is written, and the suites make no
+    # reference cycles: each generational pass would re-walk all of them and
+    # free nothing, so the collector is paused while they run.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for name in wanted:
+            rng = random.Random(f"{config.seed}:{name}")
+            if name == "theorems":
+                report.records.extend(run_theorems(rng, config.cases, config.tol))
+            elif name == "derive":
+                recs, orders = run_derive(config.cases, config.h_values, config.tol)
+                report.records.extend(recs)
+            elif name == "scale":
+                report.records.extend(run_scale(rng, config.cases, config.tol))
+            elif name == "roots":
+                report.records.extend(run_roots(rng, config.cases, config.tol))
+    finally:
+        if collecting:
+            gc.enable()
     finite = [r.rel_err for r in report.records
               if math.isfinite(r.rel_err) and not r.op.endswith(":order")]
     report.summary = {

@@ -2,9 +2,10 @@
 
 Every function here accepts plain floats or DualScalar arguments and applies
 no input validation; the samplers draw valid inputs through the types in
-``geom``. The angle opposite the z-side (between the x- and y-sides) is
-always gamma, and all bisector/median/cevian expressions act on that vertex /
-the z-side.
+``geom``; only ``bisector_side`` fails, with ValueError, when its cubic has no
+admissible root.  The angle opposite the z-side (between the x- and y-sides)
+is always gamma, and all bisector/median/cevian expressions act on that
+vertex / the z-side.
 """
 
 from __future__ import annotations
@@ -121,6 +122,14 @@ def sphere_volume(r):
 # gives a cubic in w = z^2.  The positive sign of the 1/(ab) constant is the
 # geometric branch (the negative one would force c < 0 on the admissible
 # interval); verified by forward evaluation on equilateral and right triangles.
+#
+# Exactly one root is admissible, and it is the largest.  With
+# k = c^2/(a^2 b^2) the monic cubic is P = -g/k, where
+# g(w) = ((a+b)^2 - w)(w - (a-b)^2) - k w (w - a^2 - b^2)^2.  P(-inf) < 0,
+# P((a-b)^2) >= 0, P(a^2 + b^2) < 0 and P((a+b)^2) > 0, so each of the three
+# gaps holds one root and only the largest lies in (a^2 + b^2, (a+b)^2).
+# Three real roots make pp < 0 in the depressed form, whose k = 0
+# trigonometric term is the largest root: Newton starts there.
 
 
 def bisector_cubic_coeffs(a, b, c):
@@ -133,77 +142,45 @@ def bisector_cubic_coeffs(a, b, c):
     return p, q, r
 
 
-def _newton_starts(p, q, r):
-    """Starting points from the depressed-cubic trigonometric form."""
-    pp = q - p * p / 3.0
-    qq = 2.0 * p ** 3 / 27.0 - p * q / 3.0 + r
-    shift = -p / 3.0
-    if pp < 0.0:
-        m = 2.0 * math.sqrt(-pp / 3.0)
-        arg = 3.0 * qq / (pp * m)
-        arg = max(-1.0, min(1.0, arg))
-        phi = math.acos(arg)
-        return [m * math.cos((phi - 2.0 * math.pi * k) / 3.0) + shift
-                for k in range(3)]
-    # single-real-root regime: one real start plus spread-out companions
-    u = math.copysign(abs(qq / 2.0) ** (1.0 / 3.0), -qq) if qq != 0.0 else 0.0
-    spread = 1.0 + abs(shift)
-    return [u + shift, u + shift + spread, u + shift - spread]
-
-
-def cubic_real_roots(p, q, r):
-    """Real roots of the monic cubic, Newton-polished and deduplicated."""
-    scale = max(1.0, abs(p), abs(q), abs(r))
-    roots = []
-    for w in _newton_starts(p, q, r):
-        for _ in range(80):
-            f = ((w + p) * w + q) * w + r
-            fp = (3.0 * w + 2.0 * p) * w + q
-            if fp == 0.0:
-                w += 1e-9 * max(1.0, abs(w))
-                continue
-            aw = abs(w)
-            noise = F_NOISE * (((aw + abs(p)) * aw + abs(q)) * aw + abs(r))
-            w -= f / fp
-            if abs(f) <= noise:
-                break  # one step after |f| fell to its rounding level
-        f = ((w + p) * w + q) * w + r
-        if abs(f) > 1e-7 * scale * max(1.0, abs(w)) ** 3:
-            continue
-        if not any(abs(w - seen) <= 1e-8 * max(1.0, abs(seen)) for seen in roots):
-            roots.append(w)
-    return roots
-
-
-def side_from_bisectors(a, b, c):
-    """Admissible side lengths opposite the incenter-bisector segment c.
+def bisector_side(a, b, c):
+    """Side opposite the incenter-bisector segment c; ValueError if none.
 
     a and b are the vertex-to-incenter bisector lengths at the two endpoints
-    of the sought side.  Roots w = z^2 are admissible when they lie strictly
-    inside ((a-b)^2, (a+b)^2) and above a^2 + b^2.  Dual arguments are
+    of the sought side.  The side is sqrt(w) for the largest root w = z^2 of
+    the bisector cubic, Newton-polished from its trigonometric start, and
+    admissible only strictly inside (a^2 + b^2, (a+b)^2).  Dual arguments are
     supported: a root w of P(w) = w^3 + p w^2 + q w + r moves with the
     coefficients as w' = -(p' w^2 + q' w + r') / P'(w), the root-sensitivity
     formula dw/da_k = -w^k / P'(w), so the float root gets that derivative.
     """
     av, bv, cv = value(a), value(b), value(c)
     p, q, r = bisector_cubic_coeffs(av, bv, cv)
-    lo = max((av - bv) ** 2, av * av + bv * bv)
-    hi = (av + bv) ** 2
-    admissible = [w for w in cubic_real_roots(p, q, r) if lo < w < hi]
-    dualised = isinstance(a, DualScalar) or isinstance(b, DualScalar) \
-        or isinstance(c, DualScalar)
-    if not dualised:
-        return [math.sqrt(w) for w in admissible]
+    pp = q - p * p / 3.0
+    if not pp < 0.0:
+        raise ValueError(f"bisector cubic of ({av}, {bv}, {cv}) lost its real roots")
+    qq = 2.0 * p ** 3 / 27.0 - p * q / 3.0 + r
+    m = 2.0 * math.sqrt(-pp / 3.0)
+    phi = math.acos(max(-1.0, min(1.0, 3.0 * qq / (pp * m))))
+    w = m * math.cos(phi / 3.0) - p / 3.0
+    for _ in range(80):
+        f = ((w + p) * w + q) * w + r
+        fp = (3.0 * w + 2.0 * p) * w + q
+        if fp == 0.0:
+            w += 1e-9 * max(1.0, abs(w))
+            continue
+        aw = abs(w)
+        noise = F_NOISE * (((aw + abs(p)) * aw + abs(q)) * aw + abs(r))
+        w -= f / fp
+        if abs(f) <= noise:
+            break  # one step after |f| fell to its rounding level
+    f = ((w + p) * w + q) * w + r
+    scale = max(1.0, abs(p), abs(q), abs(r))
+    if abs(f) > 1e-7 * scale * max(1.0, abs(w)) ** 3 \
+            or not av * av + bv * bv < w < (av + bv) ** 2:
+        raise ValueError(f"no admissible side for bisector lengths ({av}, {bv}, {cv})")
+    if not (isinstance(a, DualScalar) or isinstance(b, DualScalar)
+            or isinstance(c, DualScalar)):
+        return math.sqrt(w)
     pd, qd, rd = bisector_cubic_coeffs(a, b, c)
-    return [sqrt(DualScalar(w, -((pd.der * w + qd.der) * w + rd.der)
-                            / ((3.0 * w + 2.0 * p) * w + q)))
-            for w in admissible]
-
-
-def bisector_side(a, b, c):
-    """The one admissible side of side_from_bisectors; ValueError unless
-    exactly one root is admissible."""
-    roots = side_from_bisectors(a, b, c)
-    if len(roots) != 1:
-        raise ValueError(f"expected one admissible side, got {len(roots)}")
-    return roots[0]
+    return sqrt(DualScalar(w, -((pd.der * w + qd.der) * w + rd.der)
+                           / ((3.0 * w + 2.0 * p) * w + q)))

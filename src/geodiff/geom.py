@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 from . import formulas
 
@@ -42,10 +41,6 @@ class DomainError(GeometryError):
 
 class NoTriangleError(GeometryError):
     """The inverse bisector problem has no admissible solution."""
-
-
-class AmbiguousRootsError(GeometryError):
-    """The inverse bisector problem has several round-trip-consistent solutions."""
 
 
 def _require_positive(**named) -> None:
@@ -148,35 +143,22 @@ def incenter_bisector_lengths(t: Triangle) -> tuple[float, float, float]:
 def bisector_problem_solve(a: float, b: float, c: float) -> tuple[float, float, float]:
     """Recover side lengths (x, y, z) from vertex-to-incenter bisector lengths.
 
-    Each side is a root of a cubic in its squared length; candidate triples
-    are accepted only when the forward map reproduces (a, b, c) to relative
-    ROUNDTRIP_TOL.  Zero surviving triples raises NoTriangleError, several
-    distinct ones raise AmbiguousRootsError.
+    Each side is the one admissible root of a cubic in its squared length
+    (``formulas.bisector_side``; a sign count leaves exactly one).  The sides
+    must form a Triangle whose forward map reproduces (a, b, c) to relative
+    ROUNDTRIP_TOL; otherwise NoTriangleError.
     """
     _require_positive(a=a, b=b, c=c)
-    x_cands = formulas.side_from_bisectors(b, c, a)
-    y_cands = formulas.side_from_bisectors(a, c, b)
-    z_cands = formulas.side_from_bisectors(a, b, c)
-    if not (x_cands and y_cands and z_cands):
+    try:
+        sides = (formulas.bisector_side(b, c, a), formulas.bisector_side(a, c, b),
+                 formulas.bisector_side(a, b, c))
+        t = Triangle(*sides)
+    except ValueError as exc:  # no admissible root, or a DomainError
         raise NoTriangleError(
-            f"no admissible cubic root for bisector lengths ({a}, {b}, {c})")
-
-    survivors: list[tuple[float, float, float]] = []
-    for x, y, z in product(x_cands, y_cands, z_cands):
-        try:
-            t = Triangle(x, y, z)
-        except DomainError:
-            continue
-        fwd = incenter_bisector_lengths(t)
-        if all(abs(got - want) <= ROUNDTRIP_TOL * want
+            f"no triangle for bisector lengths ({a}, {b}, {c}): {exc}") from None
+    fwd = incenter_bisector_lengths(t)
+    if not all(abs(got - want) <= ROUNDTRIP_TOL * want
                for got, want in zip(fwd, (a, b, c))):
-            if not any(all(abs(s - r) <= 1e-9 * r for s, r in zip((x, y, z), seen))
-                       for seen in survivors):
-                survivors.append((x, y, z))
-    if not survivors:
         raise NoTriangleError(
-            f"no candidate triple round-trips for bisector lengths ({a}, {b}, {c})")
-    if len(survivors) > 1:
-        raise AmbiguousRootsError(
-            f"multiple round-trip-consistent triples: {survivors}")
-    return survivors[0]
+            f"sides {sides} do not round-trip to bisector lengths ({a}, {b}, {c})")
+    return sides

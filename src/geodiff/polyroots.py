@@ -356,26 +356,28 @@ def match_distance(found: list[complex], reference: list[complex]) -> float:
     n = len(found)
     dist = [[abs(f - r) for r in reference] for f in found]
     levels = sorted({d for row in dist for d in row}) or [0.0]
-
-    def pairs_within(limit: float) -> bool:
-        owner: list[int | None] = [None] * n  # found index paired with each reference
-
-        def augment(i: int, seen: set[int]) -> bool:
-            for j in range(n):
-                if dist[i][j] <= limit and j not in seen:
-                    seen.add(j)
-                    if owner[j] is None or augment(owner[j], seen):
-                        owner[j] = i
-                        return True
-            return False
-
-        return all(augment(i, set()) for i in range(n))
-
     lo, hi = 0, len(levels) - 1  # the largest distance always admits a pairing
     while lo < hi:
         mid = (lo + hi) // 2
-        if pairs_within(levels[mid]):
+        owner: list[int | None] = [None] * n  # found index paired with each reference
+        if all(_augment(i, dist, levels[mid], owner, set()) for i in range(n)):
             hi = mid
         else:
             lo = mid + 1
     return levels[lo]
+
+
+def _augment(i: int, dist: list[list[float]], limit: float,
+             owner: list[int | None], seen: set[int]) -> bool:
+    """Kuhn's augmenting path from found root i over pairs within limit.
+
+    A module function taking its state as arguments: a recursive closure
+    would tie itself to its cell in a reference cycle on every call.
+    """
+    for j, d in enumerate(dist[i]):
+        if d <= limit and j not in seen:
+            seen.add(j)
+            if owner[j] is None or _augment(owner[j], dist, limit, owner, seen):
+                owner[j] = i
+                return True
+    return False

@@ -19,11 +19,12 @@ LENGTH_LO = 0.1
 LENGTH_HI = 10.0
 MARGIN = 1e-3
 _LOG_LO = math.log(LENGTH_LO)
-_LOG_HI = math.log(LENGTH_HI)
+_LOG_SPAN = math.log(LENGTH_HI) - _LOG_LO
 
 
 def length(rng: random.Random) -> float:
-    return math.exp(rng.uniform(_LOG_LO, _LOG_HI))
+    # the float rng.uniform(_LOG_LO, log(LENGTH_HI)) gives, without its frame
+    return math.exp(_LOG_LO + _LOG_SPAN * rng.random())
 
 
 def triangle(rng: random.Random) -> geom.Triangle:

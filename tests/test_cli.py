@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import math
 import os
@@ -9,9 +10,9 @@ from dataclasses import asdict
 import pytest
 
 import geodiff
-from geodiff import odes, oracle
-from geodiff.cli import (ConfigError, Record, RunConfig, main, parse_config,
-                         quad_sens_error, run, write_report)
+from geodiff import cli, odes, oracle
+from geodiff.cli import (SUITES, ConfigError, Record, RunConfig, main,
+                         parse_config, quad_sens_error, run, write_report)
 
 
 class TestParseConfig:
@@ -184,6 +185,43 @@ class TestDeterminism:
         a = run(RunConfig(suite="theorems", cases=5, seed=1)).records
         b = run(RunConfig(suite="theorems", cases=5, seed=2)).records
         assert a != b
+
+
+class TestCollectorPause:
+    """run() pauses the cyclic collector, so the suites must make no cycles."""
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_suites_leave_no_cyclic_garbage(self, suite):
+        gc.collect()
+        gc.disable()  # no automatic pass may free a cycle before the count
+        try:
+            run(RunConfig(suite=suite, cases=3, seed=0))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_collector_restored(self):
+        assert gc.isenabled()
+        run(RunConfig(suite="roots", cases=1))
+        assert gc.isenabled()
+
+    def test_collector_left_off_for_a_caller_that_turned_it_off(self):
+        gc.disable()
+        try:
+            run(RunConfig(suite="roots", cases=1))
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_collector_restored_when_a_suite_raises(self, monkeypatch):
+        def broken(rng, cases, tol):
+            assert not gc.isenabled()
+            raise RuntimeError("suite failed")
+
+        monkeypatch.setattr(cli, "run_theorems", broken)
+        with pytest.raises(RuntimeError):
+            run(RunConfig(suite="theorems", cases=1))
+        assert gc.isenabled()
 
 
 class TestReportFiles:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -359,6 +360,35 @@ def test_bisector_problem_roundtrip(t):
     sides = geom.bisector_problem_solve(*abc)
     for got, want in zip(sides, t.sides):
         assert_close(got, want, 1e-8)
+
+
+@given(triangles)
+@settings(max_examples=100, deadline=None)
+def test_bisector_cubic_has_one_admissible_root(t):
+    # The sign count behind formulas.bisector_side, in exact arithmetic on
+    # each of the three cubics: P = -g/k with k = c^2/(a^2 b^2) and
+    # g(w) = ((a+b)^2 - w)(w - (a-b)^2) - k w (w - a^2 - b^2)^2.
+    abc = geom.incenter_bisector_lengths(t)
+    for a, b, c in ((abc[1], abc[2], abc[0]), (abc[0], abc[2], abc[1]), abc):
+        fa, fb, fc = Fraction(a), Fraction(b), Fraction(c)
+        k = fc * fc / (fa * fa * fb * fb)
+        s2, lo, hi = fa * fa + fb * fb, (fa - fb) ** 2, (fa + fb) ** 2
+        p, q, r = 1 / k - 2 * s2, s2 * s2 - 2 * s2 / k, lo * hi / k
+        for got, want in zip(formulas.bisector_cubic_coeffs(a, b, c), (p, q, r)):
+            assert_close(got, float(want), 1e-12)
+
+        def cubic(w):
+            return ((w + p) * w + q) * w + r
+
+        assert cubic(lo) >= 0 and cubic(s2) < 0 and cubic(hi) > 0
+        w = Fraction(formulas.bisector_side(a, b, c)) ** 2
+        assert s2 < w < hi
+        assert (3 * w + 2 * p) * w + q > 0
+        # P / (v - w) = v^2 + lin v + const: both its roots stay below
+        # a^2 + b^2 when it is positive there and its vertex lies to the left
+        lin = p + w
+        const = q + lin * w
+        assert (s2 + lin) * s2 + const > 0 and -lin / 2 < s2
 
 
 @given(triangles)

@@ -3,8 +3,8 @@
 A refactor that moves one byte of one record fails here.  The theorems,
 derive and scale values were pinned when the needle-safe angle became the
 ``formulas.angle_gamma`` kernel, the bisector cubic's dual root took its
-derivative from the root-sensitivity formula, and ``cubic_real_roots``
-started to stop at the rounding level of the cubic.  The roots and all
+derivative from the root-sensitivity formula, and the cubic's Newton
+polish started to stop at its rounding level.  The roots and all
 values were re-pinned when the root tracker stopped capping its step at
 ``1/steps`` (the error estimate alone sets it now, which moves the last bits
 of tracked roots) and the ``quad_sens`` reference became a complex-step
