@@ -1,15 +1,18 @@
 """Command-line verification driver.
 
-``geodiff --suite <name> --cases N --seed S [--tol T] [--h 1e-1,1e-2,1e-3]
-[--output PATH] [--format csv|json] [--config PATH]``
+``geodiff --suite <name> --cases N --seed S [--output PATH] [--format csv|json]``
 
 Suites: theorems (closed forms vs the coordinate oracle), derive (ODE
 convergence and residuals), scale (homogeneity sweep), roots (continuation
-vs simultaneous iteration), or all.  Reports are deterministic for a fixed
-(config, seed); the timestamp lives in the JSON header, never in records.
+vs simultaneous iteration), or all.  Each suite is one function
+``run_<suite>(rng, cases) -> list[Record]`` in ``RUNNERS``, and each record
+is judged by its module constant below.  Reports are deterministic for a
+fixed (config, seed); the timestamp lives in the JSON header, never in
+records.
 
-The derive suite draws nothing at random, so it ignores ``--seed``; it reads
-``--cases`` as the number of sample points of each residual-mode entry.
+The derive suite draws nothing at random, so it ignores ``--seed``; it steps
+at ``DEFAULT_H`` and reads ``--cases`` as the number of sample points of
+each residual-mode entry.
 """
 
 from __future__ import annotations
@@ -23,11 +26,10 @@ import math
 import random
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 from . import __version__, geom, homogeneity, odes, ops, oracle, polyroots
 
-SUITES = ("theorems", "derive", "scale", "roots", "all")
 DEFAULT_H = (1e-1, 1e-2, 1e-3)
 
 THEOREMS_TOL = 1e-9
@@ -49,8 +51,6 @@ class RunConfig:
     suite: str = "all"
     cases: int = 1000
     seed: int = 0
-    tol: float | None = None
-    h_values: tuple[float, ...] = DEFAULT_H
     output: str | None = None
     format: str = "csv"
 
@@ -59,14 +59,6 @@ class RunConfig:
             raise ConfigError(f"unknown suite {self.suite!r}")
         if self.cases < 1:
             raise ConfigError("cases must be >= 1")
-        if self.tol is not None and not self.tol > 0.0:
-            raise ConfigError("tol must be positive")
-        hs = tuple(self.h_values)
-        if len(hs) < 1 or any(h <= 0.0 for h in hs):
-            raise ConfigError("h values must be positive")
-        if any(b >= a for a, b in zip(hs, hs[1:])):
-            raise ConfigError("h values must be strictly decreasing")
-        object.__setattr__(self, "h_values", hs)
         if self.format not in ("csv", "json"):
             raise ConfigError(f"unknown format {self.format!r}")
 
@@ -120,9 +112,8 @@ def _failed(suite, case_id, op, inputs, expected: str, exc) -> Record:
 # --- suites ---------------------------------------------------------------------
 
 
-def run_theorems(rng: random.Random, cases: int, tol: float | None) -> list[Record]:
+def run_theorems(rng: random.Random, cases: int) -> list[Record]:
     out = []
-    tol = tol if tol is not None else THEOREMS_TOL
     theorem_ops = sorted((op for op in ops.table() if op.oracle),
                          key=lambda op: ops.FAMILIES.index(op.family))
     for i in range(cases):
@@ -141,7 +132,7 @@ def run_theorems(rng: random.Random, cases: int, tol: float | None) -> list[Reco
                 out.append(_failed("theorems", i, op.name, ins, _fmt(closed), exc))
             else:
                 out.append(_record("theorems", i, op.name, ins, measured,
-                                   closed, tol))
+                                   closed, THEOREMS_TOL))
 
         sides = case.triangle
         abc = geom.incenter_bisector_lengths(case.t)
@@ -149,62 +140,59 @@ def run_theorems(rng: random.Random, cases: int, tol: float | None) -> list[Reco
             recovered = geom.bisector_problem_solve(*abc)
             err = max(_rel(got, want) for got, want in zip(recovered, sides))
             out.append(Record("theorems", i, "bisector_problem", _fmt(*abc),
-                              formatted[sides], _fmt(*recovered), err, err < tol))
+                              formatted[sides], _fmt(*recovered), err,
+                              err < THEOREMS_TOL))
         except geom.GeometryError as exc:
             out.append(_failed("theorems", i, "bisector_problem", _fmt(*abc),
                                formatted[sides], exc))
     return out
 
 
-def run_derive(cases: int, h_values, tol: float | None) -> tuple[list[Record], dict]:
+def run_derive(rng: random.Random, cases: int) -> list[Record]:
+    """Derivation records; nothing is drawn at random, so rng goes unused."""
     out = []
-    orders = {}
-    endpoint_tol = tol if tol is not None else ENDPOINT_TOL
-    residual_tol = tol if tol is not None else RESIDUAL_TOL
     for entry in odes.catalog():
         if entry.residual_only:
             res = odes.residual(entry, max(2, cases))
             out.append(Record("derive", 0, f"{entry.name}:residual",
                               _fmt(*entry.s_range), "0.0",
                               _fmt(res.max_residual), res.max_residual,
-                              res.max_residual < residual_tol))
+                              res.max_residual < RESIDUAL_TOL))
             continue
         exact = odes.reference_endpoint(entry)
         try:
-            rep = odes.convergence(entry, h_values)
+            rep = odes.convergence(entry, DEFAULT_H)
         except odes.SingularityError as exc:
             # the entry's usual records, each failing under the exception name
             out.extend(_failed("derive", 0, f"{entry.name}:h={h:g}", _fmt(h),
                                _fmt(exact), exc)
-                       for h in h_values)
+                       for h in DEFAULT_H)
             out.append(_failed("derive", 0, f"{entry.name}:order",
-                               _fmt(*h_values), "4.0", exc))
+                               _fmt(*DEFAULT_H), "4.0", exc))
             continue
-        orders[entry.name] = rep.fitted_order
         for h, endpoint, err in zip(rep.h_values, rep.endpoints, rep.errors):
             judged = h == min(rep.h_values)
             out.append(Record("derive", 0, f"{entry.name}:h={h:g}", _fmt(h),
                               _fmt(exact), _fmt(endpoint),
                               err / max(abs(exact), 1e-30),
-                              (err < endpoint_tol) if judged else True))
+                              (err < ENDPOINT_TOL) if judged else True))
         order_ok = rep.rk4_exact \
             or ORDER_RANGE[0] <= rep.fitted_order <= ORDER_RANGE[1]
         out.append(Record("derive", 0, f"{entry.name}:order",
                           _fmt(*rep.h_values), "4.0", _fmt(rep.fitted_order),
                           abs(rep.fitted_order - 4.0) / 4.0, order_ok))
-    return out, orders
+    return out
 
 
-def run_scale(rng: random.Random, cases: int, tol: float | None) -> list[Record]:
+def run_scale(rng: random.Random, cases: int) -> list[Record]:
     out = []
-    res_tol = tol if tol is not None else SCALE_TOL
     for op in ops.table():
         for i in range(cases):
             point = op.sample(rng)
             ins = _fmt(*point)
             res = homogeneity.scale_residual(op, point)
             out.append(Record("scale", i, op.name, ins, "0.0",
-                              _fmt(res), res, res < res_tol))
+                              _fmt(res), res, res < SCALE_TOL))
             for lam, want, scaled in homogeneity.finite_scaling(op, point):
                 err = _rel(scaled, want)
                 out.append(Record("scale", i, f"{op.name}:lam={lam:g}",
@@ -213,9 +201,8 @@ def run_scale(rng: random.Random, cases: int, tol: float | None) -> list[Record]
     return out
 
 
-def run_roots(rng: random.Random, cases: int, tol: float | None) -> list[Record]:
+def run_roots(rng: random.Random, cases: int) -> list[Record]:
     out = []
-    track_tol = tol if tol is not None else ROOTS_TOL
     for i in range(cases):
         degree = rng.randint(2, 8)
         coeffs = [rng.uniform(-5.0, 5.0) for _ in range(degree)] + [1.0]
@@ -227,7 +214,7 @@ def run_roots(rng: random.Random, cases: int, tol: float | None) -> list[Record]
             dist = polyroots.match_distance(tracked, reference)
             out.append(Record("roots", i, "track",
                               _fmt(*coeffs), "0.0", _fmt(dist), dist,
-                              dist < track_tol))
+                              dist < ROOTS_TOL))
         except (polyroots.PathSingularityError, polyroots.TrackingFailureError,
                 polyroots.OracleFailureError) as exc:
             out.append(_failed("roots", i, "track", _fmt(*coeffs), "0.0", exc))
@@ -268,12 +255,15 @@ def quad_sens_error(a: float, b: float, c: float, r2: float) -> float:
 
 # --- driver ---------------------------------------------------------------------
 
+RUNNERS = {"theorems": run_theorems, "derive": run_derive, "scale": run_scale,
+           "roots": run_roots}
+SUITES = (*RUNNERS, "all")
+
 
 def run(config: RunConfig) -> Report:
     report = Report(config=config,
                     timestamp=time.strftime("%Y-%m-%dT%H:%M:%S"))
-    wanted = SUITES[:-1] if config.suite == "all" else (config.suite,)
-    orders = {}
+    wanted = RUNNERS if config.suite == "all" else (config.suite,)
     # Every case keeps its Records (17 per theorems case, each tracked by the
     # cyclic collector) until the report is written, and the suites make no
     # reference cycles: each generational pass would re-walk all of them and
@@ -283,20 +273,16 @@ def run(config: RunConfig) -> Report:
     try:
         for name in wanted:
             rng = random.Random(f"{config.seed}:{name}")
-            if name == "theorems":
-                report.records.extend(run_theorems(rng, config.cases, config.tol))
-            elif name == "derive":
-                recs, orders = run_derive(config.cases, config.h_values, config.tol)
-                report.records.extend(recs)
-            elif name == "scale":
-                report.records.extend(run_scale(rng, config.cases, config.tol))
-            elif name == "roots":
-                report.records.extend(run_roots(rng, config.cases, config.tol))
+            report.records.extend(RUNNERS[name](rng, config.cases))
     finally:
         if collecting:
             gc.enable()
     finite = [r.rel_err for r in report.records
               if math.isfinite(r.rel_err) and not r.op.endswith(":order")]
+    # a finite order record carries the fitted order as its repr
+    orders = {r.op.removesuffix(":order"): float(r.actual)
+              for r in report.records
+              if r.op.endswith(":order") and math.isfinite(r.rel_err)}
     report.summary = {
         "records": len(report.records),
         "failures": sum(not r.passed for r in report.records),
@@ -350,44 +336,19 @@ def _json_records(records):
         sep = ","
 
 
-def parse_config(argv, config_file: str | None = None) -> RunConfig:
-    """Build a RunConfig: flags override file values override defaults."""
+def parse_config(argv) -> RunConfig:
+    """Build a RunConfig from the flags given; the rest keep their defaults."""
+    # no prefixes: a stale --h must not be read as --help and exit 0
     parser = argparse.ArgumentParser(
-        prog="geodiff", description="verification suites for metric identities")
+        prog="geodiff", description="verification suites for metric identities",
+        allow_abbrev=False)
     parser.add_argument("--suite", choices=SUITES)
     parser.add_argument("--cases", type=int)
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--tol", type=float)
-    parser.add_argument("--h", dest="h_values",
-                        type=lambda s: tuple(float(v) for v in s.split(",")))
     parser.add_argument("--output")
     parser.add_argument("--format", choices=("csv", "json"))
-    parser.add_argument("--config", dest="config_path")
     ns = parser.parse_args(argv)
-
-    keys = [f.name for f in fields(RunConfig)]
-    values: dict = {}
-    path = config_file or ns.config_path
-    if path:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                loaded = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise ConfigError("config file must hold a JSON object")
-        for key, val in loaded.items():
-            if key not in keys:
-                raise ConfigError(f"unknown config key {key!r}")
-            values[key] = tuple(val) if key == "h_values" else val
-    for key in keys:
-        flag = getattr(ns, key)
-        if flag is not None:
-            values[key] = flag
-    try:
-        return RunConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return RunConfig(**{k: v for k, v in vars(ns).items() if v is not None})
 
 
 def main(argv=None) -> int:

@@ -98,8 +98,3 @@ def atan(x):
 def value(x) -> float:
     """Plain float value of x, whether x is a float or a DualScalar."""
     return x.val if isinstance(x, DualScalar) else float(x)
-
-
-def derivative(f, x0: float) -> float:
-    """Derivative of a scalar function at x0 via one forward pass."""
-    return f(DualScalar(x0, 1.0)).der

@@ -92,11 +92,6 @@ def embed_triangle(t) -> TriangleEmbedding:
     return TriangleEmbedding((0.0, 0.0), (z, 0.0), (t0, math.sqrt(h2)))
 
 
-def side_lengths(e: TriangleEmbedding) -> tuple[float, float, float]:
-    """Re-measured (x, y, z) = (|AC|, |BC|, |AB|)."""
-    return (dist(e.a, e.c), dist(e.b, e.c), dist(e.a, e.b))
-
-
 def measure_median(e: TriangleEmbedding) -> float:
     return dist(e.c, _lerp(e.a, e.b, 0.5))
 

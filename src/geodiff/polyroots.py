@@ -13,8 +13,8 @@ real coefficient paths generically pass through discriminant zeros, while a
 twisted path misses them with probability one.  Twisted paths can still pass
 *near* each other, and a predictor that jumps across such an encounter lands
 in the Newton basin of the wrong root.  Each root therefore carries its own
-step size, set by the embedded error estimate of the last attempt and limited
-only by the rest of the path (adaptive
+step size: FIRST_STEP at the start, then set by the embedded error estimate
+of the last attempt and limited only by the rest of the path (adaptive
 predictor/corrector control after Bates, Hauenstein, Sommese & Wampler,
 "Adaptive multiprecision path tracking", SIAM J. Numer. Anal. 2008): a step
 is accepted only when the order-5 and order-4 solutions agree and the Newton
@@ -37,6 +37,7 @@ DERIV_FLOOR = 1e-12
 NEWTON_STEPS = 5
 LOCAL_TOL = 1e-8      # order-5 vs order-4 agreement, relative to the root scale
 MAX_REFINE_DEPTH = 20
+FIRST_STEP = 1.0 / 64  # a root's first step; the error estimate sets the rest
 ORACLE_MAX_ITER = 1000  # Durand-Kerner sweeps before the stall test
 
 
@@ -99,16 +100,11 @@ def unit_circle_start(n: int) -> tuple[Poly, tuple[complex, ...]]:
 
 @dataclass(frozen=True)
 class ContinuationPath:
-    """Linear coefficient homotopy (1-t)*gamma*start + t*target.
-
-    steps sets the first step of every tracked root, 1/steps; after that the
-    error estimate alone chooses the step (see track).
-    """
+    """Linear coefficient homotopy (1-t)*gamma*start + t*target."""
 
     start: Poly
     start_roots: tuple[complex, ...]
     target: Poly
-    steps: int = 64
     gamma: complex = 1.0 + 0.0j
 
     def __post_init__(self):
@@ -116,8 +112,6 @@ class ContinuationPath:
             raise ValueError("start and target degrees differ")
         if abs(abs(self.gamma) - 1.0) > 1e-12:
             raise ValueError("gamma must have unit magnitude")
-        if self.steps < 1:
-            raise ValueError("need at least one step")
         bound = START_RESIDUAL_TOL * self.start.scale
         for r in self.start_roots:
             if abs(self.start(r)) > bound * max(1.0, abs(r)) ** self.start.degree:
@@ -144,7 +138,7 @@ def make_path(target: Poly, rng: random.Random | None = None) -> ContinuationPat
 def track(path: ContinuationPath) -> list[complex]:
     """Advance every start root to t = 1 and return the corrected roots.
 
-    Each root carries its own step size h, starting at 1/path.steps; no cap
+    Each root carries its own step size h, starting at FIRST_STEP; no cap
     follows, so only the rest of the span, 1 - t, limits a step.  An attempt
     is one Dormand-Prince 5(4) step: seven velocity evaluations, the first
     reused after a rejection, the last at the order-5 value.  After every
@@ -153,7 +147,7 @@ def track(path: ContinuationPath) -> list[complex]:
     (err <= 1 passes); the step advances with the order-5 value.  An
     attempt that passes that test but fails the corrector, or that meets a
     vanishing P', halves h instead.  A root whose step falls below
-    (1/path.steps) / 2**MAX_REFINE_DEPTH raises PathSingularityError.
+    FIRST_STEP / 2**MAX_REFINE_DEPTH raises PathSingularityError.
 
     Three tests guard every accepted step against a hop onto a neighbouring
     path: the order-5 and order-4 values agree to LOCAL_TOL; Newton reaches
@@ -165,8 +159,7 @@ def track(path: ContinuationPath) -> list[complex]:
     """
     rates = path.coeff_rate()[::-1]
     n = path.target.degree
-    h_first = 1.0 / path.steps
-    h_min = h_first / 2 ** MAX_REFINE_DEPTH
+    h_min = FIRST_STEP / 2 ** MAX_REFINE_DEPTH
 
     def horner(c: tuple) -> tuple[tuple, tuple]:
         return c[::-1], tuple(k * c[k] for k in range(n, 0, -1))
@@ -251,7 +244,7 @@ def track(path: ContinuationPath) -> list[complex]:
     out = []
     data_start = data_at(0.0)
     for x in path.start_roots:
-        t, h, d0, k1 = 0.0, h_first, data_start, None
+        t, h, d0, k1 = 0.0, FIRST_STEP, data_start, None
         while t < 1.0:
             t1 = min(1.0, t + h)
             d1 = data_at(t1)

@@ -120,7 +120,7 @@ def test_criterion_7_root_tracking():
     # track: bottleneck distance to Durand-Kerner roots; quad_sens:
     # sensitivities vs complex-step derivatives of the stable root formula;
     # a failed track reads inf
-    records = run_roots(random.Random(77), 100, None)
+    records = run_roots(random.Random(77), 100)
     worst_track = max(r.rel_err for r in records if r.op == "track")
     worst_sens = max(r.rel_err for r in records if r.op == "quad_sens")
     elapsed = time.time() - t0

@@ -21,56 +21,22 @@ class TestParseConfig:
         assert cfg.suite == "all"
         assert cfg.cases == 1000
         assert cfg.seed == 0
-        assert cfg.tol is None
-        assert cfg.h_values == (1e-1, 1e-2, 1e-3)
         assert cfg.format == "csv"
 
     def test_flags(self):
         cfg = parse_config(["--suite", "roots", "--cases", "50", "--seed", "9"])
         assert (cfg.suite, cfg.cases, cfg.seed) == ("roots", 50, 9)
 
-    def test_h_list(self):
-        cfg = parse_config(["--h", "1e-1,1e-2,1e-3,1e-4"])
-        assert cfg.h_values == (0.1, 0.01, 0.001, 0.0001)
-
-    def test_h_must_decrease(self):
-        with pytest.raises(ConfigError):
-            parse_config(["--h", "1e-2,1e-1"])
-
-    def test_negative_tol_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_config(["--tol", "-1"])
-
     def test_zero_cases_rejected(self):
         with pytest.raises(ConfigError):
             parse_config(["--cases", "0"])
 
-    def test_config_file(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"suite": "scale", "cases": 7, "seed": 3}))
-        cfg = parse_config(["--config", str(path)])
-        assert (cfg.suite, cfg.cases, cfg.seed) == ("scale", 7, 3)
-
-    def test_flags_override_file(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"suite": "scale", "cases": 7}))
-        cfg = parse_config(["--config", str(path), "--cases", "21"])
-        assert (cfg.suite, cfg.cases) == ("scale", 21)
-
-    def test_unknown_key_named(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"speed": 11}))
-        with pytest.raises(ConfigError, match="speed"):
-            parse_config(["--config", str(path)])
-
-    def test_malformed_file(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigError):
-            parse_config(["--config", str(path)])
-
 
 class TestSuites:
+    def test_suites_are_the_runner_table(self):
+        assert SUITES == ("theorems", "derive", "scale", "roots", "all")
+        assert tuple(cli.RUNNERS) == SUITES[:-1]
+
     def test_theorems_small_run_is_clean(self):
         report = run(RunConfig(suite="theorems", cases=25, seed=5))
         assert report.summary["failures"] == 0
@@ -88,6 +54,9 @@ class TestSuites:
         assert report.summary["failures"] == 0
         orders = report.summary["fitted_orders"]
         assert "pythagoras" in orders and "bispart" in orders
+        assert orders == {r.op.removesuffix(":order"): float(r.actual)
+                          for r in report.records
+                          if r.op.endswith(":order") and r.passed}
         residual_ops = {r.op for r in report.records if r.op.endswith(":residual")}
         assert residual_ops == {"ptolemy:residual", "inradius:residual",
                                 "bisprob:residual", "heron_alt:residual"}
@@ -214,11 +183,11 @@ class TestCollectorPause:
             gc.enable()
 
     def test_collector_restored_when_a_suite_raises(self, monkeypatch):
-        def broken(rng, cases, tol):
+        def broken(rng, cases):
             assert not gc.isenabled()
             raise RuntimeError("suite failed")
 
-        monkeypatch.setattr(cli, "run_theorems", broken)
+        monkeypatch.setitem(cli.RUNNERS, "theorems", broken)
         with pytest.raises(RuntimeError):
             run(RunConfig(suite="theorems", cases=1))
         assert gc.isenabled()
@@ -304,9 +273,10 @@ class TestMain:
         assert out.exists()
         assert "failures=0" in capsys.readouterr().out
 
-    def test_failures_exit_one(self):
+    def test_failures_exit_one(self, monkeypatch):
         # an absurdly tight tolerance forces failures; exit mirrors them
-        code = main(["--suite", "scale", "--cases", "1", "--tol", "1e-300"])
+        monkeypatch.setattr(cli, "SCALE_TOL", 1e-300)
+        code = main(["--suite", "scale", "--cases", "1"])
         assert code == 1
 
     def test_unwritable_output(self):
@@ -317,10 +287,11 @@ class TestMain:
     def test_bad_flag_value(self):
         assert main(["--suite", "warp"]) == 2
 
-    def test_bad_config_key(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"bogus": 1}))
-        assert main(["--config", str(path)]) == 2
+    def test_bad_config_key(self):
+        # the gates are module constants and there is no config file
+        for flag, value in (("--tol", "1e-3"), ("--h", "0.1"),
+                            ("--config", "x.json")):
+            assert main(["--suite", "scale", "--cases", "1", flag, value]) == 2
 
 
 def test_cli_import_loads_neither_numpy_nor_scipy():

@@ -88,15 +88,16 @@ class TestTrack:
         with pytest.raises(ValueError):
             ContinuationPath(start, (0.5 + 0j, 2.0 + 0j), Poly((-4.0, 0.0, 1.0)))
 
-    def test_first_step_does_not_change_the_roots(self):
-        # path.steps only sets the first step; the error control sets the rest
+    def test_first_step_does_not_change_the_roots(self, monkeypatch):
+        # FIRST_STEP only sets the first step; the error control sets the rest
         rng = random.Random("polyroots-steps")
         for _ in range(4):
             coeffs = [rng.uniform(-5.0, 5.0) for _ in range(8)] + [1.0]
             path = make_path(Poly(tuple(complex(c) for c in coeffs)), rng=rng)
-            runs = [track(ContinuationPath(path.start, path.start_roots,
-                                           path.target, steps, path.gamma))
-                    for steps in (8, 64, 256)]
+            runs = []
+            for steps in (8, 64, 256):
+                monkeypatch.setattr(polyroots, "FIRST_STEP", 1.0 / steps)
+                runs.append(track(path))
             for roots in runs[1:]:
                 assert max(abs(a - b) for a, b in zip(runs[0], roots)) < 1e-12
 
