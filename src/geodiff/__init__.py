@@ -1,11 +1,12 @@
 """Numerical verification of classical metric identities.
 
-Closed-form theorem kernels (formulas) on validated input types (geom), an
-independent coordinate-geometry oracle (oracle), the differential
-re-derivations with RK4 and residual checks (odes), the dual-number
-homogeneity checker (homogeneity), the operation table both suites iterate
-(ops), and a polynomial root continuation tracker (polyroots), driven by the
-``geodiff`` CLI.
+Closed-form theorem kernels (formulas), the validated triangle and cyclic
+quadrilateral and the inverse bisector problem (geom), an independent
+coordinate-geometry oracle (oracle), the differential re-derivations, each
+naming the kernel that solves it, with RK4 and residual checks (odes), the
+dual-number homogeneity checker (homogeneity), the operation table both
+suites iterate (ops), and a polynomial root continuation tracker
+(polyroots), driven by the ``geodiff`` CLI.
 """
 
 __version__ = "0.1.0"

@@ -1,11 +1,12 @@
 """Closed-form metric expressions on raw scalars.
 
 Every function here accepts plain floats or DualScalar arguments and applies
-no input validation; the samplers draw valid inputs through the types in
-``geom``; only ``bisector_side`` fails, with ValueError, when its cubic has no
-admissible root.  The angle opposite the z-side (between the x- and y-sides)
-is always gamma, and all bisector/median/cevian expressions act on that
-vertex / the z-side.
+no input validation: ``sampling`` draws valid inputs, and only
+``bisector_side`` fails, with ValueError, when its cubic has no admissible
+root.  The angle opposite the z-side (between the x- and y-sides) is always
+gamma, and all bisector/median/cevian expressions act on that vertex / the
+z-side.  Each relation is stated once, here: the operation table in ``ops``
+and the derivation catalog in ``odes`` name these functions.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
-"""Validated metric types and the inverse bisector problem.
+"""The validated triangle and cyclic quadrilateral, and the inverse bisector
+problem.
 
 Conventions, fixed once for the whole package:
 
@@ -17,7 +18,11 @@ a, b, c             vertex-to-incenter bisector segments at the alpha, beta
 
 All angles are radians.  The median/cevian/bisector kernels in ``formulas``
 act on the gamma vertex / the z-side; callers permute sides to reach the
-other vertices.  The samplers draw valid inputs as the types below.
+other vertices.  Only the two shapes whose checks other code relies on have
+a type here: ``sampling`` draws triangles as ``Triangle`` and cyclic
+quadrilaterals as ``CyclicQuad``, ``bisector_problem_solve`` accepts only
+sides that form a ``Triangle``, and ``oracle.embed_cyclic`` places a
+``CyclicQuad``.  Every other draw is a plain tuple of floats.
 """
 
 from __future__ import annotations
@@ -72,17 +77,6 @@ class Triangle:
 
 
 @dataclass(frozen=True)
-class CevianSplit:
-    """Lengths of the two z-side segments cut by a cevian; m is x-adjacent."""
-
-    m: float
-    n: float
-
-    def __post_init__(self):
-        _require_positive(m=self.m, n=self.n)
-
-
-@dataclass(frozen=True)
 class CyclicQuad:
     """Side lengths of a cyclic quadrilateral, in cyclic order."""
 
@@ -103,32 +97,6 @@ class CyclicQuad:
     @property
     def sides(self) -> tuple[float, float, float, float]:
         return (self.x, self.y, self.u, self.v)
-
-
-@dataclass(frozen=True)
-class TrirectTetra:
-    """Mutually perpendicular edge lengths at the right-angle corner."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        _require_positive(x=self.x, y=self.y, z=self.z)
-
-
-@dataclass(frozen=True)
-class IncirclePair:
-    """Inradius and circumradius of one triangle; R >= 2r always holds."""
-
-    r: float
-    big_r: float
-
-    def __post_init__(self):
-        _require_positive(r=self.r, R=self.big_r)
-        if self.big_r < 2.0 * self.r:
-            raise DomainError(
-                f"no triangle has R={self.big_r} < 2r={2.0 * self.r}")
 
 
 def incenter_bisector_lengths(t: Triangle) -> tuple[float, float, float]:

@@ -1,27 +1,30 @@
 """Differential re-derivations of the closed forms.
 
-Each catalog entry freezes all quantities but one, states the first-order
-ODE the varying quantity obeys, anchors the solution at a degenerate or
-special configuration whose value is known independently, and carries the
-closed form for comparison.  Anchored entries are integrated with fixed-step
-RK4 and checked for fourth-order convergence; entries whose natural anchor is
-singular (a 0/0 right-hand side or a collapsing configuration) are verified
-in residual mode instead: the closed form is differentiated with dual numbers
-and compared against the right-hand side pointwise.
+Each catalog entry freezes all quantities but one and states the first-order
+ODE the varying quantity s obeys.  It names the ``formulas`` kernel that
+solves it and the position of s among the kernel's arguments; the frozen
+params fill the other positions, in order.  Anchored entries start at a
+degenerate or special configuration whose value is known independently, are
+integrated with fixed-step RK4 and are checked for fourth-order convergence.
+Entries whose natural anchor is singular (a 0/0 right-hand side or a
+collapsing configuration) are verified in residual mode instead: the kernel
+is differentiated with dual numbers and compared against the right-hand side
+pointwise.
 
 Two right-hand sides differ by a sign from forms sometimes quoted for them;
-both are confirmed symbolically and by finite differences against the closed
-forms they must reproduce:
+the quoted forms fail their gates, as ``tests/test_odes.py::TestSigns``
+checks:
 
-* bisector-to-incenter: dc/dz = -c (x+y) / ((x+y+z)(x+y-z)) — the leading
-  minus sign is required for the known solution to satisfy the equation;
+* bisector-to-incenter: dc/dz = -c (x+y) / ((x+y+z)(x+y-z)) — without the
+  leading minus sign the RK4 endpoint misses the kernel's value;
 * inradius: the inhomogeneous numerator term is (z-x)(x^2-y^2+z^2), not
-  (x-z)(...).
+  (x-z)(...); with the latter the kernel leaves a large residual.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import statistics
 import sys
 from dataclasses import dataclass
@@ -39,15 +42,26 @@ class SingularityError(RuntimeError):
 
 @dataclass(frozen=True)
 class OdeProblem:
-    """One derivation: F varies with s, everything in params is frozen."""
+    """One derivation: F varies with s, everything in params is frozen.
+
+    ``kernel`` is the closed form F, called with s at argument position
+    ``at`` and the params, in order, at the others.
+    """
 
     name: str
     s_range: tuple[float, float]
     params: dict[str, float]
     rhs: Callable[[float, float, dict], float]
-    closed_form: Callable[[object, dict], object]
+    kernel: Callable[..., object]
+    at: int
     anchor: tuple[float, float] | None
     anchor_note: str = ""
+
+    def closed(self, s):
+        """The closed form at s (a float or a DualScalar)."""
+        args = [*self.params.values()]
+        args.insert(self.at, s)
+        return self.kernel(*args)
 
     @property
     def residual_only(self) -> bool:
@@ -69,22 +83,30 @@ class ConvergenceReport:
     rk4_exact: bool = False  # every endpoint error sat at the roundoff floor
 
 
-def integrate(problem: OdeProblem, h: float) -> float:
-    """Endpoint value of classical RK4 from the anchor to the far end.
+def _grid(problem: OdeProblem, h: float) -> tuple[int, float]:
+    """Step count and signed step of the RK4 grid for the nominal step h.
 
-    The step count is rounded so the grid hits the endpoint exactly; the
-    state update uses compensated summation so that small-h runs stay at the
-    truncation-error level instead of accumulating roundoff.
+    The count is rounded so that the grid hits the far end of s_range
+    exactly, so the step taken differs from h unless h divides the span.
     """
     if problem.anchor is None:
         raise ValueError(f"{problem.name} has no anchor; use residual mode")
     if h <= 0.0:
         raise ValueError("step size must be positive")
-    s0, f0 = problem.anchor
-    s_end = problem.s_range[1]
-    span = s_end - s0
+    span = problem.s_range[1] - problem.anchor[0]
     steps = max(1, round(abs(span) / h))
-    hh = span / steps
+    return steps, span / steps
+
+
+def integrate(problem: OdeProblem, h: float) -> float:
+    """Endpoint value of classical RK4 from the anchor to the far end.
+
+    It steps on ``_grid``'s grid; the state update uses compensated summation
+    so that small-h runs stay at the truncation-error level instead of
+    accumulating roundoff.
+    """
+    steps, hh = _grid(problem, h)
+    s0, f0 = problem.anchor
     rhs, params = problem.rhs, problem.params
     f = f0
     comp = 0.0
@@ -123,7 +145,7 @@ def residual(problem: OdeProblem, samples: int) -> ResidualResult:
     for i in range(samples):
         s = lo + (hi - lo) * i / (samples - 1)
         try:
-            out = problem.closed_form(DualScalar(s, 1.0), problem.params)
+            out = problem.closed(DualScalar(s, 1.0))
             f_val, dfds = value(out), out.der
             r = problem.rhs(s, f_val, problem.params)
             if not (math.isfinite(dfds) and math.isfinite(r)):
@@ -137,13 +159,14 @@ def residual(problem: OdeProblem, samples: int) -> ResidualResult:
 
 def reference_endpoint(problem: OdeProblem) -> float:
     """Closed-form value at the far end of s_range."""
-    return value(problem.closed_form(problem.s_range[1], problem.params))
+    return value(problem.closed(problem.s_range[1]))
 
 
 def convergence(problem: OdeProblem, h_values) -> ConvergenceReport:
-    """Endpoint errors per step size and the least-squares order fit.
+    """Endpoint errors per nominal step size and the least-squares order fit.
 
-    Errors at the roundoff floor (50 ulp of the endpoint) carry no
+    The order is fitted against the step each run actually takes, not the
+    nominal h.  Errors at the roundoff floor (50 ulp of the endpoint) carry no
     information about the truncation order, so they are dropped from the fit
     when at least two informative points remain; a run whose every error sits
     at the floor is flagged rk4_exact (constant and low-degree polynomial
@@ -156,11 +179,12 @@ def convergence(problem: OdeProblem, h_values) -> ConvergenceReport:
     endpoints = tuple(integrate(problem, h) for h in h_values)
     errors = tuple(abs(e - exact) for e in endpoints)
     floor = 50.0 * sys.float_info.epsilon * max(1.0, abs(exact))
-    informative = [(h, e) for h, e in zip(h_values, errors) if e > floor]
+    taken = [abs(_grid(problem, h)[1]) for h in h_values]
+    informative = [(h, e) for h, e in zip(taken, errors) if e > floor]
     if len(informative) >= 2:
         hs, errs = zip(*informative)
     else:
-        hs, errs = h_values, [max(e, ERR_FLOOR) for e in errors]
+        hs, errs = taken, [max(e, ERR_FLOOR) for e in errors]
     fitted = statistics.linear_regression([math.log(h) for h in hs],
                                          [math.log(e) for e in errs]).slope
     return ConvergenceReport(h_values, endpoints, errors, fitted,
@@ -187,62 +211,62 @@ def catalog() -> list[OdeProblem]:
         OdeProblem(
             "thales", (0.0, 2.0), {"k": 1.5},
             lambda s, f, p: p["k"],
-            lambda s, p: p["k"] * s,
+            operator.mul, 1,
             (0.0, 0.0), "parallel-side map sends 0 to 0"),
         OdeProblem(
             "pythagoras", (0.0, 4.0), {"y": 3.0},
             lambda s, f, p: s / f,
-            lambda s, p: formulas.hypotenuse(s, p["y"]),
+            formulas.hypotenuse, 0,
             (0.0, 3.0), "vanishing leg leaves z = y"),
         OdeProblem(
             # the x = 0 anchor d = z/2 presumes the frozen sides satisfy y = z
             "apollonius", (0.0, 3.0), {"y": 2.0, "z": 2.0},
             lambda s, f, p: s / (2.0 * f),
-            lambda s, p: formulas.median(s, p["y"], p["z"]),
+            formulas.median, 0,
             (0.0, 1.0), "collapsed side: median to z equals z/2"),
         OdeProblem(
             # x = 0 with d = m presumes y = m + n
             "stewart", (0.0, 4.0), {"y": 5.0, "m": 2.0, "n": 3.0},
             lambda s, f, p: p["n"] * s / ((p["m"] + p["n"]) * f),
-            lambda s, p: formulas.cevian(s, p["y"], p["m"], p["n"]),
+            formulas.cevian, 0,
             (0.0, 2.0), "collapsed x-side: cevian degenerates to m"),
         OdeProblem(
             "heron", (math.sqrt(41.0), 3.0), {"y": 4.0, "z": 5.0},
             lambda s, f, p: (s * (_sq(p["y"]) + _sq(p["z"])) - s ** 3) / (8.0 * f),
-            lambda s, p: formulas.triangle_area(s, p["y"], p["z"]),
+            formulas.triangle_area, 0,
             (math.sqrt(41.0), 10.0), "right angle opposite x: area = yz/2"),
         OdeProblem(
             "alkashi", (sq13, 4.5), {"x": 2.0, "y": 3.0},
             lambda s, f, p: s / (p["x"] * p["y"] * math.sin(f)),
-            lambda s, p: formulas.angle_gamma(p["x"], p["y"], s),
+            formulas.angle_gamma, 2,
             (sq13, math.pi / 2.0), "z^2 = x^2 + y^2 gives gamma = pi/2"),
         OdeProblem(
             "terquem", (sq13, 4.5), {"x": 2.0, "y": 3.0},
             lambda s, f, p: -s * f / (_sq(p["x"] + p["y"]) - _sq(s)),
-            lambda s, p: formulas.bisector_full(p["x"], p["y"], s),
+            formulas.bisector_full, 2,
             (sq13, math.sqrt(2.0) * 6.0 / 5.0),
             "right triangle: bisector is the inscribed-square diagonal"),
         OdeProblem(
             "degua", (0.0, 3.0), {"y": 4.0, "z": 12.0},
             lambda s, f, p: (_sq(p["y"]) + _sq(p["z"])) * s / (4.0 * f),
-            lambda s, p: formulas.trirect_face_area(s, p["y"], p["z"]),
+            formulas.trirect_face_area, 0,
             (0.0, 24.0), "collapsed edge: slant face folds onto the yz face"),
         OdeProblem(
             "inscribed", (0.0, math.pi), {},
             lambda s, f, p: 0.5,
-            lambda s, p: formulas.inscribed_angle(s),
+            formulas.inscribed_angle, 0,
             (0.0, 0.0), "zero arc subtends zero angle"),
         OdeProblem(
             "circumradius", (5.0, 2.0), {"y": 3.0, "z": 4.0},
             lambda s, f, p: f * (s ** 4 - p["y"] ** 4 - p["z"] ** 4
                                  + 2.0 * _sq(p["y"]) * _sq(p["z"]))
             / (s * _heron_discriminant(s, p["y"], p["z"])),
-            lambda s, p: formulas.circumradius(s, p["y"], p["z"]),
+            formulas.circumradius, 0,
             (5.0, 2.5), "right angle opposite x: R = x/2"),
         OdeProblem(
             "sines", (math.pi / 2.0 - 0.7, 2.0), {"x": 2.0, "beta": 0.7},
             lambda s, f, p: -f * math.cos(p["beta"] + s) / math.sin(p["beta"] + s),
-            lambda s, p: formulas.third_side(p["x"], p["beta"], s),
+            formulas.third_side, 2,
             (math.pi / 2.0 - 0.7, 2.0 * math.sin(0.7)),
             "beta + gamma = pi/2: y = x sin(beta)"),
         OdeProblem(
@@ -250,26 +274,26 @@ def catalog() -> list[OdeProblem]:
             "ptolemy", (0.5, 2.0), {"y": 2.0, "u": 1.5, "v": 1.8},
             lambda s, f, p: p["u"] * p["v"] * (_sq(s) - _sq(p["y"]) + _sq(f))
             / (2.0 * f * (p["u"] * p["v"] + s * p["y"]) * s),
-            lambda s, p: formulas.ptolemy_diagonal(s, p["y"], p["u"], p["v"]),
+            formulas.ptolemy_diagonal, 0,
             None, "vertex-merge anchor is singular; checked pointwise"),
         OdeProblem(
             "brahmagupta", (0.0, 1.6), {"y": 2.0, "u": 1.5, "v": 1.8},
             lambda s, f, p: (-s ** 3 + (_sq(p["y"]) + _sq(p["u"]) + _sq(p["v"])) * s
                              + 2.0 * p["y"] * p["u"] * p["v"]) / (8.0 * f),
-            lambda s, p: formulas.cyclic_quad_area(s, p["y"], p["u"], p["v"]),
+            formulas.cyclic_quad_area, 0,
             (0.0, formulas.triangle_area(2.0, 1.5, 1.8)),
             "vanishing side: quadrilateral degenerates to the (y,u,v) triangle"),
         OdeProblem(
             # integrate upward from r -> 0, stopping before the d -> 0 pole
-            "euler", (0.0, 1.0), {"R": 2.5},
-            lambda s, f, p: -p["R"] / f,
-            lambda s, p: formulas.euler_distance(s, p["R"]),
+            "euler", (0.0, 1.0), {"big_r": 2.5},
+            lambda s, f, p: -p["big_r"] / f,
+            formulas.euler_distance, 0,
             (0.0, 2.5), "point incircle: centers are R apart"),
         OdeProblem(
             "bispart", (sq13, 4.5), {"x": 2.0, "y": 3.0},
             lambda s, f, p: -f * (p["x"] + p["y"])
             / ((p["x"] + p["y"] + s) * (p["x"] + p["y"] - s)),
-            lambda s, p: formulas.bisector_to_incenter(p["x"], p["y"], s),
+            formulas.bisector_to_incenter, 2,
             (sq13, math.sqrt(2.0) * 6.0 / (5.0 + sq13)),
             "right triangle: vertex-to-incenter is sqrt(2) inradii"),
         OdeProblem(
@@ -282,7 +306,7 @@ def catalog() -> list[OdeProblem]:
                 + ((p["y"] - s) * (_sq(s) + _sq(p["y"]) - _sq(p["z"]))
                    + (p["z"] - s) * (_sq(s) - _sq(p["y"]) + _sq(p["z"])))
                 / (2.0 * s * math.sqrt(_heron_discriminant(s, p["y"], p["z"])))),
-            lambda s, p: formulas.inradius(s, p["y"], p["z"]),
+            formulas.inradius, 0,
             None, "no regular anchor with y, z frozen; checked pointwise"),
         OdeProblem(
             # implicit solution: the admissible cubic root in z^2
@@ -295,12 +319,12 @@ def catalog() -> list[OdeProblem]:
                         + 3.0 * _sq(_sq(p["a"]) - _sq(p["b"])) * _sq(f)
                         - (_sq(p["a"]) + _sq(p["b"]))
                         * _sq(_sq(p["a"]) - _sq(p["b"]))))),
-            lambda s, p: formulas.bisector_side(p["a"], p["b"], s),
+            formulas.bisector_side, 2,
             None, "solution only implicit (cubic root); checked pointwise"),
         OdeProblem(
             "pyth_alt", (0.0, 4.0), {"y": 3.0},
             lambda s, f, p: f * s / (_sq(s) + _sq(p["y"])),
-            lambda s, p: formulas.hypotenuse(s, p["y"]),
+            formulas.hypotenuse, 0,
             (0.0, 3.0), "vanishing leg leaves z = y"),
         OdeProblem(
             # same solution as `heron`, rational right-hand side; residual mode
@@ -308,17 +332,17 @@ def catalog() -> list[OdeProblem]:
             lambda s, f, p: f * 0.5 * (-4.0 * s ** 3
                                        + 4.0 * s * (_sq(p["y"]) + _sq(p["z"])))
             / _heron_discriminant(s, p["y"], p["z"]),
-            lambda s, p: formulas.triangle_area(s, p["y"], p["z"]),
+            formulas.triangle_area, 0,
             None, "circumcircle-route form of the area equation; checked pointwise"),
         OdeProblem(
             "circle_area", (0.0, 1.0), {},
             lambda s, f, p: 2.0 * math.pi * s,
-            lambda s, p: formulas.circle_area(s),
+            formulas.circle_area, 0,
             (0.0, 0.0), "zero radius encloses zero area"),
         OdeProblem(
             "sphere_volume", (0.0, 1.0), {},
             lambda s, f, p: 4.0 * math.pi * _sq(s),
-            lambda s, p: formulas.sphere_volume(s),
+            formulas.sphere_volume, 0,
             (0.0, 0.0), "zero radius encloses zero volume"),
     ]
     return entries

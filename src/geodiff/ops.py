@@ -30,14 +30,13 @@ class Case:
         self.t = t = sampling.triangle(rng)
         self.triangle = t.sides
         self.e = e = oracle.embed_triangle(t)
-        split = sampling.cevian_split(rng, t.z)
-        self.cevian = (t.x, t.y, split.m, split.n)
+        self.cevian = (t.x, t.y, *sampling.cevian_split(rng, t.z))
         self.pair = (sampling.length(rng), sampling.length(rng))
         self.third = (sampling.length(rng), *sampling.angle_pair(rng))
         theta = sampling.central_angle(rng)
         self.theta = (theta,)
         self.apex = theta + rng.uniform(0.02, 0.98) * (2.0 * math.pi - theta)
-        self.tt = sampling.trirect(rng)
+        self.trirect = sampling.trirect(rng)
         self.quad = sampling.cyclic_quad(rng)
         self.quad_sides = self.quad.sides
         # the incenter and circumcenter are rebuilt per measurement
@@ -85,20 +84,11 @@ def table() -> list[Op]:
 
     def cevian(rng):
         t = sampling.triangle(rng)
-        s = sampling.cevian_split(rng, t.z)
-        return (t.x, t.y, s.m, s.n)
-
-    def incircle(rng):
-        p = sampling.incircle_pair(rng)
-        return (p.r, p.big_r)
+        return (t.x, t.y, *sampling.cevian_split(rng, t.z))
 
     def third(rng):
         beta, gamma = sampling.angle_pair(rng)
         return (length(rng), beta, gamma)
-
-    def trirect(rng):
-        tt = sampling.trirect(rng)
-        return (tt.x, tt.y, tt.z)
 
     return [
         Op("hypotenuse", formulas.hypotenuse, 1, (1, 1),
@@ -117,16 +107,16 @@ def table() -> list[Op]:
                     lambda c: c.to_incenter),
         on_triangle("incenter_ratio", formulas.incenter_ratio, 0,
                     lambda c: c.to_incenter / c.full),
-        Op("trirect_face_area", formulas.trirect_face_area, 2, (1, 1, 1), trirect,
-           "trirect", lambda c: (c.tt.x, c.tt.y, c.tt.z),
-           lambda c: oracle.measure_trirect(c.tt)),
+        Op("trirect_face_area", formulas.trirect_face_area, 2, (1, 1, 1),
+           sampling.trirect, "trirect", lambda c: c.trirect,
+           lambda c: oracle.measure_trirect(*c.trirect)),
         Op("inscribed_angle", formulas.inscribed_angle, 0, (0,),
            lambda rng: (sampling.central_angle(rng),), "theta", lambda c: c.theta,
            lambda c: oracle.inscribed_angle_by_construction(*c.theta, c.apex)),
         on_triangle("circumradius", formulas.circumradius, 1, lambda c: c.big_r),
         on_triangle("inradius", formulas.inradius, 1, lambda c: c.r),
-        Op("euler_distance", formulas.euler_distance, 1, (1, 1), incircle,
-           "triangle", lambda c: (c.r, c.big_r),
+        Op("euler_distance", formulas.euler_distance, 1, (1, 1),
+           sampling.incircle_pair, "triangle", lambda c: (c.r, c.big_r),
            lambda c: oracle.measure_euler_distance(c.e)),
         Op("third_side", formulas.third_side, 1, (1, 0, 0), third, "third",
            lambda c: c.third, lambda c: oracle.third_side_by_construction(*c.third)),

@@ -192,11 +192,12 @@ def inscribed_angle_by_construction(theta: float, at: float) -> float:
     return _angle_at(apex, p1, p2)
 
 
-def measure_trirect(tt) -> float:
-    """Half the cross-product magnitude of two edges of the slant face."""
-    px = (tt.x, 0.0, 0.0)
-    py = (0.0, tt.y, 0.0)
-    pz = (0.0, 0.0, tt.z)
+def measure_trirect(x: float, y: float, z: float) -> float:
+    """Half the cross-product magnitude of two edges of the slant face, with
+    the perpendicular edges x, y, z on the axes."""
+    px = (x, 0.0, 0.0)
+    py = (0.0, y, 0.0)
+    pz = (0.0, 0.0, z)
     u = (py[0] - px[0], py[1] - px[1], py[2] - px[2])
     v = (pz[0] - px[0], pz[1] - px[1], pz[2] - px[2])
     cx = u[1] * v[2] - u[2] * v[1]

@@ -6,6 +6,8 @@ keeps conditioning benign without hiding interesting shapes.  Cyclic
 quadrilaterals are also rejected unless ``oracle.cyclic_constructible`` holds
 (circumcenter inside).  That is the test ``oracle.embed_cyclic`` starts
 with, so the sampler accepts what it would embed without embedding it.
+Triangles and cyclic quadrilaterals come as the validated ``geom`` types;
+every other draw is a plain tuple of floats.
 """
 
 from __future__ import annotations
@@ -35,10 +37,10 @@ def triangle(rng: random.Random) -> geom.Triangle:
             return geom.Triangle(x, y, z)
 
 
-def cevian_split(rng: random.Random, z: float) -> geom.CevianSplit:
-    frac = rng.uniform(0.1, 0.9)
-    m = frac * z
-    return geom.CevianSplit(m, z - m)
+def cevian_split(rng: random.Random, z: float) -> tuple[float, float]:
+    """The z-side segments (m, n) cut by a cevian; m is x-adjacent."""
+    m = rng.uniform(0.1, 0.9) * z
+    return m, z - m
 
 
 def cyclic_quad(rng: random.Random) -> geom.CyclicQuad:
@@ -53,13 +55,15 @@ def cyclic_quad(rng: random.Random) -> geom.CyclicQuad:
         return geom.CyclicQuad(*s)
 
 
-def trirect(rng: random.Random) -> geom.TrirectTetra:
-    return geom.TrirectTetra(length(rng), length(rng), length(rng))
+def trirect(rng: random.Random) -> tuple[float, float, float]:
+    """Mutually perpendicular edge lengths at a trirectangular corner."""
+    return length(rng), length(rng), length(rng)
 
 
-def incircle_pair(rng: random.Random) -> geom.IncirclePair:
+def incircle_pair(rng: random.Random) -> tuple[float, float]:
+    """Inradius and circumradius (r, R), strictly inside Euler's R >= 2r."""
     big_r = length(rng)
-    return geom.IncirclePair(rng.uniform(0.02, 0.98) * big_r / 2.0, big_r)
+    return rng.uniform(0.02, 0.98) * big_r / 2.0, big_r
 
 
 def angle_pair(rng: random.Random) -> tuple[float, float]:

@@ -295,9 +295,14 @@ class TestMain:
 
 
 def test_cli_import_loads_neither_numpy_nor_scipy():
+    """``import geodiff.cli`` loads only the standard library and geodiff,
+    so the runtime needs none of numpy, scipy, mpmath or sympy.  Modules that
+    interpreter start-up loads (``.pth`` hooks) are not the import's."""
     src = os.path.dirname(os.path.dirname(geodiff.__file__))
-    code = ("import sys, geodiff.cli; "
-            "print(sorted({'numpy', 'scipy'} & set(sys.modules)))")
+    code = ("import sys; before = set(sys.modules); import geodiff.cli; "
+            "allowed = {*sys.stdlib_module_names, 'geodiff'}; "
+            "print(sorted(m for m in set(sys.modules) - before "
+            "if m.partition('.')[0] not in allowed))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})

@@ -33,11 +33,6 @@ class TestTypes:
             geom.CyclicQuad(10.0, 1.0, 2.0, 3.0)
         geom.CyclicQuad(1.0, 1.0, 1.0, 1.0)
 
-    def test_incircle_pair_euler_inequality(self):
-        geom.IncirclePair(1.0, 2.0)  # equality allowed (equilateral)
-        with pytest.raises(geom.DomainError):
-            geom.IncirclePair(1.0, 1.999)
-
 
 class TestHypotenuse:
     def test_classic(self):

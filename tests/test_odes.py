@@ -1,9 +1,12 @@
+import dataclasses
+import inspect
 import math
 
 import pytest
 
 from conftest import assert_close
-from geodiff import formulas, odes
+from geodiff import formulas, odes, ops
+from geodiff.cli import ENDPOINT_TOL, RESIDUAL_TOL
 
 CATALOG = odes.catalog()
 BY_NAME = {p.name: p for p in CATALOG}
@@ -29,7 +32,7 @@ class TestCatalog:
     def test_pythagoras_anchor_satisfies_closed_form(self):
         p = BY_NAME["pythagoras"]
         s0, f0 = p.anchor
-        assert_close(p.closed_form(s0, p.params), f0, 1e-12)
+        assert_close(p.closed(s0), f0, 1e-12)
 
     def test_brahmagupta_anchor_is_triangle_area(self):
         p = BY_NAME["brahmagupta"]
@@ -41,8 +44,47 @@ class TestCatalog:
             if p.residual_only:
                 continue
             s0, f0 = p.anchor
-            got = p.closed_form(s0, p.params)
+            got = p.closed(s0)
             assert abs(got - f0) <= 1e-12 * max(abs(f0), 1.0), p.name
+
+    def test_kernels_are_operations(self):
+        """Every entry but thales solves with the kernel of an ``ops``
+        operation, and its params are the kernel's arguments other than s,
+        by name and in order."""
+        closed = {op.closed for op in ops.table()}
+        for p in CATALOG:
+            if p.name == "thales":
+                continue
+            assert p.kernel in closed, p.name
+            names = list(inspect.signature(p.kernel).parameters)
+            assert 0 <= p.at <= len(p.params), p.name
+            assert names[:p.at] + names[p.at + 1:] == list(p.params), p.name
+
+
+class TestSigns:
+    """The signs the module docstring fixes: each quoted alternative fails
+    the gate the catalog form passes."""
+
+    def test_bispart_needs_the_leading_minus(self):
+        p = BY_NAME["bispart"]
+        flipped = dataclasses.replace(p, rhs=lambda s, f, q: -p.rhs(s, f, q))
+        exact = odes.reference_endpoint(p)
+        assert abs(odes.integrate(p, 1e-3) - exact) < ENDPOINT_TOL * exact
+        assert abs(odes.integrate(flipped, 1e-3) - exact) > 1.0 * exact
+
+    def test_inradius_numerator_takes_z_minus_x(self):
+        p = BY_NAME["inradius"]
+
+        def flipped(s, f, q):
+            # (x - z)(x^2 - y^2 + z^2) in place of (z - x)(...): subtract the
+            # (z - x) term, over its denominator 2 x sqrt(16 area^2), twice
+            y, z = q["y"], q["z"]
+            return p.rhs(s, f, q) - (z - s) * (s * s - y * y + z * z) \
+                / (s * math.sqrt(odes._heron_discriminant(s, y, z)))
+
+        assert odes.residual(p, 1000).max_residual < RESIDUAL_TOL
+        wrong = dataclasses.replace(p, rhs=flipped)
+        assert odes.residual(wrong, 1000).max_residual > 1.0
 
 
 class TestIntegrate:
@@ -67,7 +109,7 @@ class TestIntegrate:
         bomb = odes.OdeProblem(
             "bomb", (0.0, 1.0), {},
             lambda s, f, p: 1.0 / (s - 0.5),
-            lambda s, p: 0.0, (0.0, 0.0), "")
+            lambda s: 0.0, 0, (0.0, 0.0), "")
         with pytest.raises(odes.SingularityError):
             odes.integrate(bomb, 0.125)
 
@@ -82,8 +124,7 @@ class TestResidual:
         p = odes.OdeProblem(
             "pyth_wide", (0.1, 10.0), {"y": 1.0},
             lambda s, f, q: s / f,
-            lambda s, q: formulas.hypotenuse(s, q["y"]),
-            (0.0, 1.0), "")
+            formulas.hypotenuse, 0, (0.0, 1.0), "")
         assert odes.residual(p, 200).max_residual < 1e-12
 
     def test_ptolemy(self):
@@ -106,8 +147,7 @@ class TestResidual:
         spiky = odes.OdeProblem(
             "spiky", (0.0, 1.0), {},
             lambda s, f, p: 1.0 / s,
-            lambda s, p: formulas.sqrt(s),
-            None, "")
+            formulas.sqrt, 0, None, "")
         res = odes.residual(spiky, 11)
         assert 0.0 in res.skipped
 
@@ -131,6 +171,15 @@ class TestConvergence:
     def test_errors_decrease(self):
         rep = odes.convergence(BY_NAME["terquem"], self.H)
         assert rep.errors[0] > rep.errors[1] > rep.errors[2]
+
+    def test_order_is_fitted_on_the_step_taken(self):
+        # alkashi's span sqrt(13) -> 4.5 takes 9 steps of 0.0994 for a
+        # nominal 0.1 and for 0.104 alike: same grids, same fit
+        p = BY_NAME["alkashi"]
+        a = odes.convergence(p, (0.1, 0.01, 0.001))
+        b = odes.convergence(p, (0.104, 0.01, 0.001))
+        assert b.endpoints == a.endpoints
+        assert b.fitted_order == a.fitted_order
 
     def test_needs_three_steps(self):
         with pytest.raises(ValueError):

@@ -92,11 +92,11 @@ class TestIndependentConstructions:
         assert_close(got, 0.55, 1e-12)
 
     def test_trirect(self):
-        assert_close(oracle.measure_trirect(geom.TrirectTetra(1, 1, 1)),
+        assert_close(oracle.measure_trirect(1, 1, 1),
                      math.sqrt(3.0) / 2.0, 1e-13)
-        assert_close(oracle.measure_trirect(geom.TrirectTetra(3, 4, 12)),
+        assert_close(oracle.measure_trirect(3, 4, 12),
                      formulas.trirect_face_area(3, 4, 12), 1e-12)
-        assert_close(oracle.measure_trirect(geom.TrirectTetra(1.0, 1e-12, 1.0)),
+        assert_close(oracle.measure_trirect(1.0, 1e-12, 1.0),
                      0.5, 1e-9)
 
 
