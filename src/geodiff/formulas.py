@@ -2,22 +2,21 @@
 
 Every function here accepts plain floats or DualScalar arguments and applies
 no input validation: ``sampling`` draws valid inputs, and only
-``bisector_side`` fails, with ValueError, when its cubic has no admissible
-root.  The angle opposite the z-side (between the x- and y-sides) is always
-gamma, and all bisector/median/cevian expressions act on that vertex / the
-z-side.  Each relation is stated once, here: the operation table in ``ops``
-and the derivation catalog in ``odes`` name these functions.
+``bisector_side`` fails, with ValueError, when its cubic in
+u = z^2 - (a^2 + b^2) has no admissible root.  The angle opposite the z-side
+(between the x- and y-sides) is always gamma, and all bisector/median/cevian
+expressions act on that vertex / the z-side.  Each relation is stated once,
+here: the operation table in ``ops`` and the derivation catalog in ``odes``
+name these functions.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 
 from .dual import DualScalar, atan, sin, sqrt, value
 
 PI = math.pi
-F_NOISE = 8.0 * sys.float_info.epsilon  # rounding level of a Horner cubic
 
 
 def hypotenuse(x, y):
@@ -120,68 +119,52 @@ def sphere_volume(r):
 # --- inverse bisector problem -------------------------------------------------
 #
 # Squaring sqrt(((a+b)^2 - z^2)(z^2 - (a-b)^2)) = c/(a b) * z (z^2 - a^2 - b^2)
-# gives a cubic in w = z^2.  The positive sign of the 1/(ab) constant is the
+# gives a cubic in z^2.  The positive sign of the 1/(ab) constant is the
 # geometric branch (the negative one would force c < 0 on the admissible
 # interval); verified by forward evaluation on equilateral and right triangles.
 #
-# Exactly one root is admissible, and it is the largest.  With
-# k = c^2/(a^2 b^2) the monic cubic is P = -g/k, where
-# g(w) = ((a+b)^2 - w)(w - (a-b)^2) - k w (w - a^2 - b^2)^2.  P(-inf) < 0,
-# P((a-b)^2) >= 0, P(a^2 + b^2) < 0 and P((a+b)^2) > 0, so each of the three
-# gaps holds one root and only the largest lies in (a^2 + b^2, (a+b)^2).
-# Three real roots make pp < 0 in the depressed form, whose k = 0
-# trigonometric term is the largest root: Newton starts there.
+# In u = z^2 - (a^2 + b^2) the first factor is 4a^2 b^2 - u^2, and with
+# k = c^2/(a^2 b^2) the cubic is G(u) = k u^3 + B u^2 - C, B = 1 + k(a^2 + b^2),
+# C = 4a^2 b^2: no coefficient is a difference, so nothing cancels.
+# G(0) = -C < 0 < G(2ab), and G is increasing and convex for u > 0, so its
+# one positive root is the admissible one, in (0, 2ab).  G >= B u^2 - C and
+# G >= k u^3 - C there, so Newton started at min(sqrt(C/B), cbrt(C/k)) lies
+# at or above the root and descends to it.
 
 
 def bisector_cubic_coeffs(a, b, c):
-    """Monic cubic w^3 + p w^2 + q w + r in w = z^2 for the side opposite c."""
-    a2, b2, c2 = a * a, b * b, c * c
-    s2 = a2 + b2
-    p = (a2 * b2 - 2.0 * c2 * s2) / c2
-    q = (c2 * s2 * s2 - 2.0 * a2 * b2 * s2) / c2
-    r = a2 * b2 * (a2 - b2) ** 2 / c2
-    return p, q, r
+    """(k, B, C) of G(u) = k u^3 + B u^2 - C in u = z^2 - (a^2 + b^2), for the
+    side z opposite c."""
+    a2b2 = a * a * b * b
+    k = c * c / a2b2
+    return k, 1.0 + k * (a * a + b * b), 4.0 * a2b2
 
 
 def bisector_side(a, b, c):
     """Side opposite the incenter-bisector segment c; ValueError if none.
 
     a and b are the vertex-to-incenter bisector lengths at the two endpoints
-    of the sought side.  The side is sqrt(w) for the largest root w = z^2 of
-    the bisector cubic, Newton-polished from its trigonometric start, and
-    admissible only strictly inside (a^2 + b^2, (a+b)^2).  Dual arguments are
-    supported: a root w of P(w) = w^3 + p w^2 + q w + r moves with the
-    coefficients as w' = -(p' w^2 + q' w + r') / P'(w), the root-sensitivity
-    formula dw/da_k = -w^k / P'(w), so the float root gets that derivative.
+    of the sought side.  The side is sqrt(a^2 + b^2 + u) for the one positive
+    root u of G, admissible only strictly inside (0, 2ab).  Newton descends
+    to it and stops at the first iterate that fails to descend.  Dual
+    arguments are supported: a root moves with the coefficients as
+    u' = -(k' u^3 + B' u^2 - C') / G'(u), the root-sensitivity formula
+    du/da_k = -u^k / G'(u), so the float root gets that derivative.
     """
     av, bv, cv = value(a), value(b), value(c)
-    p, q, r = bisector_cubic_coeffs(av, bv, cv)
-    pp = q - p * p / 3.0
-    if not pp < 0.0:
-        raise ValueError(f"bisector cubic of ({av}, {bv}, {cv}) lost its real roots")
-    qq = 2.0 * p ** 3 / 27.0 - p * q / 3.0 + r
-    m = 2.0 * math.sqrt(-pp / 3.0)
-    phi = math.acos(max(-1.0, min(1.0, 3.0 * qq / (pp * m))))
-    w = m * math.cos(phi / 3.0) - p / 3.0
-    for _ in range(80):
-        f = ((w + p) * w + q) * w + r
-        fp = (3.0 * w + 2.0 * p) * w + q
-        if fp == 0.0:
-            w += 1e-9 * max(1.0, abs(w))
-            continue
-        aw = abs(w)
-        noise = F_NOISE * (((aw + abs(p)) * aw + abs(q)) * aw + abs(r))
-        w -= f / fp
-        if abs(f) <= noise:
-            break  # one step after |f| fell to its rounding level
-    f = ((w + p) * w + q) * w + r
-    scale = max(1.0, abs(p), abs(q), abs(r))
-    if abs(f) > 1e-7 * scale * max(1.0, abs(w)) ** 3 \
-            or not av * av + bv * bv < w < (av + bv) ** 2:
+    k, big_b, big_c = bisector_cubic_coeffs(av, bv, cv)
+    u = min(math.sqrt(big_c / big_b), (big_c / k) ** (1.0 / 3.0))
+    while True:
+        slope = (3.0 * k * u + 2.0 * big_b) * u
+        nxt = u - ((k * u + big_b) * u * u - big_c) / slope
+        if not nxt < u:  # also stops a non-finite step
+            break
+        u = nxt
+    if not 0.0 < u < 2.0 * av * bv:
         raise ValueError(f"no admissible side for bisector lengths ({av}, {bv}, {cv})")
     if not (isinstance(a, DualScalar) or isinstance(b, DualScalar)
             or isinstance(c, DualScalar)):
-        return math.sqrt(w)
-    pd, qd, rd = bisector_cubic_coeffs(a, b, c)
-    return sqrt(DualScalar(w, -((pd.der * w + qd.der) * w + rd.der)
-                           / ((3.0 * w + 2.0 * p) * w + q)))
+        return math.sqrt(av * av + bv * bv + u)
+    kd, bd, cd = bisector_cubic_coeffs(a, b, c)
+    du = -((kd * u + bd) * u * u - cd).der / slope
+    return sqrt(a * a + b * b + DualScalar(u, du))

@@ -112,21 +112,29 @@ def bisector_problem_solve(a: float, b: float, c: float) -> tuple[float, float, 
     """Recover side lengths (x, y, z) from vertex-to-incenter bisector lengths.
 
     Each side is the one admissible root of a cubic in its squared length
-    (``formulas.bisector_side``; a sign count leaves exactly one).  The sides
-    must form a Triangle whose forward map reproduces (a, b, c) to relative
-    ROUNDTRIP_TOL; otherwise NoTriangleError.
+    (``formulas.bisector_side``; G(u) in u = z^2 - (a^2 + b^2) has one
+    positive root).  The lengths are first divided by 2**e with
+    e = frexp(max(a, b, c))[1], which is exact and leaves the largest in
+    [1/2, 1); the sides are solved and round-tripped at that scale and then
+    multiplied back.  They must form a Triangle whose forward map reproduces
+    the rescaled (a, b, c) to relative ROUNDTRIP_TOL.  Otherwise, and on any
+    arithmetic error, NoTriangleError: on positive finite input no other
+    error escapes.
     """
     _require_positive(a=a, b=b, c=c)
+    e = math.frexp(max(a, b, c))[1]
+    sa, sb, sc = (math.ldexp(v, -e) for v in (a, b, c))
     try:
-        sides = (formulas.bisector_side(b, c, a), formulas.bisector_side(a, c, b),
-                 formulas.bisector_side(a, b, c))
-        t = Triangle(*sides)
-    except ValueError as exc:  # no admissible root, or a DomainError
+        sides = (formulas.bisector_side(sb, sc, sa), formulas.bisector_side(sa, sc, sb),
+                 formulas.bisector_side(sa, sb, sc))
+        fwd = incenter_bisector_lengths(Triangle(*sides))
+        back = tuple(math.ldexp(s, e) for s in sides)
+    except (ValueError, ArithmeticError) as exc:
+        # no admissible root, a DomainError, or a length out of float range
         raise NoTriangleError(
             f"no triangle for bisector lengths ({a}, {b}, {c}): {exc}") from None
-    fwd = incenter_bisector_lengths(t)
     if not all(abs(got - want) <= ROUNDTRIP_TOL * want
-               for got, want in zip(fwd, (a, b, c))):
+               for got, want in zip(fwd, (sa, sb, sc))):
         raise NoTriangleError(
-            f"sides {sides} do not round-trip to bisector lengths ({a}, {b}, {c})")
-    return sides
+            f"sides {back} do not round-trip to bisector lengths ({a}, {b}, {c})")
+    return back

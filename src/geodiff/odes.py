@@ -309,7 +309,7 @@ def catalog() -> list[OdeProblem]:
             formulas.inradius, 0,
             None, "no regular anchor with y, z frozen; checked pointwise"),
         OdeProblem(
-            # implicit solution: the admissible cubic root in z^2
+            # implicit solution: the admissible cubic root in z^2 - a^2 - b^2
             "bisprob", (1.2, 1.6), {"a": math.sqrt(10.0), "b": math.sqrt(5.0)},
             lambda s, f, p: (
                 f * (_sq(f) - _sq(p["a"]) - _sq(p["b"]))

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 Point = tuple[float, float]
 
-TOTAL_ANGLE_TOL = 1e-13   # solver target on the central-angle sum
-CHORD_TOL = 1e-10         # relative chord-length reproduction
+CHORD_TOL = 1e-10  # relative chord-length reproduction
 
 
 class OracleError(ValueError):
@@ -239,11 +238,11 @@ def embed_cyclic(q) -> CyclicEmbedding:
         f(phi) = 2 phi + sum_{i != max} 2 asin(k_i sin phi) - 2 pi = 0.
 
     f is increasing and concave on [0, pi/2], f(0) = -2 pi, and
-    ``cyclic_constructible`` is f(pi/2) >= 0, so Newton's method started
-    left of the root climbs to it without overshooting.  The bracket
-    [0, pi/2] is kept, and a step that leaves it, or a non-finite one, falls
-    back to bisection.  Iteration stops one Newton step after
-    |f| < TOTAL_ANGLE_TOL, which leaves f at the rounding level.
+    ``cyclic_constructible`` is f(pi/2) >= 0.  Newton starts at
+    pi / (1 + sum k_i), the root of the tangent at 0 (f' = 2 + 2 sum k_i
+    there), which lies left of the root because f is concave, and climbs
+    to it without overshooting.  It stops at the first iterate that fails
+    to climb, which leaves f at the rounding level.
 
     The slope f' = 2 + sum 2 k_i cos phi / sqrt(cos^2 phi + (1 - k_i^2) sin^2 phi)
     stays between 2 and 8, so phi is well conditioned everywhere.  Solving
@@ -275,22 +274,14 @@ def embed_cyclic(q) -> CyclicEmbedding:
             out.append((math.atan2(k * sin, root), k * cos / root))
         return out
 
-    lo, hi = 0.0, 0.5 * math.pi
-    # the Newton step from phi = 0, where f = -2 pi and f' = 2 + 2 sum k_i
-    phi = min(math.pi / (1.0 + sum(ks)), hi)
-    for _ in range(100):
-        terms = half_angles(phi)
-        err = 2.0 * (phi + sum(a for a, _ in terms)) - 2.0 * math.pi
-        if err < 0.0:
-            lo = phi
-        elif err > 0.0:
-            hi = phi
-        phi -= err / (2.0 + 2.0 * sum(d for _, d in terms))
-        if not lo < phi < hi:  # also catches a non-finite step
-            phi = 0.5 * (lo + hi)
-        if abs(err) < TOTAL_ANGLE_TOL:
-            break  # after one more step, which leaves |f| at rounding level
+    phi = math.pi / (1.0 + sum(ks))
     terms = half_angles(phi)
+    while True:
+        err = 2.0 * (phi + sum(a for a, _ in terms)) - 2.0 * math.pi
+        nxt = phi - err / (2.0 + 2.0 * sum(d for _, d in terms))
+        if not nxt > phi:  # also stops a non-finite step
+            break
+        phi, terms = nxt, half_angles(nxt)
 
     radius = s_max / (2.0 * math.sin(phi))
     halves = iter(terms)

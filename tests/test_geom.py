@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -271,10 +272,55 @@ class TestBisectorProblem:
         for got, want in zip(abc, (1.0, 1.0, 100.0)):
             assert_close(got, want, 1e-8)
 
+    def test_far_flat_isoceles_solves(self):
+        # realizable: mpmath at 50 digits maps these sides back to (1, 1, 1e9)
+        # within 1e-16
+        sides = geom.bisector_problem_solve(1.0, 1.0, 1e9)
+        for got, want in zip(sides, (1000000000.7071068, 1000000000.7071068,
+                                     1.414213562873095)):
+            assert_close(got, want, 1e-15)
+
     def test_no_triangle(self):
-        # beyond the degeneracy margin the admissible root disappears
+        # the recovered sides (1e12 + 0.7071, 1e12 + 0.7071, sqrt 2) are
+        # inside Triangle's EPS_DEG degeneracy margin
         with pytest.raises(geom.NoTriangleError):
-            geom.bisector_problem_solve(1.0, 1.0, 1e9)
+            geom.bisector_problem_solve(1.0, 1.0, 1e12)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_extreme_scale(self, scale):
+        for s in geom.bisector_problem_solve(scale, scale, scale):
+            assert_close(s, SQ3 * scale, 1e-15)
+
+    def test_only_no_triangle_on_extreme_log_uniform(self):
+        rng = random.Random(5)
+        for _ in range(2000):
+            abc = [math.exp(rng.uniform(-700.0, 700.0)) for _ in range(3)]
+            try:
+                geom.bisector_problem_solve(*abc)
+            except geom.NoTriangleError:
+                pass
+
+    def test_log_uniform_cubics_all_solve(self):
+        # the 9000 cubics of 3000 triples log-uniform in e^[-8, 8]; the
+        # z^2-form cubic lost the admissible root on 430 of them
+        rng = random.Random(9)
+        for _ in range(3000):
+            a, b, c = (math.exp(rng.uniform(-8.0, 8.0)) for _ in range(3))
+            for args in ((b, c, a), (a, c, b), (a, b, c)):
+                formulas.bisector_side(*args)
+
+    def test_near_degenerate_cubics(self):
+        # sides of this triple from mpmath at 50 digits; the forward map
+        # cancels in x + y - z on them, so the solve itself still fails the
+        # round trip
+        a, b, c = 352.47849023531734, 0.0003718428888505927, 1.0455188619820959
+        got = (formulas.bisector_side(b, c, a), formulas.bisector_side(a, c, b),
+               formulas.bisector_side(a, b, c))
+        for g, want in zip(got, (1.0455189284980566, 353.5240090309796,
+                                 352.47849036776086)):
+            assert_close(g, want, 1e-15)
+        with pytest.raises(geom.NoTriangleError):
+            geom.bisector_problem_solve(a, b, c)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(geom.DomainError):
@@ -361,29 +407,25 @@ def test_bisector_problem_roundtrip(t):
 @settings(max_examples=100, deadline=None)
 def test_bisector_cubic_has_one_admissible_root(t):
     # The sign count behind formulas.bisector_side, in exact arithmetic on
-    # each of the three cubics: P = -g/k with k = c^2/(a^2 b^2) and
-    # g(w) = ((a+b)^2 - w)(w - (a-b)^2) - k w (w - a^2 - b^2)^2.
+    # each of the three cubics G(u) = k u^3 + B u^2 - C in
+    # u = z^2 - (a^2 + b^2), with k = c^2/(a^2 b^2), B = 1 + k(a^2 + b^2)
+    # and C = 4 a^2 b^2: G(0) < 0 < G(2ab), and G' > 0 at the returned root.
     abc = geom.incenter_bisector_lengths(t)
     for a, b, c in ((abc[1], abc[2], abc[0]), (abc[0], abc[2], abc[1]), abc):
         fa, fb, fc = Fraction(a), Fraction(b), Fraction(c)
         k = fc * fc / (fa * fa * fb * fb)
-        s2, lo, hi = fa * fa + fb * fb, (fa - fb) ** 2, (fa + fb) ** 2
-        p, q, r = 1 / k - 2 * s2, s2 * s2 - 2 * s2 / k, lo * hi / k
-        for got, want in zip(formulas.bisector_cubic_coeffs(a, b, c), (p, q, r)):
+        big_b, big_c = 1 + k * (fa * fa + fb * fb), 4 * fa * fa * fb * fb
+        for got, want in zip(formulas.bisector_cubic_coeffs(a, b, c),
+                             (k, big_b, big_c)):
             assert_close(got, float(want), 1e-12)
 
-        def cubic(w):
-            return ((w + p) * w + q) * w + r
+        def cubic(u):
+            return (k * u + big_b) * u * u - big_c
 
-        assert cubic(lo) >= 0 and cubic(s2) < 0 and cubic(hi) > 0
-        w = Fraction(formulas.bisector_side(a, b, c)) ** 2
-        assert s2 < w < hi
-        assert (3 * w + 2 * p) * w + q > 0
-        # P / (v - w) = v^2 + lin v + const: both its roots stay below
-        # a^2 + b^2 when it is positive there and its vertex lies to the left
-        lin = p + w
-        const = q + lin * w
-        assert (s2 + lin) * s2 + const > 0 and -lin / 2 < s2
+        assert cubic(0) < 0 < cubic(2 * fa * fb)
+        u = Fraction(formulas.bisector_side(a, b, c)) ** 2 - fa * fa - fb * fb
+        assert 0 < u < 2 * fa * fb
+        assert (3 * k * u + 2 * big_b) * u > 0
 
 
 @given(triangles)
