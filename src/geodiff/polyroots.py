@@ -2,11 +2,11 @@
 
 A root x of P(x) = sum a_k x^k responds to coefficient changes through
 dx/da_k = -x^k / P'(x).  Moving the coefficients linearly from a start system
-with known roots to a target polynomial and chaining these sensitivities
-gives dx/dt = -sum_k (da_k/dt) x^k / P'_t(x), integrated here with the
-Dormand-Prince 5(4) pair ("A family of embedded Runge-Kutta formulae",
-J. Comput. Appl. Math. 6, 1980) and re-converged after every step by a few
-Newton corrections.
+S with known roots to a target Q, P_t = (1-t) gamma S + t Q, and chaining
+these sensitivities gives dx/dt = -sum_k (q_k - gamma s_k) x^k / P'_t(x) with
+P'_t = (1-t) (gamma S)' + t Q', integrated here with the Dormand-Prince 5(4)
+pair ("A family of embedded Runge-Kutta formulae", J. Comput. Appl. Math. 6,
+1980) and re-converged after every step by a few Newton corrections.
 
 Paths use complex arithmetic with a random unit twist on the start system:
 real coefficient paths generically pass through discriminant zeros, while a
@@ -135,52 +135,57 @@ def make_path(target: Poly, rng: random.Random | None = None) -> ContinuationPat
                             gamma=cmath.exp(2j * math.pi * u))
 
 
+def velocity_rows(path: ContinuationPath) -> tuple:
+    """Horner rows (k gamma s_k, k q_k, r_k), k = n..1, of (gamma S)', Q' and
+    R = Q - gamma S, fixed along the path: the first row, the rest, and r_0."""
+    s, q, r = path.start.coeffs, path.target.coeffs, path.coeff_rate()
+    rows = [(k * (path.gamma * s[k]), k * q[k], r[k]) for k in range(len(r) - 1, 0, -1)]
+    return rows[0], tuple(rows[1:]), r[0]
+
+
+def velocity_terms(rows: tuple, g: float, t: float,
+                   x: complex) -> tuple[complex, complex]:
+    """(P'_t(x), R(x)) in one pass over rows, P'_t = g (gamma S)' + t Q', g = 1-t."""
+    (ds, dq, num), body, r0 = rows
+    for a, b, c in body:
+        ds = ds * x + a
+        dq = dq * x + b
+        num = num * x + c
+    return g * ds + t * dq, num * x + r0
+
+
 def track(path: ContinuationPath) -> list[complex]:
     """Advance every start root to t = 1 and return the corrected roots.
 
-    Each root carries its own step size h, starting at FIRST_STEP; no cap
-    follows, so only the rest of the span, 1 - t, limits a step.  An attempt
-    is one Dormand-Prince 5(4) step: seven velocity evaluations, the first
-    reused after a rejection, the last at the order-5 value.  After every
-    attempt h is scaled by 0.9 * err**-0.2, clipped to [1/4, 2], where err is
-    the gap between the order-5 and order-4 values relative to LOCAL_TOL
-    (err <= 1 passes); the step advances with the order-5 value.  An
-    attempt that passes that test but fails the corrector, or that meets a
-    vanishing P', halves h instead.  A root whose step falls below
-    FIRST_STEP / 2**MAX_REFINE_DEPTH raises PathSingularityError.
+    The velocity chains dx/da_k = -x^k / P'(x) along the path, dx/dt = -sum_k
+    (q_k - gamma s_k) x^k / ((1-t) (gamma S)'(x) + t Q'(x)), all three sums
+    from one pass over velocity_rows.  Each root carries its own step size h,
+    starting at FIRST_STEP; no cap follows, so only the rest of the span,
+    1 - t, limits a step.  An attempt is one Dormand-Prince 5(4) step: seven
+    velocity evaluations, the first reused after a rejection, the last at the
+    order-5 value.  After every attempt h is scaled by 0.9 * err**-0.2,
+    clipped to [1/4, 2], where err is the gap between the order-5 and order-4
+    values relative to LOCAL_TOL (err <= 1 passes); the step advances with the
+    order-5 value.  An attempt that passes that test but fails the corrector,
+    or that meets a vanishing P', halves h instead.  A root whose step falls
+    below FIRST_STEP / 2**MAX_REFINE_DEPTH raises PathSingularityError.
 
     Three tests guard every accepted step against a hop onto a neighbouring
-    path: the order-5 and order-4 values agree to LOCAL_TOL; Newton reaches
-    a 1e-13 relative residual without P' dropping under DERIV_FLOOR; and the
-    Newton correction is at most a quarter of the predicted move.  After the
-    final polish on the target, a non-finite root, a residual of
+    path: the order-5 and order-4 values agree to LOCAL_TOL; Newton reaches a
+    1e-13 relative residual without P' dropping under DERIV_FLOOR; and the
+    Newton correction is at most a quarter of the predicted move.  Both scales
+    are max|c_k| of P_t itself (exact_at), as the split sum rounds worse where
+    gamma s_k and q_k cancel; P' is tested first against the bound
+    B(t) = ((1-t) max|gamma s_k| + t max|q_k|)(1 + 1e-12) >= max|c_k|.
+    After the final polish on the target, a non-finite root, a residual of
     FINAL_RESIDUAL_TOL or more, or two paths on one simple root raise
     TrackingFailureError.
     """
-    rates = path.coeff_rate()[::-1]
-    n = path.target.degree
+    rows, n = velocity_rows(path), path.target.degree
     h_min = FIRST_STEP / 2 ** MAX_REFINE_DEPTH
-
-    def horner(c: tuple) -> tuple[tuple, tuple]:
-        return c[::-1], tuple(k * c[k] for k in range(n, 0, -1))
-
-    start_p, start_d = horner(tuple(path.gamma * s for s in path.start.coeffs))
-    target_p, target_d = horner(path.target.coeffs)
+    start_p = tuple(path.gamma * s for s in path.start.coeffs)[::-1]
+    target_p = path.target.coeffs[::-1]
     start_scale, target_scale = max(map(abs, start_p)), max(map(abs, target_p))
-
-    def data_at(t: float) -> tuple:
-        """P'_t coefficients (Horner order), a bound B(t) on P_t's scale, t.
-
-        The same homotopy as path.at, without building a validated Poly for
-        every t.  B(t) = (1-t) max|gamma s_k| + t max|q_k|, widened by 1e-12
-        against rounding, is never below the computed scale of P_t, so a
-        derivative that clears the DERIV_FLOOR test with B clears it with the
-        scale too.  P_t itself and its scale (exact_at) are built only for
-        the corrector and for a derivative that fails the test with B.
-        """
-        g = 1.0 - t
-        return (tuple(g * s + t * q for s, q in zip(start_d, target_d)),
-                (g * start_scale + t * target_scale) * (1.0 + 1e-12), t)
 
     def exact_at(t: float) -> tuple:
         """P_t coefficients in Horner order and their scale, built on demand."""
@@ -188,42 +193,37 @@ def track(path: ContinuationPath) -> list[complex]:
         c = tuple(g * s + t * q for s, q in zip(start_p, target_p))
         return c, max(map(abs, c))
 
-    def velocity(data: tuple, x: complex) -> complex:
-        dcoeffs, bound, t = data
-        dp = 0.0 + 0.0j
-        for a in dcoeffs:
-            dp = dp * x + a
+    def velocity(t: float, x: complex) -> complex:
+        g = 1.0 - t
+        dp, num = velocity_terms(rows, g, t, x)
         m = max(1.0, abs(x)) ** (n - 1)
+        bound = (g * start_scale + t * target_scale) * (1.0 + 1e-12)
         if abs(dp) < DERIV_FLOOR * bound * m \
                 and abs(dp) < DERIV_FLOOR * exact_at(t)[1] * m:
             raise PathSingularityError(f"P' vanished along the path at t={t!r}")
-        num = 0.0 + 0.0j
-        for a in rates:
-            num = num * x + a
         return -num / dp
 
-    def dopri(d1: tuple, t: float, h: float, x: complex,
+    def dopri(t1: float, t: float, h: float, x: complex,
               k1: complex) -> tuple[complex, complex]:
         """One Dormand-Prince 5(4) step: the order-5 value y5 and y5 - y4."""
-        k2 = velocity(data_at(t + h / 5.0), x + h * (k1 / 5.0))
-        k3 = velocity(data_at(t + 0.3 * h), x + h * (3 / 40 * k1 + 9 / 40 * k2))
-        k4 = velocity(data_at(t + 0.8 * h),
+        k2 = velocity(t + h / 5.0, x + h * (k1 / 5.0))
+        k3 = velocity(t + 0.3 * h, x + h * (3 / 40 * k1 + 9 / 40 * k2))
+        k4 = velocity(t + 0.8 * h,
                       x + h * (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3))
-        k5 = velocity(data_at(t + 8 / 9 * h),
+        k5 = velocity(t + 8 / 9 * h,
                       x + h * (19372 / 6561 * k1 - 25360 / 2187 * k2
                                + 64448 / 6561 * k3 - 212 / 729 * k4))
-        k6 = velocity(d1, x + h * (9017 / 3168 * k1 - 355 / 33 * k2
+        k6 = velocity(t1, x + h * (9017 / 3168 * k1 - 355 / 33 * k2
                                    + 46732 / 5247 * k3 + 49 / 176 * k4
                                    - 5103 / 18656 * k5))
         y5 = x + h * (35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4
                       - 2187 / 6784 * k5 + 11 / 84 * k6)
-        k7 = velocity(d1, y5)
+        k7 = velocity(t1, y5)
         return y5, h * (71 / 57600 * k1 - 71 / 16695 * k3 + 71 / 1920 * k4
                         - 17253 / 339200 * k5 + 22 / 525 * k6 - 1 / 40 * k7)
 
-    def correct(data: tuple, x: complex) -> complex | None:
+    def correct(t: float, x: complex) -> complex | None:
         """Newton on P_t from x; None if the residual test is never met."""
-        dcoeffs, _, t = data
         coeffs, scale = exact_at(t)
         for i in range(NEWTON_STEPS + 1):
             fx = 0.0 + 0.0j
@@ -233,33 +233,29 @@ def track(path: ContinuationPath) -> list[complex]:
                 return x
             if i == NEWTON_STEPS:
                 return None
-            dp = 0.0 + 0.0j
-            for a in dcoeffs:
-                dp = dp * x + a
+            dp = velocity_terms(rows, 1.0 - t, t, x)[0]
             if abs(dp) < DERIV_FLOOR * scale * max(1.0, abs(x)) ** (n - 1):
                 raise PathSingularityError(f"P' vanished in correction at t={t!r}")
             x = x - fx / dp
         return None
 
     out = []
-    data_start = data_at(0.0)
     for x in path.start_roots:
-        t, h, d0, k1 = 0.0, FIRST_STEP, data_start, None
+        t, h, k1 = 0.0, FIRST_STEP, None
         while t < 1.0:
             t1 = min(1.0, t + h)
-            d1 = data_at(t1)
             try:
                 if k1 is None:  # x and t are unchanged after a rejection
-                    k1 = velocity(d0, x)
-                y5, delta = dopri(d1, t, t1 - t, x, k1)
+                    k1 = velocity(t, x)
+                y5, delta = dopri(t1, t, t1 - t, x, k1)
                 err = abs(delta) / (LOCAL_TOL * max(1.0, abs(y5)))
                 # the 1e-4 floor only avoids 0 ** -0.2; the cap of 2 binds from 0.02
                 factor = min(2.0, max(0.25, 0.9 * max(err, 1e-4) ** -0.2))
                 if err <= 1.0:
-                    corrected = correct(d1, y5)
+                    corrected = correct(t1, y5)
                     if corrected is not None and abs(corrected - y5) \
                             <= 0.25 * abs(y5 - x) + 1e-12 * max(1.0, abs(corrected)):
-                        t, x, d0, k1 = t1, corrected, d1, None
+                        t, x, k1 = t1, corrected, None
                         h *= factor
                         continue
                     factor = 0.5
