@@ -6,9 +6,9 @@ Suites: theorems (closed forms vs the coordinate oracle), derive (ODE
 convergence and residuals), scale (homogeneity sweep), roots (continuation
 vs simultaneous iteration), or all.  Each suite is one function
 ``run_<suite>(rng, cases) -> list[Record]`` in ``RUNNERS``, and each record
-is judged by its module constant below.  Reports are deterministic for a
-fixed (config, seed); the timestamp lives in the JSON header, never in
-records.
+is judged by its module constant below.  Reports are byte-identical for a
+fixed (config, seed) on every supported CPython, 3.10 to 3.13; the
+timestamp lives in the JSON header, never in records.
 
 The derive suite draws nothing at random, so it ignores ``--seed``; it steps
 at ``DEFAULT_H`` and reads ``--cases`` as the number of sample points of

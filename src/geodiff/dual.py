@@ -61,13 +61,13 @@ class DualScalar:
         return DualScalar(-self.val, -self.der)
 
     def __pow__(self, exponent):
-        if isinstance(exponent, int) and exponent >= 0:
-            out = DualScalar(1.0, 0.0)
-            for _ in range(exponent):
-                out = out * self
-            return out
-        v = self.val ** exponent
-        return DualScalar(v, exponent * self.val ** (exponent - 1) * self.der)
+        """Non-negative integer powers only; any other exponent is a TypeError."""
+        if not (isinstance(exponent, int) and exponent >= 0):
+            return NotImplemented
+        out = DualScalar(1.0, 0.0)
+        for _ in range(exponent):
+            out = out * self
+        return out
 
 
 def sqrt(x):
@@ -81,12 +81,6 @@ def sin(x):
     if isinstance(x, DualScalar):
         return DualScalar(math.sin(x.val), math.cos(x.val) * x.der)
     return math.sin(x)
-
-
-def cos(x):
-    if isinstance(x, DualScalar):
-        return DualScalar(math.cos(x.val), -math.sin(x.val) * x.der)
-    return math.cos(x)
 
 
 def atan(x):

@@ -13,6 +13,8 @@ argument.  That extension beyond dimensions >= 1 is ours.
 
 from __future__ import annotations
 
+import math
+
 from .dual import DualScalar, value
 from .ops import Op
 
@@ -36,9 +38,9 @@ def scale_residual(op: Op, point: tuple[float, ...]) -> float:
     """Dimensionless defect of the scale identity at one point."""
     if op.out_dim == 0:
         _, grads = partials(op, point)
-        weighted = sum(ni * xi * gi
-                       for ni, xi, gi in zip(op.arg_dims, point, grads))
-        floor = sum(abs(xi * gi) for xi, gi in zip(point, grads))
+        weighted = math.fsum(ni * xi * gi
+                             for ni, xi, gi in zip(op.arg_dims, point, grads))
+        floor = math.fsum(abs(xi * gi) for xi, gi in zip(point, grads))
         return abs(weighted) / max(floor, TINY)
     out = op.closed(*(DualScalar(xi, ni * xi)
                       for xi, ni in zip(point, op.arg_dims)))

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import operator
-import statistics
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -162,6 +161,15 @@ def reference_endpoint(problem: OdeProblem) -> float:
     return value(problem.closed(problem.s_range[1]))
 
 
+def _slope(xs, ys) -> float:
+    """Least-squares slope of ys on xs: fsum means, centre, fsum products."""
+    xbar = math.fsum(xs) / len(xs)
+    ybar = math.fsum(ys) / len(ys)
+    dxs = [x - xbar for x in xs]
+    return math.fsum(dx * (y - ybar) for dx, y in zip(dxs, ys)) \
+        / math.fsum(dx * dx for dx in dxs)
+
+
 def convergence(problem: OdeProblem, h_values) -> ConvergenceReport:
     """Endpoint errors per nominal step size and the least-squares order fit.
 
@@ -185,8 +193,7 @@ def convergence(problem: OdeProblem, h_values) -> ConvergenceReport:
         hs, errs = zip(*informative)
     else:
         hs, errs = taken, [max(e, ERR_FLOOR) for e in errors]
-    fitted = statistics.linear_regression([math.log(h) for h in hs],
-                                         [math.log(e) for e in errs]).slope
+    fitted = _slope([math.log(h) for h in hs], [math.log(e) for e in errs])
     return ConvergenceReport(h_values, endpoints, errors, fitted,
                              rk4_exact=all(e <= floor for e in errors))
 

@@ -224,8 +224,8 @@ def cyclic_constructible(sides) -> bool:
     2*asin(s/(2R)) must already reach 2*pi; they shrink as R grows.
     """
     lo = max(sides) / 2.0
-    return sum(2.0 * math.asin(min(1.0, s / (2.0 * lo))) for s in sides) \
-        >= 2.0 * math.pi
+    return math.fsum(2.0 * math.asin(min(1.0, s / (2.0 * lo)))
+                     for s in sides) >= 2.0 * math.pi
 
 
 def embed_cyclic(q) -> CyclicEmbedding:
@@ -274,11 +274,11 @@ def embed_cyclic(q) -> CyclicEmbedding:
             out.append((math.atan2(k * sin, root), k * cos / root))
         return out
 
-    phi = math.pi / (1.0 + sum(ks))
+    phi = math.pi / (1.0 + math.fsum(ks))
     terms = half_angles(phi)
     while True:
-        err = 2.0 * (phi + sum(a for a, _ in terms)) - 2.0 * math.pi
-        nxt = phi - err / (2.0 + 2.0 * sum(d for _, d in terms))
+        err = 2.0 * (phi + math.fsum(a for a, _ in terms)) - 2.0 * math.pi
+        nxt = phi - err / (2.0 + 2.0 * math.fsum(d for _, d in terms))
         if not nxt > phi:  # also stops a non-finite step
             break
         phi, terms = nxt, half_angles(nxt)
@@ -287,9 +287,10 @@ def embed_cyclic(q) -> CyclicEmbedding:
     halves = iter(terms)
     thetas = tuple(2.0 * phi if i == longest else 2.0 * next(halves)[0]
                    for i in range(4))
-    if abs(sum(thetas) - 2.0 * math.pi) > 1e-10:
+    total = math.fsum(thetas)
+    if abs(total - 2.0 * math.pi) > 1e-10:
         raise InvariantViolation(
-            f"central angles sum to {sum(thetas)} for sides {sides}")
+            f"central angles sum to {total} for sides {sides}")
     at = 0.0
     points = []
     for th in thetas:

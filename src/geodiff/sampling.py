@@ -47,7 +47,7 @@ def cyclic_quad(rng: random.Random) -> geom.CyclicQuad:
     """Cyclic quadrilateral constructible with the circumcenter inside."""
     while True:
         s = [length(rng) for _ in range(4)]
-        total = sum(s)
+        total = math.fsum(s)
         # total - 2v falls as v grows, also when rounded: the longest side decides
         if total - 2.0 * max(s) <= MARGIN * total \
                 or not oracle.cyclic_constructible(s):

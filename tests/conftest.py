@@ -5,8 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from geodiff import geom
-
-MARGIN = 1e-3
+from geodiff.sampling import MARGIN
 
 
 def valid_sides(x, y, z):

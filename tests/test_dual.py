@@ -1,10 +1,9 @@
 import cmath
-import math
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from geodiff.dual import DualScalar, atan, cos, sin, sqrt
+from geodiff.dual import DualScalar, atan, sin, sqrt
 
 finite = st.floats(min_value=-10.0, max_value=10.0,
                    allow_nan=False, allow_infinity=False)
@@ -16,8 +15,9 @@ def complex_step(f, x, h=1e-20):
     """f'(x) as Im f(x + ih) / h.
 
     Unlike a central difference, nothing cancels, so the reference keeps its
-    relative accuracy where f' is small: at a = 0.9296875 below, f' = 1.37e-5
-    and a central difference with h = 1e-6 is off by 5e-6 relative.
+    relative accuracy where f' is small: at a = 1.57080078125 below, just past
+    pi/2, f' = -1.29e-6 and a central difference with h = 1e-6 is off by
+    2.3e-5 relative.
     """
     return f(complex(x, h)).imag / h
 
@@ -39,10 +39,10 @@ def test_quotient_rule(a):
 
 
 @given(positive)
-@example(0.9296875)
+@example(1.57080078125)
 def test_chain_rule_vs_finite_difference(a):
-    f = lambda x: sqrt(sin(x) + 2.0) * cos(x / 3.0)
-    fc = lambda z: cmath.sqrt(cmath.sin(z) + 2.0) * cmath.cos(z / 3.0)
+    f = lambda x: sqrt(sin(x) + 2.0)
+    fc = lambda z: cmath.sqrt(cmath.sin(z) + 2.0)
     got = f(DualScalar(a, 1.0)).der
     assert got == pytest.approx(complex_step(fc, a), rel=1e-6)
 
@@ -59,8 +59,10 @@ def test_power_and_scalar_mixing():
     out = 2.0 * x ** 3 - x / 2.0 + 5.0
     assert out.val == pytest.approx(2 * 27 - 1.5 + 5)
     assert out.der == pytest.approx(6.0 * 9.0 - 0.5)
-    out = x ** 0.5
-    assert out.der == pytest.approx(0.5 / math.sqrt(3.0), rel=1e-12)
+    with pytest.raises(TypeError):
+        x ** 0.5
+    with pytest.raises(TypeError):
+        x ** -1
 
 
 def test_rsub_rdiv():

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -180,6 +181,28 @@ class TestConvergence:
         b = odes.convergence(p, (0.104, 0.01, 0.001))
         assert b.endpoints == a.endpoints
         assert b.fitted_order == a.fitted_order
+
+    def test_order_fit_is_the_exact_least_squares_slope(self, monkeypatch):
+        """For the points each anchored entry fits, the fsum slope is within
+        4 ulp of the least-squares slope of the same floats, taken exactly."""
+        fits = []
+        slope = odes._slope
+
+        def spy(xs, ys):
+            fits.append((xs, ys))
+            return slope(xs, ys)
+
+        monkeypatch.setattr(odes, "_slope", spy)
+        for p in CATALOG:
+            if p.residual_only:
+                continue
+            got = odes.convergence(p, self.H).fitted_order
+            xs, ys = ([Fraction(v) for v in vs] for vs in fits[-1])
+            xbar, ybar = sum(xs) / len(xs), sum(ys) / len(ys)
+            exact = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) \
+                / sum((x - xbar) ** 2 for x in xs)
+            assert abs(Fraction(got) - exact) \
+                <= 4 * Fraction(math.ulp(float(exact))), p.name
 
     def test_needs_three_steps(self):
         with pytest.raises(ValueError):
