@@ -8,7 +8,8 @@ vs simultaneous iteration), or all.  Each suite is one function
 ``run_<suite>(rng, cases) -> list[Record]`` in ``RUNNERS``, and each record
 is judged by its module constant below.  Reports are byte-identical for a
 fixed (config, seed) on every supported CPython, 3.10 to 3.13; the
-timestamp lives in the JSON header, never in records.
+timestamp lives in the JSON header, never in records.  CSV rows come from
+one template, quoted exactly as the ``csv`` module would quote them.
 
 The derive suite draws nothing at random, so it ignores ``--seed``; it steps
 at ``DEFAULT_H`` and reads ``--cases`` as the number of sample points of
@@ -156,7 +157,7 @@ def run_derive(rng: random.Random, cases: int) -> list[Record]:
             res = odes.residual(entry, max(2, cases))
             out.append(Record("derive", 0, f"{entry.name}:residual",
                               _fmt(*entry.s_range), "0.0",
-                              _fmt(res.max_residual), res.max_residual,
+                              repr(res.max_residual), res.max_residual,
                               res.max_residual < RESIDUAL_TOL))
             continue
         exact = odes.reference_endpoint(entry)
@@ -164,22 +165,22 @@ def run_derive(rng: random.Random, cases: int) -> list[Record]:
             rep = odes.convergence(entry, DEFAULT_H)
         except odes.SingularityError as exc:
             # the entry's usual records, each failing under the exception name
-            out.extend(_failed("derive", 0, f"{entry.name}:h={h:g}", _fmt(h),
-                               _fmt(exact), exc)
+            out.extend(_failed("derive", 0, f"{entry.name}:h={h:g}", repr(h),
+                               repr(exact), exc)
                        for h in DEFAULT_H)
             out.append(_failed("derive", 0, f"{entry.name}:order",
                                _fmt(*DEFAULT_H), "4.0", exc))
             continue
         for h, endpoint, err in zip(rep.h_values, rep.endpoints, rep.errors):
             judged = h == min(rep.h_values)
-            out.append(Record("derive", 0, f"{entry.name}:h={h:g}", _fmt(h),
-                              _fmt(exact), _fmt(endpoint),
+            out.append(Record("derive", 0, f"{entry.name}:h={h:g}", repr(h),
+                              repr(exact), repr(endpoint),
                               err / max(abs(exact), 1e-30),
                               (err < ENDPOINT_TOL) if judged else True))
         order_ok = rep.rk4_exact \
             or ORDER_RANGE[0] <= rep.fitted_order <= ORDER_RANGE[1]
         out.append(Record("derive", 0, f"{entry.name}:order",
-                          _fmt(*rep.h_values), "4.0", _fmt(rep.fitted_order),
+                          _fmt(*rep.h_values), "4.0", repr(rep.fitted_order),
                           abs(rep.fitted_order - 4.0) / 4.0, order_ok))
     return out
 
@@ -187,17 +188,19 @@ def run_derive(rng: random.Random, cases: int) -> list[Record]:
 def run_scale(rng: random.Random, cases: int) -> list[Record]:
     out = []
     for op in ops.table():
+        names = {}  # lam -> the op name of its records
         for i in range(cases):
             point = op.sample(rng)
             ins = _fmt(*point)
             res = homogeneity.scale_residual(op, point)
             out.append(Record("scale", i, op.name, ins, "0.0",
-                              _fmt(res), res, res < SCALE_TOL))
+                              repr(res), res, res < SCALE_TOL))
             for lam, want, scaled in homogeneity.finite_scaling(op, point):
-                err = _rel(scaled, want)
-                out.append(Record("scale", i, f"{op.name}:lam={lam:g}",
-                                  ins, _fmt(want), _fmt(scaled), err,
-                                  err < LAMBDA_TOL))
+                name = names.get(lam)
+                if name is None:
+                    name = names[lam] = f"{op.name}:lam={lam:g}"
+                out.append(_record("scale", i, name, ins, want, scaled,
+                                   LAMBDA_TOL))
     return out
 
 
@@ -213,7 +216,7 @@ def run_roots(rng: random.Random, cases: int) -> list[Record]:
             reference = polyroots.oracle_roots(target)
             dist = polyroots.match_distance(tracked, reference)
             out.append(Record("roots", i, "track",
-                              _fmt(*coeffs), "0.0", _fmt(dist), dist,
+                              _fmt(*coeffs), "0.0", repr(dist), dist,
                               dist < ROOTS_TOL))
         except (polyroots.PathSingularityError, polyroots.TrackingFailureError,
                 polyroots.OracleFailureError) as exc:
@@ -225,7 +228,7 @@ def run_roots(rng: random.Random, cases: int) -> list[Record]:
         b, c = -a * (r1 + r2), a * r1 * r2
         err = quad_sens_error(a, b, c, r2)
         out.append(Record("roots", i, "quad_sens", _fmt(a, b, c, r2), "0.0",
-                          _fmt(err), err, err < SENS_TOL))
+                          repr(err), err, err < SENS_TOL))
     return out
 
 
@@ -298,9 +301,9 @@ def write_report(report: Report, path: str, fmt: str) -> None:
             writer = csv.writer(fh)
             writer.writerow(["suite", "case_id", "op", "inputs", "expected",
                              "actual", "rel_err", "passed"])
-            for r in report.records:
-                writer.writerow([r.suite, r.case_id, r.op, r.inputs, r.expected,
-                                 r.actual, repr(r.rel_err), r.passed])
+            records = report.records
+            for start in range(0, len(records), 4096):
+                _write_csv_rows(writer, fh, records[start:start + 4096])
     else:
         header = json.dumps({
             "timestamp": report.timestamp,
@@ -315,6 +318,25 @@ def write_report(report: Report, path: str, fmt: str) -> None:
                 fh.writelines(_json_records(report.records))
                 fh.write("\n ")
             fh.write("]\n}\n")
+
+
+def _write_csv_rows(writer, fh, records) -> None:
+    """Write records as the csv.writer rows of their fields, rel_err as repr.
+
+    Each row comes from one template.  A row needs quoting only if a text
+    field holds a comma, a quote, a CR or an LF, which the character counts
+    of the chunk show; such a chunk goes through csv.writer, so the csv
+    module stays the only quoting code."""
+    text = "".join(["%s,%d,%s,%s,%s,%s,%r,%s\r\n" % (
+        r.suite, r.case_id, r.op, r.inputs, r.expected, r.actual, r.rel_err,
+        r.passed) for r in records])
+    rows = len(records)
+    if text.count(",") > 7 * rows or '"' in text \
+            or text.count("\r") > rows or text.count("\n") > rows:
+        writer.writerows([r.suite, r.case_id, r.op, r.inputs, r.expected,
+                          r.actual, repr(r.rel_err), r.passed] for r in records)
+    else:
+        fh.write(text)
 
 
 _JSON_RECORD = ('\n  {\n   "suite": %s,\n   "case_id": %d,\n   "op": %s,'

@@ -1,5 +1,6 @@
 import csv
 import gc
+import io
 import json
 import math
 import os
@@ -257,6 +258,70 @@ class TestJsonWriter:
 
     def test_scale_report(self, tmp_path):
         self.check(run(RunConfig(suite="scale", cases=5, seed=3)), tmp_path)
+
+    def test_no_records(self, tmp_path):
+        report = run(RunConfig(suite="derive", cases=2))
+        report.records.clear()
+        self.check(report, tmp_path)
+
+
+def _csv_writer_bytes(report):
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["suite", "case_id", "op", "inputs", "expected", "actual",
+                     "rel_err", "passed"])
+    for r in report.records:
+        writer.writerow([r.suite, r.case_id, r.op, r.inputs, r.expected,
+                         r.actual, repr(r.rel_err), r.passed])
+    return buf.getvalue().encode("utf-8")
+
+
+class TestCsvWriter:
+    """The template writer must give exactly csv.writer's bytes."""
+
+    def check(self, report, tmp_path):
+        path = tmp_path / "out.csv"
+        write_report(report, str(path), "csv")
+        assert path.read_bytes() == _csv_writer_bytes(report)
+
+    def test_derive_report(self, tmp_path):
+        self.check(run(RunConfig(suite="derive", cases=10)), tmp_path)
+
+    def test_scale_report(self, tmp_path):
+        self.check(run(RunConfig(suite="scale", cases=5, seed=3)), tmp_path)
+
+    def test_roots_report(self, tmp_path):
+        self.check(run(RunConfig(suite="roots", cases=5, seed=3)), tmp_path)
+
+    def test_theorems_report(self, tmp_path):
+        self.check(run(RunConfig(suite="theorems", cases=20, seed=3)),
+                   tmp_path)
+
+    @pytest.mark.parametrize("char", [",", '"', "\r", "\n", "\u00e9"])
+    @pytest.mark.parametrize("field", ["suite", "op", "inputs", "expected",
+                                       "actual"])
+    def test_text_needing_quotes(self, tmp_path, field, char):
+        report = run(RunConfig(suite="derive", cases=2))
+        special = Record("x", 1, "op", "1.0;2.0", "0.5", "0.5", 0.0, True)
+        setattr(special, field, f"a{char}b{char}")
+        report.records.append(special)
+        self.check(report, tmp_path)
+
+    @pytest.mark.parametrize("err", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rel_err(self, tmp_path, err):
+        report = run(RunConfig(suite="derive", cases=2))
+        report.records.append(Record("theorems", 2, "cyclic_quad_area",
+                                     "1.0;2.0", "0.5", "InvariantViolation",
+                                     err, False))
+        self.check(report, tmp_path)
+
+    def test_quotes_only_in_a_later_chunk(self, tmp_path):
+        # 57 records per scale case: the first chunk of rows needs no quotes
+        report = run(RunConfig(suite="scale", cases=80, seed=1))
+        assert len(report.records) > 4096
+        report.records.append(Record("x", 0, 'op "q", \u00e9\r\n', "", "", "",
+                                     math.nan, False))
+        self.check(report, tmp_path)
 
     def test_no_records(self, tmp_path):
         report = run(RunConfig(suite="derive", cases=2))
