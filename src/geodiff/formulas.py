@@ -54,9 +54,15 @@ def angle_gamma(x, y, z):
 
 
 def bisector_full(x, y, z):
-    """Internal bisector of gamma, vertex to its foot on the z-side."""
-    w = z / (x + y)
-    return sqrt(x * y * (1.0 - w * w))
+    """Internal bisector of gamma, vertex to its foot on the z-side.
+
+    sqrt(x y (1 - w^2)) with w = z/(x + y), and 1 - w^2 factored as
+    (s - z)(s + z)/s^2 with s = x + y.  Near a degenerate triangle 1 - w^2
+    cancels, while s - z rounds not at all (Sterbenz) and is the x + y - z
+    of bisector_to_incenter, so incenter_ratio stays accurate.
+    """
+    s = x + y
+    return sqrt(x * y * (s - z) * (s + z)) / s
 
 
 def bisector_to_incenter(x, y, z):

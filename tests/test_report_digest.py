@@ -14,11 +14,11 @@ from dataclasses import astuple
 from geodiff.cli import SUITES, RunConfig, run
 
 DIGESTS = {
-    "theorems": "158c63d8096d5de84c3f8e21269b70b8a7149578e2c25052c6c45231032955a8",
-    "derive": "013023b91c29c696b738654f726b30de7857dd93836aa3a6d4e8147ed011ef29",
-    "scale": "faa5157611d46683ba3564b8d33de96a859069a50f13ceca4f7a1dea99ab8a21",
+    "theorems": "86960872a65693e358d84b93c31fc6fdf852934b2481c6fe7eab140cb884d66a",
+    "derive": "5856812033d3fbd3ac73af443e3459597c54b8258da3071db3ab4e89e1ae1a18",
+    "scale": "b79065a62f6a06767743dd1cdede6bce696e63197803fdfcf2d0542ad003ca3b",
     "roots": "e14af4f79683be03e797d2be02ac66c9e74fde6e5abb70e6619f693bea8bd0a6",
-    "all": "dc610ec4795ee622d85419772cd6e68c85bc9b26bff7fcf517dec4830429872f",
+    "all": "744f825aeb6ab40479a6f4c390de7fa43a13506aeac26511cb5437d8128a97d5",
 }
 
 
