@@ -298,12 +298,7 @@ def run(config: RunConfig) -> Report:
 def write_report(report: Report, path: str, fmt: str) -> None:
     if fmt == "csv":
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["suite", "case_id", "op", "inputs", "expected",
-                             "actual", "rel_err", "passed"])
-            records = report.records
-            for start in range(0, len(records), 4096):
-                _write_csv_rows(writer, fh, records[start:start + 4096])
+            _write_csv(fh, report.records)
     else:
         header = json.dumps({
             "timestamp": report.timestamp,
@@ -320,23 +315,29 @@ def write_report(report: Report, path: str, fmt: str) -> None:
             fh.write("]\n}\n")
 
 
-def _write_csv_rows(writer, fh, records) -> None:
-    """Write records as the csv.writer rows of their fields, rel_err as repr.
+def _write_csv(fh, records) -> None:
+    """The csv.writer rows of a header and the records, rel_err as its repr.
 
-    Each row comes from one template.  A row needs quoting only if a text
-    field holds a comma, a quote, a CR or an LF, which the character counts
-    of the chunk show; such a chunk goes through csv.writer, so the csv
-    module stays the only quoting code."""
-    text = "".join(["%s,%d,%s,%s,%s,%s,%r,%s\r\n" % (
-        r.suite, r.case_id, r.op, r.inputs, r.expected, r.actual, r.rel_err,
-        r.passed) for r in records])
-    rows = len(records)
-    if text.count(",") > 7 * rows or '"' in text \
-            or text.count("\r") > rows or text.count("\n") > rows:
-        writer.writerows([r.suite, r.case_id, r.op, r.inputs, r.expected,
-                          r.actual, repr(r.rel_err), r.passed] for r in records)
-    else:
-        fh.write(text)
+    Rows come from one template, a few thousand per write.  A row needs
+    quoting only if a text field holds a comma, a quote, a CR or an LF, which
+    the character counts of its chunk show; such a chunk goes through
+    csv.writer, so the csv module stays the only quoting code."""
+    writer = csv.writer(fh)
+    writer.writerow(["suite", "case_id", "op", "inputs", "expected", "actual",
+                     "rel_err", "passed"])
+    for start in range(0, len(records), 4096):
+        chunk = records[start:start + 4096]
+        text = "".join(["%s,%d,%s,%s,%s,%s,%r,%s\r\n" % (
+            r.suite, r.case_id, r.op, r.inputs, r.expected, r.actual,
+            r.rel_err, r.passed) for r in chunk])
+        rows = len(chunk)
+        if text.count(",") > 7 * rows or '"' in text \
+                or text.count("\r") > rows or text.count("\n") > rows:
+            writer.writerows([r.suite, r.case_id, r.op, r.inputs, r.expected,
+                              r.actual, repr(r.rel_err), r.passed]
+                             for r in chunk)
+        else:
+            fh.write(text)
 
 
 _JSON_RECORD = ('\n  {\n   "suite": %s,\n   "case_id": %d,\n   "op": %s,'
