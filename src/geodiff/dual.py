@@ -1,94 +1,57 @@
-"""First-order dual numbers for forward-mode differentiation.
+"""Forward-mode derivatives carried by Python's built-in complex numbers.
 
-A DualScalar carries a value and the derivative of that value with respect
-to one designated input. Seed the input of interest with der=1.0 and every
-arithmetic operation propagates the derivative exactly (product/chain rules).
+A value x with derivative d along one chosen direction rides as
+``seed(x, d) == complex(x, H*d)``: the complex step (Squire & Trapp, SIAM
+Review 40, 1998; Martins, Sturdza & Alonso, ACM TOMS 29(3), 2003).  Complex
+arithmetic carries H times the derivative in the imaginary part, which
+``der`` reads back.  H is a power of two, so scaling by it is exact, and the
+H^2 terms that products and quotients add to the real part fall far below
+its rounding: the real part is the float kernel's value, unless a real part
+on the way is exactly 0 or near H in size (x*x at x = 0 reads -H^2 d^2).
+
+So a kernel compares ``.real`` and never calls ``abs`` (the modulus; ordering
+raises TypeError).  Dividing by a carrier whose real part is 0 does not
+raise, and ``x ** 0.5`` does not raise; ``sqrt`` below still raises at and
+below 0.  ``sqrt``, ``sin`` and ``atan`` apply ``math`` to the real part and
+their chain rule to the imaginary part; ``cmath`` would not do, since
+``cmath.sqrt(-1)`` is ``1j`` and ``cmath.atan``'s real part is not
+``math.atan``'s.
 """
 
 from __future__ import annotations
 
 import math
 
+H = 2.0 ** -300
 
-class DualScalar:
-    """Value/derivative pair ``val + der*eps`` with ``eps**2 == 0``."""
+# the carrier type, for type checks and the tracer's float/dual split
+DualScalar = complex
 
-    __slots__ = ("val", "der")
 
-    def __init__(self, val: float, der: float = 0.0):
-        self.val = float(val)
-        self.der = float(der)
+def seed(x: float, d: float = 1.0) -> complex:
+    """x carrying the derivative d."""
+    return complex(x, H * d)
 
-    def __repr__(self) -> str:
-        return f"DualScalar({self.val!r}, {self.der!r})"
 
-    def __add__(self, other):
-        if isinstance(other, DualScalar):
-            return DualScalar(self.val + other.val, self.der + other.der)
-        return DualScalar(self.val + other, self.der)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, DualScalar):
-            return DualScalar(self.val - other.val, self.der - other.der)
-        return DualScalar(self.val - other, self.der)
-
-    def __rsub__(self, other):
-        return DualScalar(other - self.val, -self.der)
-
-    def __mul__(self, other):
-        if isinstance(other, DualScalar):
-            return DualScalar(self.val * other.val,
-                              self.val * other.der + self.der * other.val)
-        return DualScalar(self.val * other, self.der * other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, DualScalar):
-            inv = 1.0 / other.val
-            return DualScalar(self.val * inv,
-                              (self.der - self.val * other.der * inv) * inv)
-        inv = 1.0 / other
-        return DualScalar(self.val * inv, self.der * inv)
-
-    def __rtruediv__(self, other):
-        inv = 1.0 / self.val
-        return DualScalar(other * inv, -other * self.der * inv * inv)
-
-    def __neg__(self):
-        return DualScalar(-self.val, -self.der)
-
-    def __pow__(self, exponent):
-        """Non-negative integer powers only; any other exponent is a TypeError."""
-        if not (isinstance(exponent, int) and exponent >= 0):
-            return NotImplemented
-        out = DualScalar(1.0, 0.0)
-        for _ in range(exponent):
-            out = out * self
-        return out
+def der(z) -> float:
+    """The derivative z carries; 0.0 for a float."""
+    return z.imag / H
 
 
 def sqrt(x):
     if isinstance(x, DualScalar):
-        v = math.sqrt(x.val)
-        return DualScalar(v, x.der / (2.0 * v))
+        v = math.sqrt(x.real)
+        return complex(v, x.imag / (2.0 * v))
     return math.sqrt(x)
 
 
 def sin(x):
     if isinstance(x, DualScalar):
-        return DualScalar(math.sin(x.val), math.cos(x.val) * x.der)
+        return complex(math.sin(x.real), math.cos(x.real) * x.imag)
     return math.sin(x)
 
 
 def atan(x):
     if isinstance(x, DualScalar):
-        return DualScalar(math.atan(x.val), x.der / (1.0 + x.val * x.val))
+        return complex(math.atan(x.real), x.imag / (1.0 + x.real * x.real))
     return math.atan(x)
-
-
-def value(x) -> float:
-    """Plain float value of x, whether x is a float or a DualScalar."""
-    return x.val if isinstance(x, DualScalar) else float(x)

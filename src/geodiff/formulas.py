@@ -1,7 +1,7 @@
 """Closed-form metric expressions on raw scalars.
 
-Every function here accepts plain floats or DualScalar arguments and applies
-no input validation: ``sampling`` draws valid inputs, and only
+Every function here accepts floats or the complex derivative carriers of
+``dual`` and applies no input validation: ``sampling`` draws valid inputs, and only
 ``bisector_side`` fails, with ValueError, when its cubic in
 u = z^2 - (a^2 + b^2) has no admissible root.  The angle opposite the z-side
 (between the x- and y-sides) is always gamma, and all bisector/median/cevian
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .dual import DualScalar, atan, sin, sqrt, value
+from .dual import DualScalar, atan, sin, sqrt
 
 PI = math.pi
 
@@ -45,11 +45,11 @@ def angle_gamma(x, y, z):
     Kahan's needle-safe form ("Miscalculating Area and Angles of a
     Needle-like Triangle"): acos of the cosine law loses about
     2*log10(1/gamma) digits on thin triangles, this keeps a few ulps.  Both
-    forms of mu equal z - (a - b), so the branch taken on the values leaves
-    the derivative of a dual argument alone.
+    forms of mu equal z - (a - b), so the branch taken on the real parts
+    leaves the derivative of a complex-step argument alone.
     """
-    a, b = (x, y) if value(x) >= value(y) else (y, x)
-    mu = z - (a - b) if value(b) >= value(z) else b - (a - z)
+    a, b = (x, y) if x.real >= y.real else (y, x)
+    mu = z - (a - b) if b.real >= z.real else b - (a - z)
     return 2.0 * atan(sqrt(((a - b) + z) * mu / ((a + (b + z)) * ((a - z) + b))))
 
 
@@ -152,12 +152,12 @@ def bisector_side(a, b, c):
     a and b are the vertex-to-incenter bisector lengths at the two endpoints
     of the sought side.  The side is sqrt(a^2 + b^2 + u) for the one positive
     root u of G, admissible only strictly inside (0, 2ab).  Newton descends
-    to it and stops at the first iterate that fails to descend.  Dual
+    to it and stops at the first iterate that fails to descend.  Complex-step
     arguments are supported: a root moves with the coefficients as
     u' = -(k' u^3 + B' u^2 - C') / G'(u), the root-sensitivity formula
     du/da_k = -u^k / G'(u), so the float root gets that derivative.
     """
-    av, bv, cv = value(a), value(b), value(c)
+    av, bv, cv = a.real, b.real, c.real
     k, big_b, big_c = bisector_cubic_coeffs(av, bv, cv)
     u = min(math.sqrt(big_c / big_b), (big_c / k) ** (1.0 / 3.0))
     while True:
@@ -172,5 +172,5 @@ def bisector_side(a, b, c):
             or isinstance(c, DualScalar)):
         return math.sqrt(av * av + bv * bv + u)
     kd, bd, cd = bisector_cubic_coeffs(a, b, c)
-    du = -((kd * u + bd) * u * u - cd).der / slope
-    return sqrt(a * a + b * b + DualScalar(u, du))
+    du = -((kd * u + bd) * u * u - cd).imag / slope
+    return sqrt(a * a + b * b + complex(u, du))

@@ -3,11 +3,11 @@
 Every metric formula f with output dimension n and input dimensions n_i must
 satisfy n*f = sum_i n_i * x_i * d f/d x_i (lengths have n_i = 1, angles 0).
 The right-hand side is the derivative of f(lam^n_i x_i) at lam = 1, a single
-directional derivative, so one forward dual-number pass seeded with n_i x_i
-gives it exactly.
+directional derivative, so one forward complex-step pass (``dual``) seeded
+with n_i x_i gives it to rounding.
 
 Angle-valued formulas (n = 0) are normalized by sum_i |x_i d_i f| instead of
-n*|f|; that normaliser needs every partial, so they take one dual pass per
+n*|f|; that normaliser needs every partial, so they take one pass per
 argument.  That extension beyond dimensions >= 1 is ours.
 """
 
@@ -15,23 +15,17 @@ from __future__ import annotations
 
 import math
 
-from .dual import DualScalar, value
+from .dual import der, seed
 from .ops import Op
 
 TINY = 1e-30
 
 
 def partials(op: Op, point: tuple[float, ...]):
-    """(f(point), [df/dx_i]) via one dual pass per argument."""
-    grads = []
-    f_val = None
-    for i in range(len(point)):
-        args = [DualScalar(p, 1.0 if j == i else 0.0)
-                for j, p in enumerate(point)]
-        out = op.closed(*args)
-        f_val = value(out)
-        grads.append(out.der if isinstance(out, DualScalar) else 0.0)
-    return f_val, grads
+    """(f(point), [df/dx_i]) via one complex-step pass per argument."""
+    outs = [op.closed(*(seed(p, float(j == i)) for j, p in enumerate(point)))
+            for i in range(len(point))]
+    return outs[-1].real, [der(out) for out in outs]
 
 
 def scale_residual(op: Op, point: tuple[float, ...]) -> float:
@@ -42,11 +36,9 @@ def scale_residual(op: Op, point: tuple[float, ...]) -> float:
                              for ni, xi, gi in zip(op.arg_dims, point, grads))
         floor = math.fsum(abs(xi * gi) for xi, gi in zip(point, grads))
         return abs(weighted) / max(floor, TINY)
-    out = op.closed(*(DualScalar(xi, ni * xi)
-                      for xi, ni in zip(point, op.arg_dims)))
-    f_val = value(out)
-    weighted = out.der if isinstance(out, DualScalar) else 0.0
-    return abs(op.out_dim * f_val - weighted) / max(op.out_dim * abs(f_val), TINY)
+    out = op.closed(*(seed(xi, ni * xi) for xi, ni in zip(point, op.arg_dims)))
+    f_val = out.real
+    return abs(op.out_dim * f_val - der(out)) / max(op.out_dim * abs(f_val), TINY)
 
 
 def finite_scaling(op: Op, point: tuple[float, ...]):

@@ -1,6 +1,6 @@
 """The operation table: every metric relation, stated once.
 
-An ``Op`` holds a closed form from ``formulas`` (floats or duals), its
+An ``Op`` holds a closed form from ``formulas`` (floats or complex steps), its
 dimension table, the scale suite's sampler and, for a theorem operation, the
 coordinate construction the theorems suite compares it with.  ``table()`` is
 built per call, so it sees whatever ``formulas``, ``oracle`` and ``sampling``

@@ -29,6 +29,26 @@ quads = st.tuples(side, side, side, side).filter(valid_quad) \
     .map(lambda s: geom.CyclicQuad(*s))
 
 
+def ravi_triangles(rng, draws):
+    """Near-degenerate triangles by Ravi substitution: sides (q + r, r + p,
+    p + q) with p, q log-uniform in [0.1, 10] and r = delta * min(p, q),
+    delta log-uniform in [1e-12, 1e-3], so x + y - z = 2r.  Draws that
+    geom.Triangle rejects are dropped."""
+
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    out = []
+    for _ in range(draws):
+        p, q = log_uniform(0.1, 10.0), log_uniform(0.1, 10.0)
+        r = log_uniform(1e-12, 1e-3) * min(p, q)
+        try:
+            out.append(geom.Triangle(q + r, r + p, p + q))
+        except geom.DomainError:
+            pass
+    return out
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240811)

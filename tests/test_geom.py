@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import assert_close, quads, triangles
+from conftest import assert_close, quads, ravi_triangles, triangles
 from geodiff import formulas, geom, oracle
 
 SQ2 = math.sqrt(2.0)
@@ -146,27 +146,14 @@ class TestBisectors:
         assert_close(formulas.incenter_ratio(2, 3, 4), 5 / 9, 1e-12)
 
     def test_ratio_on_near_degenerate_triangles(self):
-        """Ravi sides (q + r, r + p, p + q) with r = delta * min(p, q), so
-        x + y - z = 2r; the exact (x+y)/(x+y+z) has condition number 1."""
-        rng = random.Random(9)
-
-        def log_uniform(lo, hi):
-            return math.exp(rng.uniform(math.log(lo), math.log(hi)))
-
-        checked = 0
-        for _ in range(3000):
-            p, q = log_uniform(0.1, 10.0), log_uniform(0.1, 10.0)
-            r = log_uniform(1e-12, 1e-3) * min(p, q)
-            try:
-                t = geom.Triangle(q + r, r + p, p + q)
-            except geom.DomainError:
-                continue
-            checked += 1
+        """On Ravi triangles the exact (x+y)/(x+y+z) has condition number 1."""
+        checked = ravi_triangles(random.Random(9), 3000)
+        for t in checked:
             x, y, z = map(Fraction, t.sides)
             exact = (x + y) / (x + y + z)
             got = Fraction(formulas.incenter_ratio(*t.sides))
             assert abs(got - exact) <= 4 * EPS * exact, t
-        assert checked == 2709
+        assert len(checked) == 2709
 
 
 class TestTrirect:

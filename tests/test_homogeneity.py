@@ -5,8 +5,7 @@ import random
 import pytest
 
 from conftest import assert_close
-from geodiff import homogeneity
-from geodiff.dual import DualScalar
+from geodiff import dual, homogeneity
 from geodiff.homogeneity import finite_scaling, scale_residual
 from geodiff.ops import table
 
@@ -57,12 +56,28 @@ class TestScaleResidual:
                 continue
             for _ in range(50):
                 point = op.sample(rng)
-                out = op.closed(*(DualScalar(xi, ni * xi)
+                out = op.closed(*(dual.seed(xi, ni * xi)
                                   for xi, ni in zip(point, op.arg_dims)))
                 _, grads = homogeneity.partials(op, point)
                 weighted = sum(ni * xi * gi
                                for ni, xi, gi in zip(op.arg_dims, point, grads))
-                assert_close(out.der, weighted, 1e-12, op.name)
+                assert_close(dual.der(out), weighted, 1e-12, op.name)
+
+    def test_a_derivative_pass_computes_the_float_value(self, rng):
+        # the H^2 terms of complex products and quotients stay below the real
+        # part's rounding; `**` is libm pow on floats but repeated products
+        # on complex, which may differ by an ulp or two
+        pow_ops = {"trirect_face_area", "sphere_volume"}
+        for op in table():
+            for _ in range(500):
+                point = op.sample(rng)
+                want = op.closed(*point)
+                got = op.closed(*(dual.seed(xi, ni * xi)
+                                  for xi, ni in zip(point, op.arg_dims))).real
+                if op.name in pow_ops:
+                    assert abs(got - want) <= 2 * math.ulp(want), (op.name, point)
+                else:
+                    assert got == want, (op.name, point)
 
     def test_dimension_slip_is_caught(self):
         wrong = dataclasses.replace(BY_NAME["median"], out_dim=2)

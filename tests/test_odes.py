@@ -152,6 +152,17 @@ class TestResidual:
         res = odes.residual(spiky, 11)
         assert 0.0 in res.skipped
 
+    def test_nothing_evaluated_is_an_infinite_defect(self):
+        # the median of sides (s, 1, 5) is imaginary for every s in range
+        broken = odes.OdeProblem(
+            "broken", (0.5, 1.5), {"y": 1.0, "z": 5.0},
+            lambda s, f, q: s / (2.0 * f),
+            formulas.median, 0, None, "")
+        res = odes.residual(broken, 50)
+        assert len(res.skipped) == 50
+        assert res.max_residual == math.inf
+        assert not res.max_residual < RESIDUAL_TOL
+
 
 class TestConvergence:
     H = (1e-1, 1e-2, 1e-3)

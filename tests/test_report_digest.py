@@ -15,10 +15,10 @@ from geodiff.cli import SUITES, RunConfig, run
 
 DIGESTS = {
     "theorems": "86960872a65693e358d84b93c31fc6fdf852934b2481c6fe7eab140cb884d66a",
-    "derive": "5856812033d3fbd3ac73af443e3459597c54b8258da3071db3ab4e89e1ae1a18",
-    "scale": "b79065a62f6a06767743dd1cdede6bce696e63197803fdfcf2d0542ad003ca3b",
+    "derive": "d772742958e9553af2d85e10b8ee1503c7b7349bec5551ad31f0cd16c54bcd93",
+    "scale": "c4796e49bfba9a65bf073862b10469e5abf2caa64e3bebc3523d3e3bba342ed5",
     "roots": "e14af4f79683be03e797d2be02ac66c9e74fde6e5abb70e6619f693bea8bd0a6",
-    "all": "744f825aeb6ab40479a6f4c390de7fa43a13506aeac26511cb5437d8128a97d5",
+    "all": "cb570c2994a10426814509b083bad8278bf5ffbeafbaf5ffd27e8942d8c33bdb",
 }
 
 
