@@ -1,8 +1,8 @@
 """Closed-form metric expressions on raw scalars.
 
 Every function here accepts floats or the complex derivative carriers of
-``dual`` and applies no input validation: ``sampling`` draws valid inputs, and only
-``bisector_side`` fails, with ValueError, when its cubic in
+``dual`` and applies no input validation: ``sampling`` draws valid inputs,
+and only ``bisector_side`` fails, with ValueError, when its cubic in
 u = z^2 - (a^2 + b^2) has no admissible root.  The angle opposite the z-side
 (between the x- and y-sides) is always gamma, and all bisector/median/cevian
 expressions act on that vertex / the z-side.  Each relation is stated once,

@@ -63,7 +63,7 @@ def test_quotient_rule(a):
 
 @given(positive)
 @example(1.57080078125)
-def test_chain_rule_vs_cmath_complex_step(a):
+def test_chain_rule_vs_finite_difference(a):
     f = lambda x: sqrt(sin(x) + 2.0)
     fc = lambda z: cmath.sqrt(cmath.sin(z) + 2.0)
     got = f(seed(a))
