@@ -8,6 +8,9 @@ arithmetic carries H times the derivative in the imaginary part, which
 H^2 terms that products and quotients add to the real part fall far below
 its rounding: the real part is the float kernel's value, unless a real part
 on the way is exactly 0 or near H in size (x*x at x = 0 reads -H^2 d^2).
+No other module reads or builds a carrier's imaginary part: derivatives go
+in through ``seed`` and come out through ``der``.  (The complex roots of
+``polyroots`` are not carriers.)
 
 So a kernel compares ``.real`` and never calls ``abs`` (the modulus; ordering
 raises TypeError).  Dividing by a carrier whose real part is 0 does not

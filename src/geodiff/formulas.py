@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .dual import DualScalar, atan, sin, sqrt
+from .dual import DualScalar, atan, der, seed, sin, sqrt
 
 PI = math.pi
 
@@ -168,9 +168,8 @@ def bisector_side(a, b, c):
         u = nxt
     if not 0.0 < u < 2.0 * av * bv:
         raise ValueError(f"no admissible side for bisector lengths ({av}, {bv}, {cv})")
-    if not (isinstance(a, DualScalar) or isinstance(b, DualScalar)
-            or isinstance(c, DualScalar)):
-        return math.sqrt(av * av + bv * bv + u)
-    kd, bd, cd = bisector_cubic_coeffs(a, b, c)
-    du = -((kd * u + bd) * u * u - cd).imag / slope
-    return sqrt(a * a + b * b + complex(u, du))
+    if isinstance(a, DualScalar) or isinstance(b, DualScalar) \
+            or isinstance(c, DualScalar):
+        kd, bd, cd = bisector_cubic_coeffs(a, b, c)
+        u = seed(u, -der((kd * u + bd) * u * u - cd) / slope)
+    return sqrt(a * a + b * b + u)

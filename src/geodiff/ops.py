@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from . import formulas, oracle, sampling
@@ -21,15 +22,14 @@ FAMILIES = ("triangle", "pair", "third", "theta", "trirect", "quad")
 
 
 class Case:
-    """Every random draw of one theorems case, in stream order, and the four
-    triangle measurements that several operations share.  The cyclic
-    embedding waits for the first operation that reads it, so that its
-    OracleError lands in that operation's record."""
+    """Every random draw of one theorems case, in stream order, and the
+    constructions that several operations share.  Each construction is built
+    when an operation first reads it and kept once built, so that its
+    OracleError lands in the record of each operation that reads it."""
 
     def __init__(self, rng: random.Random):
         self.t = t = sampling.triangle(rng)
         self.triangle = t.sides
-        self.e = e = oracle.embed_triangle(t)
         self.cevian = (t.x, t.y, *sampling.cevian_split(rng, t.z))
         self.pair = (sampling.length(rng), sampling.length(rng))
         self.third = (sampling.length(rng), *sampling.angle_pair(rng))
@@ -39,17 +39,14 @@ class Case:
         self.trirect = sampling.trirect(rng)
         self.quad = sampling.cyclic_quad(rng)
         self.quad_sides = self.quad.sides
-        # the incenter and circumcenter are rebuilt per measurement
-        self.full = oracle.measure_bisector_full(e)
-        self.to_incenter = oracle.measure_bisector_to_incenter(e)
-        self.r = oracle.measure_inradius(e)
-        self.big_r = oracle.measure_circumradius(e)
-        self._cyclic = None
 
-    def cyclic(self) -> oracle.CyclicEmbedding:
-        if self._cyclic is None:
-            self._cyclic = oracle.embed_cyclic(self.quad)
-        return self._cyclic
+    e = cached_property(lambda c: oracle.embed_triangle(c.t))
+    cyclic = cached_property(lambda c: oracle.embed_cyclic(c.quad))
+    # the incenter and circumcenter are rebuilt per measurement
+    full = cached_property(lambda c: oracle.measure_bisector_full(c.e))
+    to_incenter = cached_property(lambda c: oracle.measure_bisector_to_incenter(c.e))
+    r = cached_property(lambda c: oracle.measure_inradius(c.e))
+    big_r = cached_property(lambda c: oracle.measure_circumradius(c.e))
 
 
 @dataclass(frozen=True)
@@ -80,7 +77,7 @@ def table() -> list[Op]:
     def on_quad(name, closed, out_dim, measure):
         return Op(name, closed, out_dim, (1, 1, 1, 1),
                   lambda rng: sampling.cyclic_quad(rng).sides,
-                  "quad", lambda c: c.quad_sides, lambda c: measure(c.cyclic()))
+                  "quad", lambda c: c.quad_sides, lambda c: measure(c.cyclic))
 
     def cevian(rng):
         t = sampling.triangle(rng)

@@ -203,9 +203,9 @@ def track(path: ContinuationPath) -> list[complex]:
             raise PathSingularityError(f"P' vanished along the path at t={t!r}")
         return -num / dp
 
-    def dopri(t1: float, t: float, h: float, x: complex,
-              k1: complex) -> tuple[complex, complex]:
-        """One Dormand-Prince 5(4) step: the order-5 value y5 and y5 - y4."""
+    def dopri(t1: float, t: float, x: complex, k1: complex) -> tuple[complex, complex]:
+        """One Dormand-Prince 5(4) step, t to t1: the order-5 value y5 and y5 - y4."""
+        h = t1 - t
         k2 = velocity(t + h / 5.0, x + h * (k1 / 5.0))
         k3 = velocity(t + 0.3 * h, x + h * (3 / 40 * k1 + 9 / 40 * k2))
         k4 = velocity(t + 0.8 * h,
@@ -237,7 +237,6 @@ def track(path: ContinuationPath) -> list[complex]:
             if abs(dp) < DERIV_FLOOR * scale * max(1.0, abs(x)) ** (n - 1):
                 raise PathSingularityError(f"P' vanished in correction at t={t!r}")
             x = x - fx / dp
-        return None
 
     out = []
     for x in path.start_roots:
@@ -247,7 +246,7 @@ def track(path: ContinuationPath) -> list[complex]:
             try:
                 if k1 is None:  # x and t are unchanged after a rejection
                     k1 = velocity(t, x)
-                y5, delta = dopri(t1, t, t1 - t, x, k1)
+                y5, delta = dopri(t1, t, x, k1)
                 err = abs(delta) / (LOCAL_TOL * max(1.0, abs(y5)))
                 # the 1e-4 floor only avoids 0 ** -0.2; the cap of 2 binds from 0.02
                 factor = min(2.0, max(0.25, 0.9 * max(err, 1e-4) ** -0.2))

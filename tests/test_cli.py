@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import asdict
 
 import pytest
@@ -99,6 +100,43 @@ class TestSuites:
         assert {r.op for r in failed} == {"ptolemy_diagonal", "cyclic_quad_area"}
         assert all(r.actual == "InvariantViolation" and r.rel_err == math.inf
                    for r in failed)
+
+    @pytest.mark.parametrize("name, failing", [
+        ("embed_triangle", {"median", "cevian", "triangle_area", "angle_from_sides",
+                            "bisector_full", "bisector_to_incenter", "incenter_ratio",
+                            "circumradius", "inradius", "euler_distance"}),
+        ("circumcenter", {"circumradius", "euler_distance"}),
+    ])
+    def test_shared_construction_failure_becomes_records(self, monkeypatch, name,
+                                                         failing):
+        """A construction several operations share fails in each of their
+        records, euler_distance's too, whose point is the measured (r, R)."""
+        def broken(*args):
+            raise oracle.InvariantViolation("parallel lines do not intersect")
+
+        monkeypatch.setattr(oracle, name, broken)
+        report = run(RunConfig(suite="theorems", cases=3, seed=5))
+        assert len(report.records) == 51
+        failed = [r for r in report.records if not r.passed]
+        assert {r.op for r in failed} == failing
+        assert len(failed) == 3 * len(failing) == report.summary["failures"]
+        assert all(r.actual == "InvariantViolation" and r.rel_err == math.inf
+                   for r in failed)
+
+    def test_shared_constructions_are_built_once_per_case(self, monkeypatch):
+        names = ("embed_triangle", "embed_cyclic", "measure_circumradius")
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(oracle, name, counting(name, getattr(oracle, name)))
+        run(RunConfig(suite="theorems", cases=3, seed=5))
+        assert calls == {name: 3 for name in names}
 
     def test_any_oracle_failure_becomes_a_record(self, monkeypatch):
         def broken(e, m, n):

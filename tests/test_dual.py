@@ -7,6 +7,7 @@ from hypothesis import example, given, strategies as st
 
 from conftest import ravi_triangles
 from geodiff import dual, homogeneity
+from geodiff.cli import RunConfig, quad_sens_error, run
 from geodiff.dual import atan, der, seed, sin, sqrt
 from geodiff.ops import table
 
@@ -115,14 +116,25 @@ def derivatives(op, point):
     return [g.hex() for g in grads] + [der(out).hex()]
 
 
+@pytest.fixture(scope="module")
+def quadratics():
+    """(a, b, c, r2) of every quad_sens record of a 100-case roots run."""
+    return [tuple(map(float, r.inputs.split(";")))
+            for r in run(RunConfig(suite="roots", cases=100, seed=0)).records
+            if r.op == "quad_sens"]
+
+
 @pytest.mark.parametrize("step", [2.0 ** -150, 2.0 ** -500])
-def test_derivatives_do_not_depend_on_the_step(step, monkeypatch):
+def test_derivatives_do_not_depend_on_the_step(step, quadratics, monkeypatch):
     """Any power-of-two H small enough that H^2 terms vanish gives the same
-    bits, on sampled points and on near-degenerate triangles."""
+    bits, on sampled points, on near-degenerate triangles and in the roots
+    suite's quadratic sensitivity check."""
     rng = random.Random(5)
     cases = [(op, op.sample(rng)) for op in table() for _ in range(100)]
     cases += [(op, t.sides) for t in ravi_triangles(random.Random(9), 1000)
               for op in table() if op.family == "triangle" and len(op.arg_dims) == 3]
     want = [derivatives(op, point) for op, point in cases]
+    want += [quad_sens_error(*q).hex() for q in quadratics]
     monkeypatch.setattr(dual, "H", step)
-    assert [derivatives(op, point) for op, point in cases] == want
+    assert [derivatives(op, point) for op, point in cases] \
+        + [quad_sens_error(*q).hex() for q in quadratics] == want

@@ -17,8 +17,8 @@ DIGESTS = {
     "theorems": "86960872a65693e358d84b93c31fc6fdf852934b2481c6fe7eab140cb884d66a",
     "derive": "d772742958e9553af2d85e10b8ee1503c7b7349bec5551ad31f0cd16c54bcd93",
     "scale": "c4796e49bfba9a65bf073862b10469e5abf2caa64e3bebc3523d3e3bba342ed5",
-    "roots": "e14af4f79683be03e797d2be02ac66c9e74fde6e5abb70e6619f693bea8bd0a6",
-    "all": "cb570c2994a10426814509b083bad8278bf5ffbeafbaf5ffd27e8942d8c33bdb",
+    "roots": "eb8556a3dd4fe75994a671e1279d7a6f7f2cbe74064dc47b914706a3d7b8fef7",
+    "all": "014d3fa6f0831d839d547d1cd9d0819dad1ec2263b7846aaf54c97fa75ffdb75",
 }
 
 
