@@ -174,16 +174,21 @@ def run_derive(rng: random.Random, cases: int) -> list[Record]:
             out.append(_failed("derive", 0, f"{entry.name}:order",
                                _fmt(*DEFAULT_H), "4.0", exc))
             continue
-        for h, endpoint, err in zip(rep.h_values, rep.endpoints, rep.errors):
-            judged = h == min(rep.h_values)
+        for h, endpoint, err in zip(DEFAULT_H, rep.endpoints, rep.errors):
+            judged = h == min(DEFAULT_H)
             out.append(Record("derive", 0, f"{entry.name}:h={h:g}", repr(h),
                               repr(exact), repr(endpoint), _rel(endpoint, exact),
                               (err < ENDPOINT_TOL) if judged else True))
-        order_ok = rep.rk4_exact \
-            or ORDER_RANGE[0] <= rep.fitted_order <= ORDER_RANGE[1]
-        out.append(Record("derive", 0, f"{entry.name}:order",
-                          _fmt(*rep.h_values), "4.0", repr(rep.fitted_order),
-                          abs(rep.fitted_order - 4.0) / 4.0, order_ok))
+        order = rep.fitted_order
+        if order is None:  # RK4 is exact, or one error alone left the floor
+            worst = max(rep.errors)
+            out.append(Record("derive", 0, f"{entry.name}:exact", _fmt(*DEFAULT_H),
+                              "0.0", repr(worst), worst / max(1.0, abs(exact)),
+                              worst <= rep.floor))
+            continue
+        out.append(Record("derive", 0, f"{entry.name}:order", _fmt(*DEFAULT_H),
+                          "4.0", repr(order), abs(order - 4.0) / 4.0,
+                          ORDER_RANGE[0] <= order <= ORDER_RANGE[1]))
     return out
 
 
@@ -241,19 +246,21 @@ def _quad_root_near(a, b, c, near: float):
 
 
 def quad_sens_error(a: float, b: float, c: float, r2: float) -> float:
-    """Worst relative gap between d r2/d(a, b, c) and complex-step derivatives.
+    """Worst relative gap between d x/d(a, b, c) and complex-step derivatives.
 
-    r2 is a root of a x^2 + b x + c, whose roots are real (``dual.sqrt``
-    raises on a negative discriminant).  The reference re-solves the
-    quadratic with one coefficient at a time seeded by ``dual.seed`` and
-    reads the root's derivative with ``dual.der`` (Squire & Trapp, SIAM
-    Review 40, 1998): no difference is taken, so nothing cancels, even for a
-    root near 0.
+    Both sides are taken at x, the root of a x^2 + b x + c nearest r2 that
+    the stable formula gives: the drawn r2 is not an exact root of the rounded
+    coefficients.  The roots are real (``dual.sqrt`` raises on a negative
+    discriminant).  The reference re-solves the quadratic with one
+    coefficient at a time seeded by ``dual.seed`` and reads the root's
+    derivative with ``dual.der`` (Squire & Trapp, SIAM Review 40, 1998): no
+    difference is taken, so nothing cancels, even for a root near 0.
     """
-    sens = polyroots.quadratic_sensitivities(a, b, c, r2)
-    refs = (dual.der(_quad_root_near(dual.seed(a), b, c, r2)),
-            dual.der(_quad_root_near(a, dual.seed(b), c, r2)),
-            dual.der(_quad_root_near(a, b, dual.seed(c), r2)))
+    x = _quad_root_near(a, b, c, r2)
+    sens = polyroots.quadratic_sensitivities(a, b, c, x)
+    refs = (dual.der(_quad_root_near(dual.seed(a), b, c, x)),
+            dual.der(_quad_root_near(a, dual.seed(b), c, x)),
+            dual.der(_quad_root_near(a, b, dual.seed(c), x)))
     return max(_rel(s, f) for s, f in zip(sens, refs))
 
 

@@ -5,7 +5,8 @@ ODE the varying quantity s obeys.  It names the ``formulas`` kernel that
 solves it and the position of s among the kernel's arguments; the frozen
 params fill the other positions, in order.  Anchored entries start at a
 degenerate or special configuration whose value is known independently, are
-integrated with fixed-step RK4 and are checked for fourth-order convergence.
+integrated with fixed-step RK4 and are checked for fourth-order convergence,
+or for errors at the rounding floor where RK4 is exact.
 Entries whose natural anchor is singular (a 0/0 right-hand side or a
 collapsing configuration) are verified in residual mode instead: the kernel
 is differentiated by a complex step (``dual``) and compared against the
@@ -31,8 +32,6 @@ from typing import Callable
 
 from . import formulas
 from .dual import der, seed
-
-ERR_FLOOR = 1e-16  # clamp for log-log fitting when RK4 is exact
 
 
 class SingularityError(RuntimeError):
@@ -75,11 +74,10 @@ class ResidualResult:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    h_values: tuple[float, ...]
     endpoints: tuple[float, ...]
     errors: tuple[float, ...]
-    fitted_order: float
-    rk4_exact: bool = False  # every endpoint error sat at the roundoff floor
+    floor: float  # an error at or below it is rounding, not truncation
+    fitted_order: float | None  # None: fewer than two errors above the floor
 
 
 def _grid(problem: OdeProblem, h: float) -> tuple[int, float]:
@@ -175,12 +173,10 @@ def _slope(xs, ys) -> float:
 def convergence(problem: OdeProblem, h_values) -> ConvergenceReport:
     """Endpoint errors per nominal step size and the least-squares order fit.
 
-    The order is fitted against the step each run actually takes, not the
-    nominal h.  Errors at the roundoff floor (50 ulp of the endpoint) carry no
-    information about the truncation order, so they are dropped from the fit
-    when at least two informative points remain; a run whose every error sits
-    at the floor is flagged rk4_exact (constant and low-degree polynomial
-    right-hand sides integrate exactly).
+    The order is fitted against the step each run actually takes, on the
+    errors above the roundoff floor (50 ulp of the endpoint) only; with fewer
+    than two of them it is None.  RK4 is exact on a right-hand side that is a
+    polynomial in s of degree three or less, and all its errors sit there.
     """
     h_values = tuple(h_values)
     if len(h_values) < 3:
@@ -189,15 +185,10 @@ def convergence(problem: OdeProblem, h_values) -> ConvergenceReport:
     endpoints = tuple(integrate(problem, h) for h in h_values)
     errors = tuple(abs(e - exact) for e in endpoints)
     floor = 50.0 * sys.float_info.epsilon * max(1.0, abs(exact))
-    taken = [abs(_grid(problem, h)[1]) for h in h_values]
-    informative = [(h, e) for h, e in zip(taken, errors) if e > floor]
-    if len(informative) >= 2:
-        hs, errs = zip(*informative)
-    else:
-        hs, errs = taken, [max(e, ERR_FLOOR) for e in errors]
-    fitted = _slope([math.log(h) for h in hs], [math.log(e) for e in errs])
-    return ConvergenceReport(h_values, endpoints, errors, fitted,
-                             rk4_exact=all(e <= floor for e in errors))
+    fit = [(math.log(abs(_grid(problem, h)[1])), math.log(e))
+           for h, e in zip(h_values, errors) if e > floor]
+    fitted = _slope(*zip(*fit)) if len(fit) >= 2 else None
+    return ConvergenceReport(endpoints, errors, floor, fitted)
 
 
 # --- the catalog ----------------------------------------------------------------

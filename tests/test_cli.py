@@ -63,6 +63,34 @@ class TestSuites:
         assert residual_ops == {"ptolemy:residual", "inradius:residual",
                                 "bisprob:residual", "heron_alt:residual"}
 
+    def test_rk4_exact_entries_get_exact_records(self):
+        records = run(RunConfig(suite="derive", cases=10)).records
+        exact = [r for r in records if r.op.endswith(":exact")]
+        assert {r.op for r in exact} == {"thales:exact", "inscribed:exact",
+                                         "circle_area:exact",
+                                         "sphere_volume:exact"}
+        assert all(r.passed and r.expected == "0.0"
+                   and r.rel_err <= 50.0 * sys.float_info.epsilon
+                   for r in exact)
+
+    def test_one_error_above_the_floor_fails_the_exact_record(self, monkeypatch):
+        """One error off the floor leaves nothing to fit an order on, and the
+        entry is not exact either.  Clamping the errors to 1e-16 and fitting
+        anyway would read an order of 3.68 here, inside ORDER_RANGE."""
+        integrate = odes.integrate
+
+        def off_at_coarse_h(problem, h):
+            off = 1e-8 if problem.name == "thales" and h == 0.1 else 0.0
+            return integrate(problem, h) + off
+
+        monkeypatch.setattr(odes, "integrate", off_at_coarse_h)
+        report = run(RunConfig(suite="derive", cases=10))
+        assert len(report.records) == 72
+        [failed] = [r for r in report.records if not r.passed]
+        assert failed.op == "thales:exact"
+        assert float(failed.actual) == pytest.approx(1e-8)
+        assert failed.rel_err == float(failed.actual) / 3.0
+
     def test_scale_small_run(self):
         report = run(RunConfig(suite="scale", cases=5, seed=1))
         assert report.summary["failures"] == 0

@@ -15,10 +15,10 @@ from geodiff.cli import SUITES, RunConfig, run
 
 DIGESTS = {
     "theorems": "86960872a65693e358d84b93c31fc6fdf852934b2481c6fe7eab140cb884d66a",
-    "derive": "d772742958e9553af2d85e10b8ee1503c7b7349bec5551ad31f0cd16c54bcd93",
+    "derive": "e842414eaace3873bf5f4a953ae552b7c02d71f1867cef41fbca29e52b122be6",
     "scale": "c4796e49bfba9a65bf073862b10469e5abf2caa64e3bebc3523d3e3bba342ed5",
-    "roots": "eb8556a3dd4fe75994a671e1279d7a6f7f2cbe74064dc47b914706a3d7b8fef7",
-    "all": "014d3fa6f0831d839d547d1cd9d0819dad1ec2263b7846aaf54c97fa75ffdb75",
+    "roots": "9dfb25e653d560a81cb59d90f214c0e43e7ec1cb8bb3661bcbd382045e88ce4c",
+    "all": "b9574f64380a56c0207e6ca5c2b5024a0bc15b5f93c726be5c88eaabaffe7583",
 }
 
 
