@@ -3,8 +3,11 @@
 Each catalog entry freezes all quantities but one and states the first-order
 ODE the varying quantity s obeys.  It names the ``formulas`` kernel that
 solves it and the position of s among the kernel's arguments; the frozen
-params fill the other positions, in order.  Anchored entries start at a
-degenerate or special configuration whose value is known independently, are
+params fill the other positions, in order.  The right-hand side is written
+in the kernel's own variables, as ``rhs(*params, s, f)``: the frozen values
+first, under the kernel's argument names, then s and the solution f.
+Anchored entries start at a degenerate or special configuration whose value
+is known independently (the comment above each entry says why), are
 integrated with fixed-step RK4 and are checked for fourth-order convergence,
 or for errors at the rounding floor where RK4 is exact.
 Entries whose natural anchor is singular (a 0/0 right-hand side or a
@@ -24,6 +27,7 @@ checks:
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import sys
@@ -43,17 +47,17 @@ class OdeProblem:
     """One derivation: F varies with s, everything in params is frozen.
 
     ``kernel`` is the closed form F, called with s at argument position
-    ``at`` and the params, in order, at the others.
+    ``at`` and the params, in order, at the others.  ``rhs(*params, s, f)``
+    is dF/ds, taking the params' values in order, then s and F.
     """
 
     name: str
     s_range: tuple[float, float]
     params: dict[str, float]
-    rhs: Callable[[float, float, dict], float]
+    rhs: Callable[..., float]
     kernel: Callable[..., object]
     at: int
     anchor: tuple[float, float] | None
-    anchor_note: str = ""
 
     def closed(self, s):
         """The closed form at s (a float or a complex-step carrier)."""
@@ -103,17 +107,17 @@ def integrate(problem: OdeProblem, h: float) -> float:
     accumulating roundoff.
     """
     steps, hh = _grid(problem, h)
-    s0, f0 = problem.anchor
-    rhs, params = problem.rhs, problem.params
-    f = f0
+    half = hh / 2.0
+    s0, f = problem.anchor
+    rhs = functools.partial(problem.rhs, *problem.params.values())
     comp = 0.0
     for i in range(steps):
         s = s0 + i * hh
         try:
-            k1 = rhs(s, f, params)
-            k2 = rhs(s + hh / 2.0, f + hh / 2.0 * k1, params)
-            k3 = rhs(s + hh / 2.0, f + hh / 2.0 * k2, params)
-            k4 = rhs(s + hh, f + hh * k3, params)
+            k1 = rhs(s, f)
+            k2 = rhs(s + half, f + half * k1)
+            k3 = rhs(s + half, f + half * k2)
+            k4 = rhs(s + hh, f + hh * k3)
         except (ZeroDivisionError, OverflowError, ValueError) as exc:
             raise SingularityError(
                 f"{problem.name}: right-hand side failed near s={s!r}: {exc}"
@@ -138,6 +142,7 @@ def residual(problem: OdeProblem, samples: int) -> ResidualResult:
     if samples < 2:
         raise ValueError("need at least two samples")
     lo, hi = problem.s_range
+    rhs = functools.partial(problem.rhs, *problem.params.values())
     worst = 0.0
     skipped = []
     for i in range(samples):
@@ -145,7 +150,7 @@ def residual(problem: OdeProblem, samples: int) -> ResidualResult:
         try:
             out = problem.closed(seed(s))
             f_val, dfds = out.real, der(out)
-            r = problem.rhs(s, f_val, problem.params)
+            r = rhs(s, f_val)
             if not (math.isfinite(dfds) and math.isfinite(r)):
                 raise ValueError
         except (ValueError, ZeroDivisionError):
@@ -207,142 +212,109 @@ def _heron_discriminant(x, y, z):
 def catalog() -> list[OdeProblem]:
     """All twenty-one derivations, in their fixed order."""
     sq13 = math.sqrt(13.0)
-    entries = [
-        OdeProblem(
-            "thales", (0.0, 2.0), {"k": 1.5},
-            lambda s, f, p: p["k"],
-            operator.mul, 1,
-            (0.0, 0.0), "parallel-side map sends 0 to 0"),
-        OdeProblem(
-            "pythagoras", (0.0, 4.0), {"y": 3.0},
-            lambda s, f, p: s / f,
-            formulas.hypotenuse, 0,
-            (0.0, 3.0), "vanishing leg leaves z = y"),
-        OdeProblem(
-            # the x = 0 anchor d = z/2 presumes the frozen sides satisfy y = z
-            "apollonius", (0.0, 3.0), {"y": 2.0, "z": 2.0},
-            lambda s, f, p: s / (2.0 * f),
-            formulas.median, 0,
-            (0.0, 1.0), "collapsed side: median to z equals z/2"),
-        OdeProblem(
-            # x = 0 with d = m presumes y = m + n
-            "stewart", (0.0, 4.0), {"y": 5.0, "m": 2.0, "n": 3.0},
-            lambda s, f, p: p["n"] * s / ((p["m"] + p["n"]) * f),
-            formulas.cevian, 0,
-            (0.0, 2.0), "collapsed x-side: cevian degenerates to m"),
-        OdeProblem(
-            "heron", (math.sqrt(41.0), 3.0), {"y": 4.0, "z": 5.0},
-            lambda s, f, p: (s * (_sq(p["y"]) + _sq(p["z"])) - s ** 3) / (8.0 * f),
-            formulas.triangle_area, 0,
-            (math.sqrt(41.0), 10.0), "right angle opposite x: area = yz/2"),
-        OdeProblem(
-            "alkashi", (sq13, 4.5), {"x": 2.0, "y": 3.0},
-            lambda s, f, p: s / (p["x"] * p["y"] * math.sin(f)),
-            formulas.angle_gamma, 2,
-            (sq13, math.pi / 2.0), "z^2 = x^2 + y^2 gives gamma = pi/2"),
-        OdeProblem(
-            "terquem", (sq13, 4.5), {"x": 2.0, "y": 3.0},
-            lambda s, f, p: -s * f / (_sq(p["x"] + p["y"]) - _sq(s)),
-            formulas.bisector_full, 2,
-            (sq13, math.sqrt(2.0) * 6.0 / 5.0),
-            "right triangle: bisector is the inscribed-square diagonal"),
-        OdeProblem(
-            "degua", (0.0, 3.0), {"y": 4.0, "z": 12.0},
-            lambda s, f, p: (_sq(p["y"]) + _sq(p["z"])) * s / (4.0 * f),
-            formulas.trirect_face_area, 0,
-            (0.0, 24.0), "collapsed edge: slant face folds onto the yz face"),
-        OdeProblem(
-            "inscribed", (0.0, math.pi), {},
-            lambda s, f, p: 0.5,
-            formulas.inscribed_angle, 0,
-            (0.0, 0.0), "zero arc subtends zero angle"),
-        OdeProblem(
-            "circumradius", (5.0, 2.0), {"y": 3.0, "z": 4.0},
-            lambda s, f, p: f * (s ** 4 - p["y"] ** 4 - p["z"] ** 4
-                                 + 2.0 * _sq(p["y"]) * _sq(p["z"]))
-            / (s * _heron_discriminant(s, p["y"], p["z"])),
-            formulas.circumradius, 0,
-            (5.0, 2.5), "right angle opposite x: R = x/2"),
-        OdeProblem(
-            "sines", (math.pi / 2.0 - 0.7, 2.0), {"x": 2.0, "beta": 0.7},
-            lambda s, f, p: -f * math.cos(p["beta"] + s) / math.sin(p["beta"] + s),
-            formulas.third_side, 2,
-            (math.pi / 2.0 - 0.7, 2.0 * math.sin(0.7)),
-            "beta + gamma = pi/2: y = x sin(beta)"),
-        OdeProblem(
-            # natural anchor x -> 0 is a 0/0 right-hand side; residual mode
-            "ptolemy", (0.5, 2.0), {"y": 2.0, "u": 1.5, "v": 1.8},
-            lambda s, f, p: p["u"] * p["v"] * (_sq(s) - _sq(p["y"]) + _sq(f))
-            / (2.0 * f * (p["u"] * p["v"] + s * p["y"]) * s),
-            formulas.ptolemy_diagonal, 0,
-            None, "vertex-merge anchor is singular; checked pointwise"),
-        OdeProblem(
-            "brahmagupta", (0.0, 1.6), {"y": 2.0, "u": 1.5, "v": 1.8},
-            lambda s, f, p: (-s ** 3 + (_sq(p["y"]) + _sq(p["u"]) + _sq(p["v"])) * s
-                             + 2.0 * p["y"] * p["u"] * p["v"]) / (8.0 * f),
-            formulas.cyclic_quad_area, 0,
-            (0.0, formulas.triangle_area(2.0, 1.5, 1.8)),
-            "vanishing side: quadrilateral degenerates to the (y,u,v) triangle"),
-        OdeProblem(
-            # integrate upward from r -> 0, stopping before the d -> 0 pole
-            "euler", (0.0, 1.0), {"big_r": 2.5},
-            lambda s, f, p: -p["big_r"] / f,
-            formulas.euler_distance, 0,
-            (0.0, 2.5), "point incircle: centers are R apart"),
-        OdeProblem(
-            "bispart", (sq13, 4.5), {"x": 2.0, "y": 3.0},
-            lambda s, f, p: -f * (p["x"] + p["y"])
-            / ((p["x"] + p["y"] + s) * (p["x"] + p["y"] - s)),
-            formulas.bisector_to_incenter, 2,
-            (sq13, math.sqrt(2.0) * 6.0 / (5.0 + sq13)),
-            "right triangle: vertex-to-incenter is sqrt(2) inradii"),
-        OdeProblem(
-            # linear in r; no regular anchor on a frozen-(y,z) slice
-            "inradius", (1.2, 6.8), {"y": 3.0, "z": 4.0},
-            lambda s, f, p: (
-                f * (_sq(s) - _sq(p["y"]) + _sq(p["z"]))
-                * (_sq(s) + _sq(p["y"]) - _sq(p["z"]))
-                / (s * _heron_discriminant(s, p["y"], p["z"]))
-                + ((p["y"] - s) * (_sq(s) + _sq(p["y"]) - _sq(p["z"]))
-                   + (p["z"] - s) * (_sq(s) - _sq(p["y"]) + _sq(p["z"])))
-                / (2.0 * s * math.sqrt(_heron_discriminant(s, p["y"], p["z"])))),
-            formulas.inradius, 0,
-            None, "no regular anchor with y, z frozen; checked pointwise"),
-        OdeProblem(
-            # implicit solution: the admissible cubic root in z^2 - a^2 - b^2
-            "bisprob", (1.2, 1.6), {"a": math.sqrt(10.0), "b": math.sqrt(5.0)},
-            lambda s, f, p: (
-                f * (_sq(f) - _sq(p["a"]) - _sq(p["b"]))
-                * (-f ** 4 + 2.0 * (_sq(p["a"]) + _sq(p["b"])) * _sq(f)
-                   - _sq(_sq(p["a"]) - _sq(p["b"])))
-                / (s * (f ** 6 - 3.0 * (_sq(p["a"]) + _sq(p["b"])) * f ** 4
-                        + 3.0 * _sq(_sq(p["a"]) - _sq(p["b"])) * _sq(f)
-                        - (_sq(p["a"]) + _sq(p["b"]))
-                        * _sq(_sq(p["a"]) - _sq(p["b"]))))),
-            formulas.bisector_side, 2,
-            None, "solution only implicit (cubic root); checked pointwise"),
-        OdeProblem(
-            "pyth_alt", (0.0, 4.0), {"y": 3.0},
-            lambda s, f, p: f * s / (_sq(s) + _sq(p["y"])),
-            formulas.hypotenuse, 0,
-            (0.0, 3.0), "vanishing leg leaves z = y"),
-        OdeProblem(
-            # same solution as `heron`, rational right-hand side; residual mode
-            "heron_alt", (1.2, 6.8), {"y": 3.0, "z": 4.0},
-            lambda s, f, p: f * 0.5 * (-4.0 * s ** 3
-                                       + 4.0 * s * (_sq(p["y"]) + _sq(p["z"])))
-            / _heron_discriminant(s, p["y"], p["z"]),
-            formulas.triangle_area, 0,
-            None, "circumcircle-route form of the area equation; checked pointwise"),
-        OdeProblem(
-            "circle_area", (0.0, 1.0), {},
-            lambda s, f, p: 2.0 * math.pi * s,
-            formulas.circle_area, 0,
-            (0.0, 0.0), "zero radius encloses zero area"),
-        OdeProblem(
-            "sphere_volume", (0.0, 1.0), {},
-            lambda s, f, p: 4.0 * math.pi * _sq(s),
-            formulas.sphere_volume, 0,
-            (0.0, 0.0), "zero radius encloses zero volume"),
+    return [
+        # the parallel-side map sends 0 to 0
+        OdeProblem("thales", (0.0, 2.0), {"k": 1.5},
+                   lambda k, s, f: k,
+                   operator.mul, 1, (0.0, 0.0)),
+        # a vanishing leg leaves z = y
+        OdeProblem("pythagoras", (0.0, 4.0), {"y": 3.0},
+                   lambda y, s, f: s / f,
+                   formulas.hypotenuse, 0, (0.0, 3.0)),
+        # collapsed side: the median to z is z/2, which presumes y = z
+        OdeProblem("apollonius", (0.0, 3.0), {"y": 2.0, "z": 2.0},
+                   lambda y, z, s, f: s / (2.0 * f),
+                   formulas.median, 0, (0.0, 1.0)),
+        # collapsed x-side: the cevian degenerates to m, which presumes y = m + n
+        OdeProblem("stewart", (0.0, 4.0), {"y": 5.0, "m": 2.0, "n": 3.0},
+                   lambda y, m, n, s, f: n * s / ((m + n) * f),
+                   formulas.cevian, 0, (0.0, 2.0)),
+        # right angle opposite x: area = yz/2
+        OdeProblem("heron", (math.sqrt(41.0), 3.0), {"y": 4.0, "z": 5.0},
+                   lambda y, z, s, f: (s * (_sq(y) + _sq(z)) - s ** 3) / (8.0 * f),
+                   formulas.triangle_area, 0, (math.sqrt(41.0), 10.0)),
+        # z^2 = x^2 + y^2 gives gamma = pi/2
+        OdeProblem("alkashi", (sq13, 4.5), {"x": 2.0, "y": 3.0},
+                   lambda x, y, s, f: s / (x * y * math.sin(f)),
+                   formulas.angle_gamma, 2, (sq13, math.pi / 2.0)),
+        # right triangle: the bisector is the inscribed square's diagonal
+        OdeProblem("terquem", (sq13, 4.5), {"x": 2.0, "y": 3.0},
+                   lambda x, y, s, f: -s * f / (_sq(x + y) - _sq(s)),
+                   formulas.bisector_full, 2, (sq13, math.sqrt(2.0) * 6.0 / 5.0)),
+        # collapsed edge: the slant face folds onto the yz face
+        OdeProblem("degua", (0.0, 3.0), {"y": 4.0, "z": 12.0},
+                   lambda y, z, s, f: (_sq(y) + _sq(z)) * s / (4.0 * f),
+                   formulas.trirect_face_area, 0, (0.0, 24.0)),
+        # a zero arc subtends a zero angle
+        OdeProblem("inscribed", (0.0, math.pi), {},
+                   lambda s, f: 0.5,
+                   formulas.inscribed_angle, 0, (0.0, 0.0)),
+        # right angle opposite x: R = x/2
+        OdeProblem("circumradius", (5.0, 2.0), {"y": 3.0, "z": 4.0},
+                   lambda y, z, s, f: f * (s ** 4 - y ** 4 - z ** 4
+                                           + 2.0 * _sq(y) * _sq(z))
+                   / (s * _heron_discriminant(s, y, z)),
+                   formulas.circumradius, 0, (5.0, 2.5)),
+        # beta + gamma = pi/2: y = x sin(beta)
+        OdeProblem("sines", (math.pi / 2.0 - 0.7, 2.0), {"x": 2.0, "beta": 0.7},
+                   lambda x, beta, s, f: -f * math.cos(beta + s) / math.sin(beta + s),
+                   formulas.third_side, 2,
+                   (math.pi / 2.0 - 0.7, 2.0 * math.sin(0.7))),
+        # the natural vertex-merge anchor x -> 0 is a 0/0 right-hand side
+        OdeProblem("ptolemy", (0.5, 2.0), {"y": 2.0, "u": 1.5, "v": 1.8},
+                   lambda y, u, v, s, f: u * v * (_sq(s) - _sq(y) + _sq(f))
+                   / (2.0 * f * (u * v + s * y) * s),
+                   formulas.ptolemy_diagonal, 0, None),
+        # a vanishing side leaves the (y, u, v) triangle
+        OdeProblem("brahmagupta", (0.0, 1.6), {"y": 2.0, "u": 1.5, "v": 1.8},
+                   lambda y, u, v, s, f: (-s ** 3 + (_sq(y) + _sq(u) + _sq(v)) * s
+                                          + 2.0 * y * u * v) / (8.0 * f),
+                   formulas.cyclic_quad_area, 0,
+                   (0.0, formulas.triangle_area(2.0, 1.5, 1.8))),
+        # point incircle: centers R apart; stop short of the d -> 0 pole
+        OdeProblem("euler", (0.0, 1.0), {"big_r": 2.5},
+                   lambda big_r, s, f: -big_r / f,
+                   formulas.euler_distance, 0, (0.0, 2.5)),
+        # right triangle: vertex-to-incenter is sqrt(2) inradii
+        OdeProblem("bispart", (sq13, 4.5), {"x": 2.0, "y": 3.0},
+                   lambda x, y, s, f: -f * (x + y) / ((x + y + s) * (x + y - s)),
+                   formulas.bisector_to_incenter, 2,
+                   (sq13, math.sqrt(2.0) * 6.0 / (5.0 + sq13))),
+        # linear in r, but no regular anchor with y, z frozen
+        OdeProblem("inradius", (1.2, 6.8), {"y": 3.0, "z": 4.0},
+                   lambda y, z, s, f: (
+                       f * (_sq(s) - _sq(y) + _sq(z)) * (_sq(s) + _sq(y) - _sq(z))
+                       / (s * _heron_discriminant(s, y, z))
+                       + ((y - s) * (_sq(s) + _sq(y) - _sq(z))
+                          + (z - s) * (_sq(s) - _sq(y) + _sq(z)))
+                       / (2.0 * s * math.sqrt(_heron_discriminant(s, y, z)))),
+                   formulas.inradius, 0, None),
+        # only implicit: the admissible cubic root in z^2 - a^2 - b^2
+        OdeProblem("bisprob", (1.2, 1.6), {"a": math.sqrt(10.0), "b": math.sqrt(5.0)},
+                   lambda a, b, s, f: (
+                       f * (_sq(f) - _sq(a) - _sq(b))
+                       * (-f ** 4 + 2.0 * (_sq(a) + _sq(b)) * _sq(f)
+                          - _sq(_sq(a) - _sq(b)))
+                       / (s * (f ** 6 - 3.0 * (_sq(a) + _sq(b)) * f ** 4
+                               + 3.0 * _sq(_sq(a) - _sq(b)) * _sq(f)
+                               - (_sq(a) + _sq(b)) * _sq(_sq(a) - _sq(b))))),
+                   formulas.bisector_side, 2, None),
+        # a vanishing leg leaves z = y
+        OdeProblem("pyth_alt", (0.0, 4.0), {"y": 3.0},
+                   lambda y, s, f: f * s / (_sq(s) + _sq(y)),
+                   formulas.hypotenuse, 0, (0.0, 3.0)),
+        # heron's solution, by the circumcircle route's rational form
+        OdeProblem("heron_alt", (1.2, 6.8), {"y": 3.0, "z": 4.0},
+                   lambda y, z, s, f: f * 0.5 * (-4.0 * s ** 3
+                                                 + 4.0 * s * (_sq(y) + _sq(z)))
+                   / _heron_discriminant(s, y, z),
+                   formulas.triangle_area, 0, None),
+        # a zero radius encloses zero area
+        OdeProblem("circle_area", (0.0, 1.0), {},
+                   lambda s, f: 2.0 * math.pi * s,
+                   formulas.circle_area, 0, (0.0, 0.0)),
+        # a zero radius encloses zero volume
+        OdeProblem("sphere_volume", (0.0, 1.0), {},
+                   lambda s, f: 4.0 * math.pi * _sq(s),
+                   formulas.sphere_volume, 0, (0.0, 0.0)),
     ]
-    return entries

@@ -67,6 +67,8 @@ class Poly:
         if len(self.coeffs) < 2:
             raise ValueError("degree must be at least 1")
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
+        if not all(map(cmath.isfinite, self.coeffs)):
+            raise ValueError("coefficients must be finite")
         if abs(self.coeffs[-1]) <= LEADING_TOL * self.scale:
             raise ValueError("leading coefficient is numerically zero")
 
@@ -273,7 +275,7 @@ def track(path: ContinuationPath) -> list[complex]:
             x = x - step
             if abs(step) <= 1e-15 * max(1.0, abs(x)):
                 break
-        if not (math.isfinite(x.real) and math.isfinite(x.imag)):
+        if not cmath.isfinite(x):
             raise TrackingFailureError("tracked root diverged")
         bound = FINAL_RESIDUAL_TOL * path.target.scale * max(1.0, abs(x)) ** n
         if abs(path.target(x)) >= bound:

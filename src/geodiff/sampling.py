@@ -38,9 +38,13 @@ def triangle(rng: random.Random) -> geom.Triangle:
 
 
 def cevian_split(rng: random.Random, z: float) -> tuple[float, float]:
-    """The z-side segments (m, n) cut by a cevian; m is x-adjacent."""
-    m = rng.uniform(0.1, 0.9) * z
-    return m, z - m
+    """The z-side segments (m, n) cut by a cevian; m is x-adjacent.
+
+    m + n == z exactly: z - n is exact, by Sterbenz when n >= z/2, and
+    otherwise it gives back the drawn product itself.
+    """
+    n = z - rng.uniform(0.1, 0.9) * z
+    return z - n, n
 
 
 def cyclic_quad(rng: random.Random) -> geom.CyclicQuad:

@@ -425,16 +425,30 @@ class TestMain:
             assert main(["--suite", "scale", "--cases", "1", flag, value]) == 2
 
 
+def foreign_modules(statement, cwd=None):
+    """Top-level modules, neither stdlib nor geodiff, that ``statement``
+    loads in a fresh interpreter with ``PYTHONPATH=src``.  Modules that
+    interpreter start-up loads (``.pth`` hooks) are not the statement's."""
+    src = os.path.dirname(os.path.dirname(geodiff.__file__))
+    code = (f"import sys; before = set(sys.modules); {statement}; "
+            "allowed = {*sys.stdlib_module_names, 'geodiff'}; "
+            "print(sorted({m.partition('.')[0] for m in set(sys.modules) - before}"
+            " - allowed))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, cwd=cwd,
+                         env={**os.environ, "PYTHONPATH": src})
+    return out.stdout.splitlines()[-1]
+
+
 def test_cli_import_loads_neither_numpy_nor_scipy():
     """``import geodiff.cli`` loads only the standard library and geodiff,
-    so the runtime needs none of numpy, scipy, mpmath or sympy.  Modules that
-    interpreter start-up loads (``.pth`` hooks) are not the import's."""
-    src = os.path.dirname(os.path.dirname(geodiff.__file__))
-    code = ("import sys; before = set(sys.modules); import geodiff.cli; "
-            "allowed = {*sys.stdlib_module_names, 'geodiff'}; "
-            "print(sorted(m for m in set(sys.modules) - before "
-            "if m.partition('.')[0] not in allowed))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "[]"
+    so the runtime needs none of numpy, scipy, mpmath or sympy."""
+    assert foreign_modules("import geodiff.cli") == "[]"
+
+
+def test_every_suite_runs_on_the_standard_library_alone(tmp_path):
+    """A run of every suite, report writing included, loads nothing beyond
+    the standard library and geodiff, as the README promises."""
+    assert foreign_modules("import geodiff.cli; "
+                           "geodiff.cli.main(['--suite', 'all', '--cases', '2'])",
+                           cwd=tmp_path) == "[]"

@@ -62,6 +62,13 @@ class TestCatalog:
             assert 0 <= p.at <= len(p.params), p.name
             assert names[:p.at] + names[p.at + 1:] == list(p.params), p.name
 
+    def test_rhs_takes_the_params_then_s_and_f(self):
+        """Every right-hand side, thales' too, is written in its params'
+        names, in order, followed by s and f."""
+        for p in CATALOG:
+            assert list(inspect.signature(p.rhs).parameters) \
+                == [*p.params, "s", "f"], p.name
+
 
 class TestSigns:
     """The signs the module docstring fixes: each quoted alternative fails
@@ -69,7 +76,7 @@ class TestSigns:
 
     def test_bispart_needs_the_leading_minus(self):
         p = BY_NAME["bispart"]
-        flipped = dataclasses.replace(p, rhs=lambda s, f, q: -p.rhs(s, f, q))
+        flipped = dataclasses.replace(p, rhs=lambda *a: -p.rhs(*a))
         exact = odes.reference_endpoint(p)
         assert abs(odes.integrate(p, 1e-3) - exact) < ENDPOINT_TOL * exact
         assert abs(odes.integrate(flipped, 1e-3) - exact) > 1.0 * exact
@@ -77,11 +84,10 @@ class TestSigns:
     def test_inradius_numerator_takes_z_minus_x(self):
         p = BY_NAME["inradius"]
 
-        def flipped(s, f, q):
+        def flipped(y, z, s, f):
             # (x - z)(x^2 - y^2 + z^2) in place of (z - x)(...): subtract the
             # (z - x) term, over its denominator 2 x sqrt(16 area^2), twice
-            y, z = q["y"], q["z"]
-            return p.rhs(s, f, q) - (z - s) * (s * s - y * y + z * z) \
+            return p.rhs(y, z, s, f) - (z - s) * (s * s - y * y + z * z) \
                 / (s * math.sqrt(odes._heron_discriminant(s, y, z)))
 
         assert odes.residual(p, 1000).max_residual < RESIDUAL_TOL
@@ -110,8 +116,8 @@ class TestIntegrate:
     def test_singular_rhs_is_reported(self):
         bomb = odes.OdeProblem(
             "bomb", (0.0, 1.0), {},
-            lambda s, f, p: 1.0 / (s - 0.5),
-            lambda s: 0.0, 0, (0.0, 0.0), "")
+            lambda s, f: 1.0 / (s - 0.5),
+            lambda s: 0.0, 0, (0.0, 0.0))
         with pytest.raises(odes.SingularityError):
             odes.integrate(bomb, 0.125)
 
@@ -125,8 +131,8 @@ class TestResidual:
     def test_pythagoras_wide_range(self):
         p = odes.OdeProblem(
             "pyth_wide", (0.1, 10.0), {"y": 1.0},
-            lambda s, f, q: s / f,
-            formulas.hypotenuse, 0, (0.0, 1.0), "")
+            lambda y, s, f: s / f,
+            formulas.hypotenuse, 0, (0.0, 1.0))
         assert odes.residual(p, 200).max_residual < 1e-12
 
     def test_ptolemy(self):
@@ -148,8 +154,8 @@ class TestResidual:
     def test_singular_samples_are_skipped_and_reported(self):
         spiky = odes.OdeProblem(
             "spiky", (0.0, 1.0), {},
-            lambda s, f, p: 1.0 / s,
-            formulas.sqrt, 0, None, "")
+            lambda s, f: 1.0 / s,
+            formulas.sqrt, 0, None)
         res = odes.residual(spiky, 11)
         assert 0.0 in res.skipped
 
@@ -157,8 +163,8 @@ class TestResidual:
         # the median of sides (s, 1, 5) is imaginary for every s in range
         broken = odes.OdeProblem(
             "broken", (0.5, 1.5), {"y": 1.0, "z": 5.0},
-            lambda s, f, q: s / (2.0 * f),
-            formulas.median, 0, None, "")
+            lambda y, z, s, f: s / (2.0 * f),
+            formulas.median, 0, None)
         res = odes.residual(broken, 50)
         assert len(res.skipped) == 50
         assert res.max_residual == math.inf

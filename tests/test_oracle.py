@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -177,6 +178,15 @@ def test_triangle_sampler_and_length_streams_are_pinned():
     ]
     assert rng.random() == 0.3544707560519317
     assert sampling.length(random.Random(3)) == 0.29917772415989785
+
+
+def test_cevian_split_adds_up_to_its_side():
+    # closed form and oracle describe one triangle only if m + n == z
+    rng = random.Random(0)
+    for _ in range(3000):
+        z = sampling.triangle(rng).z
+        m, n = sampling.cevian_split(rng, z)
+        assert Fraction(m) + Fraction(n) == Fraction(z), (m, n, z)
 
 
 @given(quads)

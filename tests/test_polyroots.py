@@ -51,6 +51,11 @@ class TestPoly:
         with pytest.raises(ValueError):
             Poly((1.0, 1.0, 1e-20))
 
+    @pytest.mark.parametrize("coeffs", [(math.nan, 1.0), (1.0, math.inf)])
+    def test_rejects_non_finite_coefficients(self, coeffs):
+        with pytest.raises(ValueError, match="finite"):
+            Poly(coeffs)
+
 
 class TestTrack:
     def test_square_stretch(self):

@@ -14,11 +14,11 @@ from dataclasses import astuple
 from geodiff.cli import SUITES, RunConfig, run
 
 DIGESTS = {
-    "theorems": "86960872a65693e358d84b93c31fc6fdf852934b2481c6fe7eab140cb884d66a",
+    "theorems": "a2a796c6476f2f8b8995e9abfc3f90c1f66176010f5e50a1c7731fabc2f5c4a9",
     "derive": "e842414eaace3873bf5f4a953ae552b7c02d71f1867cef41fbca29e52b122be6",
-    "scale": "c4796e49bfba9a65bf073862b10469e5abf2caa64e3bebc3523d3e3bba342ed5",
+    "scale": "ad5c8e05dfc80e259fcb23e5883ab340ae3d58e55e43ec5b8e498ddb47c50959",
     "roots": "9dfb25e653d560a81cb59d90f214c0e43e7ec1cb8bb3661bcbd382045e88ce4c",
-    "all": "b9574f64380a56c0207e6ca5c2b5024a0bc15b5f93c726be5c88eaabaffe7583",
+    "all": "158103192ebf4872f16533d3646d80af2e78047223171d2c9764e6a2d2c816cd",
 }
 
 
