@@ -6,9 +6,9 @@ solves it and the position of s among the kernel's arguments; the frozen
 params fill the other positions, in order.  The right-hand side is written
 in the kernel's own variables, as ``rhs(*params, s, f)``: the frozen values
 first, under the kernel's argument names, then s and the solution f.
-Anchored entries start at a degenerate or special configuration whose value
-is known independently (the comment above each entry says why), are
-integrated with fixed-step RK4 and are checked for fourth-order convergence,
+Anchored entries start at s_range[0], a degenerate or special configuration
+whose value is known independently (the comment above each entry says why),
+are integrated with fixed-step RK4 and checked for fourth-order convergence,
 or for errors at the rounding floor where RK4 is exact.
 Entries whose natural anchor is singular (a 0/0 right-hand side or a
 collapsing configuration) are verified in residual mode instead: the kernel
@@ -48,7 +48,8 @@ class OdeProblem:
 
     ``kernel`` is the closed form F, called with s at argument position
     ``at`` and the params, in order, at the others.  ``rhs(*params, s, f)``
-    is dF/ds, taking the params' values in order, then s and F.
+    is dF/ds, taking the params' values in order, then s and F.  ``anchor``
+    is F(s_range[0]), where RK4 starts; None marks a residual-only entry.
     """
 
     name: str
@@ -57,7 +58,7 @@ class OdeProblem:
     rhs: Callable[..., float]
     kernel: Callable[..., object]
     at: int
-    anchor: tuple[float, float] | None
+    anchor: float | None
 
     def closed(self, s):
         """The closed form at s (a float or a complex-step carrier)."""
@@ -94,7 +95,7 @@ def _grid(problem: OdeProblem, h: float) -> tuple[int, float]:
         raise ValueError(f"{problem.name} has no anchor; use residual mode")
     if h <= 0.0:
         raise ValueError("step size must be positive")
-    span = problem.s_range[1] - problem.anchor[0]
+    span = problem.s_range[1] - problem.s_range[0]
     steps = max(1, round(abs(span) / h))
     return steps, span / steps
 
@@ -108,7 +109,7 @@ def integrate(problem: OdeProblem, h: float) -> float:
     """
     steps, hh = _grid(problem, h)
     half = hh / 2.0
-    s0, f = problem.anchor
+    s0, f = problem.s_range[0], problem.anchor
     rhs = functools.partial(problem.rhs, *problem.params.values())
     comp = 0.0
     for i in range(steps):
@@ -216,50 +217,49 @@ def catalog() -> list[OdeProblem]:
         # the parallel-side map sends 0 to 0
         OdeProblem("thales", (0.0, 2.0), {"k": 1.5},
                    lambda k, s, f: k,
-                   operator.mul, 1, (0.0, 0.0)),
+                   operator.mul, 1, 0.0),
         # a vanishing leg leaves z = y
         OdeProblem("pythagoras", (0.0, 4.0), {"y": 3.0},
                    lambda y, s, f: s / f,
-                   formulas.hypotenuse, 0, (0.0, 3.0)),
+                   formulas.hypotenuse, 0, 3.0),
         # collapsed side: the median to z is z/2, which presumes y = z
         OdeProblem("apollonius", (0.0, 3.0), {"y": 2.0, "z": 2.0},
                    lambda y, z, s, f: s / (2.0 * f),
-                   formulas.median, 0, (0.0, 1.0)),
+                   formulas.median, 0, 1.0),
         # collapsed x-side: the cevian degenerates to m, which presumes y = m + n
         OdeProblem("stewart", (0.0, 4.0), {"y": 5.0, "m": 2.0, "n": 3.0},
                    lambda y, m, n, s, f: n * s / ((m + n) * f),
-                   formulas.cevian, 0, (0.0, 2.0)),
+                   formulas.cevian, 0, 2.0),
         # right angle opposite x: area = yz/2
         OdeProblem("heron", (math.sqrt(41.0), 3.0), {"y": 4.0, "z": 5.0},
                    lambda y, z, s, f: (s * (_sq(y) + _sq(z)) - s ** 3) / (8.0 * f),
-                   formulas.triangle_area, 0, (math.sqrt(41.0), 10.0)),
+                   formulas.triangle_area, 0, 10.0),
         # z^2 = x^2 + y^2 gives gamma = pi/2
         OdeProblem("alkashi", (sq13, 4.5), {"x": 2.0, "y": 3.0},
                    lambda x, y, s, f: s / (x * y * math.sin(f)),
-                   formulas.angle_gamma, 2, (sq13, math.pi / 2.0)),
+                   formulas.angle_gamma, 2, math.pi / 2.0),
         # right triangle: the bisector is the inscribed square's diagonal
         OdeProblem("terquem", (sq13, 4.5), {"x": 2.0, "y": 3.0},
                    lambda x, y, s, f: -s * f / (_sq(x + y) - _sq(s)),
-                   formulas.bisector_full, 2, (sq13, math.sqrt(2.0) * 6.0 / 5.0)),
+                   formulas.bisector_full, 2, math.sqrt(2.0) * 6.0 / 5.0),
         # collapsed edge: the slant face folds onto the yz face
         OdeProblem("degua", (0.0, 3.0), {"y": 4.0, "z": 12.0},
                    lambda y, z, s, f: (_sq(y) + _sq(z)) * s / (4.0 * f),
-                   formulas.trirect_face_area, 0, (0.0, 24.0)),
+                   formulas.trirect_face_area, 0, 24.0),
         # a zero arc subtends a zero angle
         OdeProblem("inscribed", (0.0, math.pi), {},
                    lambda s, f: 0.5,
-                   formulas.inscribed_angle, 0, (0.0, 0.0)),
+                   formulas.inscribed_angle, 0, 0.0),
         # right angle opposite x: R = x/2
         OdeProblem("circumradius", (5.0, 2.0), {"y": 3.0, "z": 4.0},
                    lambda y, z, s, f: f * (s ** 4 - y ** 4 - z ** 4
                                            + 2.0 * _sq(y) * _sq(z))
                    / (s * _heron_discriminant(s, y, z)),
-                   formulas.circumradius, 0, (5.0, 2.5)),
+                   formulas.circumradius, 0, 2.5),
         # beta + gamma = pi/2: y = x sin(beta)
         OdeProblem("sines", (math.pi / 2.0 - 0.7, 2.0), {"x": 2.0, "beta": 0.7},
                    lambda x, beta, s, f: -f * math.cos(beta + s) / math.sin(beta + s),
-                   formulas.third_side, 2,
-                   (math.pi / 2.0 - 0.7, 2.0 * math.sin(0.7))),
+                   formulas.third_side, 2, 2.0 * math.sin(0.7)),
         # the natural vertex-merge anchor x -> 0 is a 0/0 right-hand side
         OdeProblem("ptolemy", (0.5, 2.0), {"y": 2.0, "u": 1.5, "v": 1.8},
                    lambda y, u, v, s, f: u * v * (_sq(s) - _sq(y) + _sq(f))
@@ -270,16 +270,16 @@ def catalog() -> list[OdeProblem]:
                    lambda y, u, v, s, f: (-s ** 3 + (_sq(y) + _sq(u) + _sq(v)) * s
                                           + 2.0 * y * u * v) / (8.0 * f),
                    formulas.cyclic_quad_area, 0,
-                   (0.0, formulas.triangle_area(2.0, 1.5, 1.8))),
+                   formulas.triangle_area(2.0, 1.5, 1.8)),
         # point incircle: centers R apart; stop short of the d -> 0 pole
         OdeProblem("euler", (0.0, 1.0), {"big_r": 2.5},
                    lambda big_r, s, f: -big_r / f,
-                   formulas.euler_distance, 0, (0.0, 2.5)),
+                   formulas.euler_distance, 0, 2.5),
         # right triangle: vertex-to-incenter is sqrt(2) inradii
         OdeProblem("bispart", (sq13, 4.5), {"x": 2.0, "y": 3.0},
                    lambda x, y, s, f: -f * (x + y) / ((x + y + s) * (x + y - s)),
                    formulas.bisector_to_incenter, 2,
-                   (sq13, math.sqrt(2.0) * 6.0 / (5.0 + sq13))),
+                   math.sqrt(2.0) * 6.0 / (5.0 + sq13)),
         # linear in r, but no regular anchor with y, z frozen
         OdeProblem("inradius", (1.2, 6.8), {"y": 3.0, "z": 4.0},
                    lambda y, z, s, f: (
@@ -302,7 +302,7 @@ def catalog() -> list[OdeProblem]:
         # a vanishing leg leaves z = y
         OdeProblem("pyth_alt", (0.0, 4.0), {"y": 3.0},
                    lambda y, s, f: f * s / (_sq(s) + _sq(y)),
-                   formulas.hypotenuse, 0, (0.0, 3.0)),
+                   formulas.hypotenuse, 0, 3.0),
         # heron's solution, by the circumcircle route's rational form
         OdeProblem("heron_alt", (1.2, 6.8), {"y": 3.0, "z": 4.0},
                    lambda y, z, s, f: f * 0.5 * (-4.0 * s ** 3
@@ -312,9 +312,9 @@ def catalog() -> list[OdeProblem]:
         # a zero radius encloses zero area
         OdeProblem("circle_area", (0.0, 1.0), {},
                    lambda s, f: 2.0 * math.pi * s,
-                   formulas.circle_area, 0, (0.0, 0.0)),
+                   formulas.circle_area, 0, 0.0),
         # a zero radius encloses zero volume
         OdeProblem("sphere_volume", (0.0, 1.0), {},
                    lambda s, f: 4.0 * math.pi * _sq(s),
-                   formulas.sphere_volume, 0, (0.0, 0.0)),
+                   formulas.sphere_volume, 0, 0.0),
     ]

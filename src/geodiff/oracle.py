@@ -32,8 +32,7 @@ class InvariantViolation(OracleError):
     """A construction failed to reproduce its defining property."""
 
 
-def dist(p: Point, q: Point) -> float:
-    return math.hypot(p[0] - q[0], p[1] - q[1])
+dist = math.dist
 
 
 def _lerp(p: Point, q: Point, t: float) -> Point:

@@ -336,38 +336,26 @@ def oracle_roots(p: Poly) -> list[complex]:
 def match_distance(found: list[complex], reference: list[complex]) -> float:
     """Largest pairing distance under the optimal one-to-one assignment.
 
-    This is the bottleneck assignment: the smallest d such that every found
-    root pairs with its own reference root at distance <= d.  d is one of the
-    pairwise distances, so a binary search over them, deciding each candidate
-    with Kuhn's augmenting paths, finds it exactly.
+    This is the bottleneck assignment, computed by a dynamic program over
+    subsets: after pairing the first k found roots, best maps each bit mask
+    of k used reference roots to the least largest distance over those
+    pairings, so the full mask holds the answer, one of the pairwise
+    distances.  It costs n * 2**(n-1) steps; every caller has n <= 8.  A NaN
+    or infinite distance is never stored, so a non-finite root reads NaN.
     """
     if len(found) != len(reference):
         raise ValueError("root multisets differ in size")
-    n = len(found)
-    dist = [[abs(f - r) for r in reference] for f in found]
-    levels = sorted({d for row in dist for d in row}) or [0.0]
-    lo, hi = 0, len(levels) - 1  # the largest distance always admits a pairing
-    while lo < hi:
-        mid = (lo + hi) // 2
-        owner: list[int | None] = [None] * n  # found index paired with each reference
-        if all(_augment(i, dist, levels[mid], owner, set()) for i in range(n)):
-            hi = mid
-        else:
-            lo = mid + 1
-    return levels[lo]
-
-
-def _augment(i: int, dist: list[list[float]], limit: float,
-             owner: list[int | None], seen: set[int]) -> bool:
-    """Kuhn's augmenting path from found root i over pairs within limit.
-
-    A module function taking its state as arguments: a recursive closure
-    would tie itself to its cell in a reference cycle on every call.
-    """
-    for j, d in enumerate(dist[i]):
-        if d <= limit and j not in seen:
-            seen.add(j)
-            if owner[j] is None or _augment(owner[j], dist, limit, owner, seen):
-                owner[j] = i
-                return True
-    return False
+    best = {0: 0.0}
+    for f in found:
+        row = [abs(f - r) for r in reference]
+        nxt: dict[int, float] = {}
+        for used, worst in best.items():
+            for j, d in enumerate(row):
+                key = used | 1 << j
+                if key != used:
+                    if d < worst:
+                        d = worst
+                    if d < nxt.get(key, math.inf):
+                        nxt[key] = d
+        best = nxt
+    return best.get((1 << len(found)) - 1, math.nan)

@@ -322,14 +322,25 @@ class TestRandomPolynomials:
         assert match_distance([0j, 2 + 0j], [0j, far]) == pytest.approx(2.0)
 
     def test_match_distance_agrees_with_brute_force(self):
+        # up to n = 8, the largest degree the roots suite draws
         rng = random.Random("bottleneck")
-        for _ in range(200):
-            n = rng.randint(1, 6)
+        sizes = (rng.randint(1, 6) for _ in range(200))
+        for n in itertools.chain(sizes, [7] * 10, [8] * 5):
             found, ref = ([complex(rng.gauss(0, 1), rng.gauss(0, 1))
                            for _ in range(n)] for _ in range(2))
             brute = min(max(abs(f - ref[j]) for f, j in zip(found, perm))
                         for perm in itertools.permutations(range(n)))
             assert match_distance(found, ref) == brute
+
+    def test_match_distance_of_a_non_finite_root_is_non_finite(self):
+        nan, inf = complex(math.nan, 0.0), complex(math.inf, 0.0)
+        cases = [([nan], [1j]), ([1j], [nan]), ([0j, 2 + 0j], [0j, inf]),
+                 ([inf, 0j], [0j, 2 + 0j]), ([nan, 0j, 1 + 0j], [0j, 1 + 0j, 2j])]
+        for found, ref in cases:
+            assert not math.isfinite(match_distance(found, ref)), (found, ref)
+
+    def test_match_distance_of_no_roots_is_zero(self):
+        assert match_distance([], []) == 0.0
 
     def test_match_distance_requires_equal_sizes(self):
         with pytest.raises(ValueError):
