@@ -137,23 +137,74 @@ def make_path(target: Poly, rng: random.Random | None = None) -> ContinuationPat
                             gamma=cmath.exp(2j * math.pi * u))
 
 
-def velocity_rows(path: ContinuationPath) -> tuple:
-    """Horner rows (k gamma s_k, k q_k, r_k), k = n..1, of (gamma S)', Q' and
-    R = Q - gamma S, fixed along the path: the first row, the rest, and r_0."""
+def path_kernels(path: ContinuationPath) -> tuple:
+    """(velocity, correct): the two evaluations track makes on a path, with
+    every coefficient row, scale and exponent they read bound once per path.
+
+    velocity(t, x) returns (dx/dt, P'_t(x)), P'_t = (1-t) (gamma S)' + t Q'
+    and dx/dt = -R(x) / P'_t(x), R = Q - gamma S, from one Horner pass over
+    the rows (k gamma s_k, k q_k, r_k), k = n..1.  It raises
+    PathSingularityError if |P'_t(x)| < DERIV_FLOOR * scale * max(1, |x|)**(n-1)
+    for both scales in turn: the bound B(t) = ((1-t) max|gamma s_k| +
+    t max|q_k|)(1 + 1e-12) >= max|c_k|, then, only when that trips, max|c_k|
+    of P_t itself, as the split sum rounds worse where gamma s_k and q_k cancel.
+
+    correct(t, x, dp) runs Newton on P_t from x until the residual is at most
+    1e-13 max|c_k| max(1, |x|)**n, or returns None after NEWTON_STEPS steps.
+    Its first step divides by dp, which must be velocity(t, x)[1]: that
+    evaluation already passed the P' test.  Later steps call velocity, whose
+    test fires exactly when one on max|c_k| alone would, as B(t) >= max|c_k|.
+    """
+    gamma, n = path.gamma, path.target.degree
     s, q, r = path.start.coeffs, path.target.coeffs, path.coeff_rate()
-    rows = [(k * (path.gamma * s[k]), k * q[k], r[k]) for k in range(len(r) - 1, 0, -1)]
-    return rows[0], tuple(rows[1:]), r[0]
+    (ds0, dq0, num0), *body = [(k * (gamma * s[k]), k * q[k], r[k])
+                               for k in range(n, 0, -1)]
+    body, r0, n1 = tuple(body), r[0], n - 1
+    pairs = tuple(zip([gamma * c for c in reversed(s)], reversed(q)))
+    start_scale = max(abs(a) for a, _ in pairs)
+    target_scale = max(abs(b) for _, b in pairs)
 
+    def exact_at(t: float, x: complex) -> tuple:
+        """P_t's coefficients in Horner order, their scale max|c_k| and P_t(x)."""
+        g, coeffs, fx = 1.0 - t, [], 0.0 + 0.0j
+        for a, b in pairs:
+            c = g * a + t * b
+            coeffs.append(c)
+            fx = fx * x + c
+        return coeffs, max(map(abs, coeffs)), fx
 
-def velocity_terms(rows: tuple, g: float, t: float,
-                   x: complex) -> tuple[complex, complex]:
-    """(P'_t(x), R(x)) in one pass over rows, P'_t = g (gamma S)' + t Q', g = 1-t."""
-    (ds, dq, num), body, r0 = rows
-    for a, b, c in body:
-        ds = ds * x + a
-        dq = dq * x + b
-        num = num * x + c
-    return g * ds + t * dq, num * x + r0
+    def velocity(t: float, x: complex) -> tuple[complex, complex]:
+        g = 1.0 - t
+        ds, dq, num = ds0, dq0, num0
+        for a, b, c in body:
+            ds = ds * x + a
+            dq = dq * x + b
+            num = num * x + c
+        dp = g * ds + t * dq
+        ax = abs(x)
+        m = ax ** n1 if ax > 1.0 else 1.0
+        adp = abs(dp)
+        bound = (g * start_scale + t * target_scale) * (1.0 + 1e-12)
+        if adp < DERIV_FLOOR * bound * m \
+                and adp < DERIV_FLOOR * exact_at(t, x)[1] * m:
+            raise PathSingularityError(f"P' vanished along the path at t={t!r}")
+        return -(num * x + r0) / dp, dp
+
+    def correct(t: float, x: complex, dp: complex) -> complex | None:
+        coeffs, scale, fx = exact_at(t, x)
+        for i in range(NEWTON_STEPS + 1):
+            if abs(fx) <= 1e-13 * scale * max(1.0, abs(x)) ** n:
+                return x
+            if i == NEWTON_STEPS:
+                return None
+            if i:
+                dp = velocity(t, x)[1]
+            x = x - fx / dp
+            fx = 0.0 + 0.0j
+            for a in coeffs:
+                fx = fx * x + a
+
+    return velocity, correct
 
 
 def track(path: ContinuationPath) -> list[complex]:
@@ -161,84 +212,53 @@ def track(path: ContinuationPath) -> list[complex]:
 
     The velocity chains dx/da_k = -x^k / P'(x) along the path, dx/dt = -sum_k
     (q_k - gamma s_k) x^k / ((1-t) (gamma S)'(x) + t Q'(x)), all three sums
-    from one pass over velocity_rows.  Each root carries its own step size h,
-    starting at FIRST_STEP; no cap follows, so only the rest of the span,
-    1 - t, limits a step.  An attempt is one Dormand-Prince 5(4) step: seven
-    velocity evaluations, the first reused after a rejection, the last at the
-    order-5 value.  After every attempt h is scaled by 0.9 * err**-0.2,
-    clipped to [1/4, 2], where err is the gap between the order-5 and order-4
-    values relative to LOCAL_TOL (err <= 1 passes); the step advances with the
-    order-5 value.  An attempt that passes that test but fails the corrector,
-    or that meets a vanishing P', halves h instead.  A root whose step falls
-    below FIRST_STEP / 2**MAX_REFINE_DEPTH raises PathSingularityError.
+    from one fused Horner pass (path_kernels), which also returns P'_t(x).
+    Each root carries its own step size h, starting at FIRST_STEP; no cap
+    follows, so only the rest of the span, 1 - t, limits a step.  An attempt
+    is one Dormand-Prince 5(4) step: seven velocity evaluations, the first
+    reused after a rejection, the last at the order-5 value, where the
+    corrector starts: its first Newton step takes P' from that last stage.
+    After every attempt h is scaled by 0.9 * err**-0.2, clipped to [1/4, 2],
+    where err is the gap between the order-5 and order-4 values relative to
+    LOCAL_TOL (err <= 1 passes); the step advances with the order-5 value.
+    An attempt that passes that test but fails the corrector, or that meets a
+    vanishing P', halves h instead.  A root whose step falls below
+    FIRST_STEP / 2**MAX_REFINE_DEPTH raises PathSingularityError.
 
     Three tests guard every accepted step against a hop onto a neighbouring
     path: the order-5 and order-4 values agree to LOCAL_TOL; Newton reaches a
     1e-13 relative residual without P' dropping under DERIV_FLOOR; and the
     Newton correction is at most a quarter of the predicted move.  Both scales
-    are max|c_k| of P_t itself (exact_at), as the split sum rounds worse where
-    gamma s_k and q_k cancel; P' is tested first against the bound
-    B(t) = ((1-t) max|gamma s_k| + t max|q_k|)(1 + 1e-12) >= max|c_k|.
-    After the final polish on the target, a non-finite root, a residual of
-    FINAL_RESIDUAL_TOL or more, or two paths on one simple root raise
-    TrackingFailureError.
+    are max|c_k| of P_t itself, as the split sum rounds worse where gamma s_k
+    and q_k cancel; P' is tested first against the bound B(t) >= max|c_k|
+    (path_kernels).  After the final polish on the target, a non-finite root,
+    a residual of FINAL_RESIDUAL_TOL or more, or two paths on one simple root
+    raise TrackingFailureError.
     """
-    rows, n = velocity_rows(path), path.target.degree
+    velocity, correct = path_kernels(path)
+    n = path.target.degree
     h_min = FIRST_STEP / 2 ** MAX_REFINE_DEPTH
-    start_p = tuple(path.gamma * s for s in path.start.coeffs)[::-1]
-    target_p = path.target.coeffs[::-1]
-    start_scale, target_scale = max(map(abs, start_p)), max(map(abs, target_p))
 
-    def exact_at(t: float) -> tuple:
-        """P_t coefficients in Horner order and their scale, built on demand."""
-        g = 1.0 - t
-        c = tuple(g * s + t * q for s, q in zip(start_p, target_p))
-        return c, max(map(abs, c))
-
-    def velocity(t: float, x: complex) -> complex:
-        g = 1.0 - t
-        dp, num = velocity_terms(rows, g, t, x)
-        m = max(1.0, abs(x)) ** (n - 1)
-        bound = (g * start_scale + t * target_scale) * (1.0 + 1e-12)
-        if abs(dp) < DERIV_FLOOR * bound * m \
-                and abs(dp) < DERIV_FLOOR * exact_at(t)[1] * m:
-            raise PathSingularityError(f"P' vanished along the path at t={t!r}")
-        return -num / dp
-
-    def dopri(t1: float, t: float, x: complex, k1: complex) -> tuple[complex, complex]:
-        """One Dormand-Prince 5(4) step, t to t1: the order-5 value y5 and y5 - y4."""
+    def dopri(t1: float, t: float, x: complex,
+              k1: complex) -> tuple[complex, complex, complex]:
+        """One Dormand-Prince 5(4) step, t to t1: the order-5 value y5,
+        y5 - y4 and P'_t1(y5)."""
         h = t1 - t
-        k2 = velocity(t + h / 5.0, x + h * (k1 / 5.0))
-        k3 = velocity(t + 0.3 * h, x + h * (3 / 40 * k1 + 9 / 40 * k2))
+        k2 = velocity(t + h / 5.0, x + h * (k1 / 5.0))[0]
+        k3 = velocity(t + 0.3 * h, x + h * (3 / 40 * k1 + 9 / 40 * k2))[0]
         k4 = velocity(t + 0.8 * h,
-                      x + h * (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3))
+                      x + h * (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3))[0]
         k5 = velocity(t + 8 / 9 * h,
                       x + h * (19372 / 6561 * k1 - 25360 / 2187 * k2
-                               + 64448 / 6561 * k3 - 212 / 729 * k4))
+                               + 64448 / 6561 * k3 - 212 / 729 * k4))[0]
         k6 = velocity(t1, x + h * (9017 / 3168 * k1 - 355 / 33 * k2
                                    + 46732 / 5247 * k3 + 49 / 176 * k4
-                                   - 5103 / 18656 * k5))
+                                   - 5103 / 18656 * k5))[0]
         y5 = x + h * (35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4
                       - 2187 / 6784 * k5 + 11 / 84 * k6)
-        k7 = velocity(t1, y5)
+        k7, dp = velocity(t1, y5)
         return y5, h * (71 / 57600 * k1 - 71 / 16695 * k3 + 71 / 1920 * k4
-                        - 17253 / 339200 * k5 + 22 / 525 * k6 - 1 / 40 * k7)
-
-    def correct(t: float, x: complex) -> complex | None:
-        """Newton on P_t from x; None if the residual test is never met."""
-        coeffs, scale = exact_at(t)
-        for i in range(NEWTON_STEPS + 1):
-            fx = 0.0 + 0.0j
-            for a in coeffs:
-                fx = fx * x + a
-            if abs(fx) <= 1e-13 * scale * max(1.0, abs(x)) ** n:
-                return x
-            if i == NEWTON_STEPS:
-                return None
-            dp = velocity_terms(rows, 1.0 - t, t, x)[0]
-            if abs(dp) < DERIV_FLOOR * scale * max(1.0, abs(x)) ** (n - 1):
-                raise PathSingularityError(f"P' vanished in correction at t={t!r}")
-            x = x - fx / dp
+                        - 17253 / 339200 * k5 + 22 / 525 * k6 - 1 / 40 * k7), dp
 
     out = []
     for x in path.start_roots:
@@ -247,13 +267,13 @@ def track(path: ContinuationPath) -> list[complex]:
             t1 = min(1.0, t + h)
             try:
                 if k1 is None:  # x and t are unchanged after a rejection
-                    k1 = velocity(t, x)
-                y5, delta = dopri(t1, t, x, k1)
+                    k1 = velocity(t, x)[0]
+                y5, delta, dp = dopri(t1, t, x, k1)
                 err = abs(delta) / (LOCAL_TOL * max(1.0, abs(y5)))
                 # the 1e-4 floor only avoids 0 ** -0.2; the cap of 2 binds from 0.02
                 factor = min(2.0, max(0.25, 0.9 * max(err, 1e-4) ** -0.2))
                 if err <= 1.0:
-                    corrected = correct(t1, y5)
+                    corrected = correct(t1, y5, dp)
                     if corrected is not None and abs(corrected - y5) \
                             <= 0.25 * abs(y5 - x) + 1e-12 * max(1.0, abs(corrected)):
                         t, x, k1 = t1, corrected, None

@@ -23,9 +23,9 @@ def report(criterion, ok, detail):
 
 
 def test_criterion_1_theorem_oracle_equivalence():
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = run(RunConfig(suite="theorems", cases=10000, seed=12345))
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = (rep.summary["failures"] == 0
           and rep.summary["max_rel_err"] < 1e-9
           and elapsed < 10.0)
@@ -57,7 +57,7 @@ def test_criterion_2_anchor_values():
 
 
 def test_criterion_3_derivation_convergence():
-    t0 = time.time()
+    t0 = time.perf_counter()
     gates = {
         "order": lambda r: 3.5 <= float(r.actual) <= 4.5,
         # RK4 is exact: every endpoint error within 50 ulp of the endpoint
@@ -74,7 +74,7 @@ def test_criterion_3_derivation_convergence():
                 bad.append((r.op, r.actual))
     anchored = {entry.name for entry in odes.catalog() if not entry.residual_only}
     covered = seen["order"] | seen["exact"] == anchored == seen["h=0.001"]
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     report(3, not bad and covered and elapsed < 30.0,
            f"all anchored entries: fitted order in [3.5, 4.5] or, where RK4 is "
            f"exact ({', '.join(sorted(seen['exact']))}), every error within "
@@ -125,14 +125,14 @@ def test_criterion_6_bisector_problem_roundtrip():
 
 
 def test_criterion_7_root_tracking():
-    t0 = time.time()
+    t0 = time.perf_counter()
     # track: bottleneck distance to Durand-Kerner roots; quad_sens:
     # sensitivities vs complex-step derivatives of the stable root formula;
     # a failed track reads inf
     records = run_roots(random.Random(77), 100)
     worst_track = max(r.rel_err for r in records if r.op == "track")
     worst_sens = max(r.rel_err for r in records if r.op == "quad_sens")
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = worst_track < 1e-6 and worst_sens < 1e-5 and elapsed < 10.0
     report(7, ok,
            f"100 random polynomials: track-vs-oracle {worst_track:.2e} < 1e-6, "

@@ -72,6 +72,12 @@ class TestTrack:
         for z, want in zip(got, (1.0, 2.0, 3.0)):
             assert abs(z - want) < 1e-8
 
+    def test_degree_one_target(self):
+        # the fused kernel's Horner body is empty: only the first row is read
+        target = Poly((3.0, 2.0))
+        got = track(make_path(target))
+        assert got == [-1.5] == oracle_roots(target)
+
     def test_identity_path(self):
         start, roots = unit_circle_start(4)
         path = ContinuationPath(start, roots, start, gamma=cmath.exp(0.7j))
@@ -189,7 +195,7 @@ PINNED_ROOTS = (
 
 class TestVelocity:
     def test_one_pass_matches_the_path_polynomial(self):
-        # track's velocity -R(x) / P'_t(x) from the fixed rows against the
+        # track's velocity -R(x) / P'_t(x) from the fused kernel against the
         # one from P_t itself (ContinuationPath.at): R is the same Horner sum
         # bit for bit, and the two P'_t(x) round differently, by a few eps
         # times the sum of the |terms| of (1-t) (gamma S)'(x) + t Q'(x)
@@ -199,7 +205,7 @@ class TestVelocity:
             degree = rng.randint(2, 8)
             coeffs = [rng.uniform(-5.0, 5.0) for _ in range(degree)] + [1.0]
             path = make_path(Poly(tuple(complex(c) for c in coeffs)), rng=rng)
-            rows = polyroots.velocity_rows(path)
+            velocity, _ = polyroots.path_kernels(path)
             rate = Poly(path.coeff_rate())
             for t in (0.0, rng.random(), 1.0):
                 p_t = path.at(t)
@@ -207,14 +213,64 @@ class TestVelocity:
                 off_path = [complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
                             for _ in range(2)]
                 for x in [on_path] + off_path:
-                    dp, num = polyroots.velocity_terms(rows, 1.0 - t, t, x)
-                    assert num == rate(x)
+                    got, dp = velocity(t, x)
+                    assert got == -rate(x) / dp
                     want = -rate(x) / p_t.deriv(x)
                     terms = sum(k * (abs((1.0 - t) * path.gamma * s) + abs(t * q))
                                 * abs(x) ** (k - 1) for k, (s, q) in
                                 enumerate(zip(path.start.coeffs, path.target.coeffs)))
                     cond = 1.0 + terms / abs(p_t.deriv(x))
-                    assert abs(-num / dp - want) <= 4 * degree * eps * abs(want) * cond
+                    assert abs(got - want) <= 4 * degree * eps * abs(want) * cond
+
+    def test_corrector_takes_p_prime_from_the_last_stage(self, monkeypatch):
+        # every corrector call starts at the last stage's point (t1, y5) and
+        # its first Newton step divides by that stage's P', which must equal a
+        # fresh kernel evaluation there bit for bit
+        kernels = polyroots.path_kernels
+        calls = []
+
+        def recording(path):
+            velocity, correct = kernels(path)
+            last = []
+
+            def stage(t, x):
+                last[:] = [(t, x)]
+                return velocity(t, x)
+
+            def corrector(t, x, dp):
+                calls.append((path, last[0], (t, x), dp))
+                return correct(t, x, dp)
+
+            return stage, corrector
+
+        monkeypatch.setattr(polyroots, "path_kernels", recording)
+        rng = random.Random("polyroots-handoff")
+        for degree in (1, 3, 8):
+            coeffs = [rng.uniform(-5.0, 5.0) for _ in range(degree)] + [1.0]
+            track(make_path(Poly(tuple(coeffs)), rng=rng))
+        assert len(calls) > 100
+        for path, stage_at, (t, x), dp in calls:
+            assert stage_at == (t, x)
+            assert repr(dp) == repr(kernels(path)[0](t, x)[1])
+
+    def test_cancelling_coefficients_pass_on_p_t_scale(self):
+        # at t = 1/2 gamma s_k and q_k cancel: P_t = 2**-51 x, so P' = 2**-51
+        # trips the bound B(t) >= 1 but clears P_t's own scale max|c_k| = 2**-51
+        start, roots = unit_circle_start(1)
+        path = ContinuationPath(start, roots, Poly((1.0, -1.0 + 2.0 ** -50)))
+        velocity, _ = polyroots.path_kernels(path)
+        got, dp = velocity(0.5, 0j)
+        assert dp == 2.0 ** -51 and abs(dp) < polyroots.DERIV_FLOOR
+        assert got == -2.0 / 2.0 ** -51
+
+    def test_vanishing_p_prime_raises(self):
+        # x^2 + 2t - 1 has a double root at x = 0, t = 1/2: P' = 0 trips both
+        start, roots = unit_circle_start(2)
+        path = ContinuationPath(start, roots, Poly((1.0, 0.0, 1.0)))
+        velocity, _ = polyroots.path_kernels(path)
+        with pytest.raises(polyroots.PathSingularityError):
+            velocity(0.5, 0j)
+
 
 class TestQuadraticSensitivities:
     def test_unit_parabola_positive_root(self):
