@@ -3,12 +3,12 @@
 
 Usage: python scripts/verify_all.py [seed]
 
-Prints one summary line per suite, with the seconds its ``run`` took
-(``time.perf_counter``; timings stay out of the reports), then the derive
-report as a table: the fitted RK4 order (``exact`` where RK4 integrates
-exactly) and the relative endpoint error at h = 1e-3 of each anchored
-derivation, and the defect of each residual-mode one.  Exits nonzero if any
-record failed.
+Prints one summary line per suite, with the seconds its ``run`` and its
+``write_report`` took (``time.perf_counter``; timings stay out of the
+reports), then the derive report as a table: the fitted RK4 order (``exact``
+where RK4 integrates exactly) and the relative endpoint error at h = 1e-3 of
+each anchored derivation, and the defect of each residual-mode one.  Exits
+nonzero if any record failed.
 """
 
 import pathlib
@@ -64,11 +64,14 @@ def main() -> int:
         report = run(config)
         run_s = time.perf_counter() - t0
         path = out_dir / f"{suite}.json"
+        t0 = time.perf_counter()
         write_report(report, str(path), "json")
+        write_s = time.perf_counter() - t0
         s = report.summary
         failures += s["failures"]
         print(f"{suite:<9} records={s['records']:<6} failures={s['failures']:<3}"
-              f" max_rel_err={s['max_rel_err']:.3e}  run={run_s:.2f}s  -> {path}")
+              f" max_rel_err={s['max_rel_err']:.3e}  run={run_s:.2f}s"
+              f"  write={write_s:.2f}s  -> {path}")
         if suite == "derive":
             derive = report
     print()

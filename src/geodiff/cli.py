@@ -8,8 +8,9 @@ vs simultaneous iteration), or all.  Each suite is one function
 ``run_<suite>(rng, cases) -> list[Record]`` in ``RUNNERS``, and each record
 is judged by its module constant below.  Reports are byte-identical for a
 fixed (config, seed) on every supported CPython, 3.10 to 3.13; the
-timestamp lives in the JSON header, never in records.  CSV rows come from
-one template, quoted exactly as the ``csv`` module would quote them.
+timestamp lives in the JSON header, never in records.  CSV rows and JSON
+records each come from one template, with no quoting or escaping: record text
+holds nothing that needs either (see ``write_report``).
 
 The derive suite draws nothing at random, so it ignores ``--seed``; it steps
 at ``DEFAULT_H`` and reads ``--cases`` as the number of sample points of
@@ -19,7 +20,6 @@ each residual-mode entry.
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
 import json
 import math
@@ -304,10 +304,18 @@ def run(config: RunConfig) -> Report:
 
 
 def write_report(report: Report, path: str, fmt: str) -> None:
+    """Write report to path as fmt, "csv" or "json".
+
+    Every text field of a record is a float repr, a fixed suite or operation
+    name, or an exception class name, all in ``[A-Za-z0-9_.:;=+-]`` (a test
+    pins it): nothing in them needs CSV quoting or JSON escaping, so the
+    writers put them into their templates as they are.  The JSON header keeps
+    json.dumps, because config.output is text the user typed.
+    """
     if fmt == "csv":
         with open(path, "w", newline="", encoding="utf-8") as fh:
             _write_csv(fh, report.records)
-    else:
+    elif fmt == "json":
         header = json.dumps({
             "timestamp": report.timestamp,
             "version": report.version,
@@ -321,48 +329,33 @@ def write_report(report: Report, path: str, fmt: str) -> None:
                 fh.writelines(_json_records(report.records))
                 fh.write("\n ")
             fh.write("]\n}\n")
+    else:
+        raise ValueError(f"unknown report format {fmt!r}")
 
 
 def _write_csv(fh, records) -> None:
-    """The csv.writer rows of a header and the records, rel_err as its repr.
-
-    Rows come from one template, a few thousand per write.  A row needs
-    quoting only if a text field holds a comma, a quote, a CR or an LF, which
-    the character counts of its chunk show; such a chunk goes through
-    csv.writer, so the csv module stays the only quoting code."""
-    writer = csv.writer(fh)
-    writer.writerow(["suite", "case_id", "op", "inputs", "expected", "actual",
-                     "rel_err", "passed"])
+    """The csv.writer rows of a header and the records, rel_err as its repr,
+    one template row per record and 4096 rows per write."""
+    fh.write("suite,case_id,op,inputs,expected,actual,rel_err,passed\r\n")
     for start in range(0, len(records), 4096):
-        chunk = records[start:start + 4096]
-        text = "".join(["%s,%d,%s,%s,%s,%s,%r,%s\r\n" % (
+        fh.write("".join(["%s,%d,%s,%s,%s,%s,%r,%s\r\n" % (
             r.suite, r.case_id, r.op, r.inputs, r.expected, r.actual,
-            r.rel_err, r.passed) for r in chunk])
-        rows = len(chunk)
-        if text.count(",") > 7 * rows or '"' in text \
-                or text.count("\r") > rows or text.count("\n") > rows:
-            writer.writerows([r.suite, r.case_id, r.op, r.inputs, r.expected,
-                              r.actual, repr(r.rel_err), r.passed]
-                             for r in chunk)
-        else:
-            fh.write(text)
+            r.rel_err, r.passed) for r in records[start:start + 4096]]))
 
 
-_JSON_RECORD = ('\n  {\n   "suite": %s,\n   "case_id": %d,\n   "op": %s,'
-                '\n   "inputs": %s,\n   "expected": %s,\n   "actual": %s,'
+_JSON_RECORD = ('\n  {\n   "suite": "%s",\n   "case_id": %d,\n   "op": "%s",'
+                '\n   "inputs": "%s",\n   "expected": "%s",\n   "actual": "%s",'
                 '\n   "rel_err": %s,\n   "passed": %s\n  }')
 
 
 def _json_records(records):
     """One indent=1 JSON object per record, comma-separated."""
-    string = json.encoder.encode_basestring_ascii
     sep = ""
     for r in records:
         err = float.__repr__(r.rel_err) if math.isfinite(r.rel_err) \
             else json.dumps(r.rel_err)
         yield sep + _JSON_RECORD % (
-            string(r.suite), r.case_id, string(r.op), string(r.inputs),
-            string(r.expected), string(r.actual), err,
+            r.suite, r.case_id, r.op, r.inputs, r.expected, r.actual, err,
             "true" if r.passed else "false")
         sep = ","
 

@@ -1,9 +1,11 @@
 import csv
+import dataclasses
 import gc
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -12,7 +14,7 @@ from dataclasses import asdict
 import pytest
 
 import geodiff
-from geodiff import cli, odes, oracle
+from geodiff import cli, geom, homogeneity, odes, oracle, polyroots
 from geodiff.cli import (SUITES, ConfigError, Record, RunConfig, main,
                          parse_config, quad_sens_error, run, write_report)
 
@@ -284,6 +286,52 @@ class TestReportFiles:
             "suite", "case_id", "op", "inputs", "expected", "actual",
             "rel_err", "passed"}
 
+    @pytest.mark.parametrize("fmt", ["CSV", "xml", ""])
+    def test_unknown_format_rejected(self, tmp_path, fmt):
+        path = tmp_path / "out"
+        with pytest.raises(ValueError, match="unknown report format"):
+            write_report(run(RunConfig(suite="derive", cases=2)), str(path), fmt)
+        assert not path.exists()
+
+
+@pytest.fixture
+def failure_report(monkeypatch):
+    """A run of every suite whose records come from the runners' failure
+    paths as well: InvariantViolation and NoTriangleError in theorems (one
+    with empty inputs), SingularityError from a singular right-hand side in
+    derive, a NaN residual in scale and PathSingularityError in roots."""
+    def broken(*args):
+        raise oracle.InvariantViolation("chord does not match")
+
+    def no_triangle(*args):
+        raise geom.NoTriangleError("sides violate the triangle inequality")
+
+    catalog = odes.catalog
+
+    def singular_catalog():
+        entries = catalog()
+        entries[1] = dataclasses.replace(entries[1],
+                                         rhs=lambda *args: 1.0 / 0.0)
+        return entries
+
+    def singular_path(path):
+        raise polyroots.PathSingularityError("P' vanished on the path")
+
+    monkeypatch.setattr(oracle, "embed_cyclic", broken)
+    monkeypatch.setattr(oracle, "circumcenter", broken)
+    monkeypatch.setattr(geom, "bisector_problem_solve", no_triangle)
+    monkeypatch.setattr(odes, "catalog", singular_catalog)
+    monkeypatch.setattr(homogeneity, "scale_residual", lambda op, point: math.nan)
+    monkeypatch.setattr(polyroots, "track", singular_path)
+    report = run(RunConfig(suite="all", cases=3, seed=5))
+    actual = {(r.suite, r.actual) for r in report.records if not r.passed}
+    assert actual == {("theorems", "InvariantViolation"),
+                      ("theorems", "NoTriangleError"),
+                      ("derive", "SingularityError"), ("scale", "nan"),
+                      ("roots", "PathSingularityError")}
+    assert any(r.inputs == "" for r in report.records)
+    return report
+
 
 def _json_dump_bytes(report):
     payload = {
@@ -308,14 +356,15 @@ class TestJsonWriter:
         self.check(run(RunConfig(suite="derive", cases=10, format="json")),
                    tmp_path)
 
-    def test_failure_records(self, tmp_path):
-        report = run(RunConfig(suite="theorems", cases=2, seed=1))
+    def test_failure_records(self, tmp_path, failure_report):
+        self.check(failure_report, tmp_path)
+
+    @pytest.mark.parametrize("err", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rel_err(self, tmp_path, err):
+        report = run(RunConfig(suite="derive", cases=2))
         report.records.append(Record("theorems", 2, "cyclic_quad_area",
                                      "1.0;2.0", "0.5", "InvariantViolation",
-                                     math.inf, False))
-        report.records.append(Record("x", 3, "op \"q\" \u00e9\n", "", "", "",
-                                     -math.inf, True))
-        report.records.append(Record("x", 4, "op", "", "", "", math.nan, False))
+                                     err, False))
         self.check(report, tmp_path)
 
     def test_theorems_report(self, tmp_path):
@@ -363,15 +412,8 @@ class TestCsvWriter:
         self.check(run(RunConfig(suite="theorems", cases=20, seed=3)),
                    tmp_path)
 
-    @pytest.mark.parametrize("char", [",", '"', "\r", "\n", "\u00e9"])
-    @pytest.mark.parametrize("field", ["suite", "op", "inputs", "expected",
-                                       "actual"])
-    def test_text_needing_quotes(self, tmp_path, field, char):
-        report = run(RunConfig(suite="derive", cases=2))
-        special = Record("x", 1, "op", "1.0;2.0", "0.5", "0.5", 0.0, True)
-        setattr(special, field, f"a{char}b{char}")
-        report.records.append(special)
-        self.check(report, tmp_path)
+    def test_failure_records(self, tmp_path, failure_report):
+        self.check(failure_report, tmp_path)
 
     @pytest.mark.parametrize("err", [math.inf, -math.inf, math.nan])
     def test_non_finite_rel_err(self, tmp_path, err):
@@ -381,18 +423,62 @@ class TestCsvWriter:
                                      err, False))
         self.check(report, tmp_path)
 
-    def test_quotes_only_in_a_later_chunk(self, tmp_path):
-        # 57 records per scale case: the first chunk of rows needs no quotes
+    def test_rows_span_several_chunks(self, tmp_path):
+        # 57 records per scale case: the rows fill two 4096-row writes
         report = run(RunConfig(suite="scale", cases=80, seed=1))
         assert len(report.records) > 4096
-        report.records.append(Record("x", 0, 'op "q", \u00e9\r\n', "", "", "",
-                                     math.nan, False))
         self.check(report, tmp_path)
 
     def test_no_records(self, tmp_path):
         report = run(RunConfig(suite="derive", cases=2))
         report.records.clear()
         self.check(report, tmp_path)
+
+
+RECORD_TEXT = re.compile(r"[A-Za-z0-9_.:;=+-]*")
+
+
+def _outside_alphabet(records):
+    """(field, text) of each record text field that holds a character
+    outside RECORD_TEXT."""
+    return [(name, getattr(r, name)) for r in records
+            for name in ("suite", "op", "inputs", "expected", "actual")
+            if not RECORD_TEXT.fullmatch(getattr(r, name))]
+
+
+class TestRecordAlphabet:
+    """write_report puts record text into its templates as it is, so no text
+    field may hold a character that CSV quotes (comma, quote, CR, LF) or
+    JSON escapes (quote, backslash, control or non-ASCII characters)."""
+
+    def test_every_suite(self):
+        report = run(RunConfig(suite="all", cases=20, seed=0))
+        assert {r.suite for r in report.records} == set(cli.RUNNERS)
+        assert _outside_alphabet(report.records) == []
+
+    def test_failure_records(self, failure_report):
+        assert _outside_alphabet(failure_report.records) == []
+
+    def test_exception_names(self):
+        """Every class a runner's except clause catches, subclasses included,
+        since _failed writes its name into actual."""
+        todo = [oracle.OracleError, geom.GeometryError, odes.SingularityError,
+                polyroots.PathSingularityError, polyroots.TrackingFailureError,
+                polyroots.OracleFailureError]
+        names = []
+        while todo:
+            cls = todo.pop()
+            names.append(cls.__name__)
+            todo.extend(cls.__subclasses__())
+        assert {"InvariantViolation", "NotConstructibleError",
+                "NoTriangleError", "DomainError"} <= set(names)
+        assert [n for n in names if not RECORD_TEXT.fullmatch(n)] == []
+
+    @pytest.mark.parametrize("char", [",", '"', "\r", "\n", "\\", "\u00e9"])
+    def test_text_needing_quotes_or_escapes_is_caught(self, char):
+        record = Record("scale", 0, f"med{char}ian", "1.0", "0.0", "0.0", 0.0,
+                        True)
+        assert _outside_alphabet([record]) == [("op", f"med{char}ian")]
 
 
 class TestMain:
