@@ -1,12 +1,13 @@
 """Polynomial root tracking along coefficient paths.
 
 A root x of P(x) = sum a_k x^k responds to coefficient changes through
-dx/da_k = -x^k / P'(x).  Moving the coefficients linearly from a start system
-S with known roots to a target Q, P_t = (1-t) gamma S + t Q, and chaining
-these sensitivities gives dx/dt = -sum_k (q_k - gamma s_k) x^k / P'_t(x) with
-P'_t = (1-t) (gamma S)' + t Q', integrated here with the Dormand-Prince 5(4)
-pair ("A family of embedded Runge-Kutta formulae", J. Comput. Appl. Math. 6,
-1980) and re-converged after every step by a few Newton corrections.
+dx/da_k = -x^k / P'(x).  Moving the coefficients linearly from the start
+system S = x^n - 1, whose roots are the n-th roots of unity, to a target Q,
+P_t = (1-t) gamma S + t Q, and chaining these sensitivities gives
+dx/dt = -sum_k (q_k - gamma s_k) x^k / P'_t(x) with
+P'_t = (1-t) n gamma x^(n-1) + t Q', integrated here with the Dormand-Prince
+5(4) pair ("A family of embedded Runge-Kutta formulae", J. Comput. Appl. Math.
+6, 1980) and re-converged after every step by one Newton correction.
 
 Paths use complex arithmetic with a random unit twist on the start system:
 real coefficient paths generically pass through discriminant zeros, while a
@@ -17,10 +18,10 @@ step size: FIRST_STEP at the start, then set by the embedded error estimate
 of the last attempt and limited only by the rest of the path (adaptive
 predictor/corrector control after Bates, Hauenstein, Sommese & Wampler,
 "Adaptive multiprecision path tracking", SIAM J. Numer. Anal. 2008): a step
-is accepted only when the order-5 and order-4 solutions agree and the Newton
-correction stays small, and the step shrinks until it is, down to a bounded
-minimum.  A hop that survives all of that would have to produce a duplicate,
-which the final pairing check turns into a hard error.
+is accepted only when the order-5 and order-4 solutions agree and one Newton
+correction converges and stays small, and the step shrinks until it is, down
+to a bounded minimum.  A hop that survives all of that would have to produce
+a duplicate, which the final pairing check turns into a hard error.
 """
 
 from __future__ import annotations
@@ -31,10 +32,9 @@ import random
 from dataclasses import dataclass
 
 LEADING_TOL = 1e-12
-START_RESIDUAL_TOL = 1e-10
 FINAL_RESIDUAL_TOL = 1e-8
 DERIV_FLOOR = 1e-12
-NEWTON_STEPS = 5
+NEWTON_STEPS = 15     # the final polish on the target
 LOCAL_TOL = 1e-8      # order-5 vs order-4 agreement, relative to the root scale
 MAX_REFINE_DEPTH = 20
 FIRST_STEP = 1.0 / 64  # a root's first step; the error estimate sets the rest
@@ -42,7 +42,7 @@ ORACLE_MAX_ITER = 1000  # Durand-Kerner sweeps before the stall test
 
 
 class PathSingularityError(RuntimeError):
-    """P'_t vanished along the path; carries the failing step index."""
+    """P'_t vanished along the path; the message carries the t it failed at."""
 
 
 class TrackingFailureError(RuntimeError):
@@ -93,91 +93,81 @@ class Poly:
         return acc
 
 
-def unit_circle_start(n: int) -> tuple[Poly, tuple[complex, ...]]:
-    """x^n - 1 and its roots of unity: simple roots, uniform conditioning."""
-    coeffs = [-1.0 + 0.0j] + [0.0j] * (n - 1) + [1.0 + 0.0j]
-    roots = tuple(cmath.exp(2j * math.pi * k / n) for k in range(n))
-    return Poly(tuple(coeffs)), roots
+def unit_roots(n: int) -> tuple[complex, ...]:
+    """The roots of x^n - 1: simple roots, uniform conditioning."""
+    return tuple(cmath.exp(2j * math.pi * k / n) for k in range(n))
 
 
 @dataclass(frozen=True)
 class ContinuationPath:
-    """Linear coefficient homotopy (1-t)*gamma*start + t*target."""
+    """Linear coefficient homotopy (1-t)*gamma*(x^n - 1) + t*target."""
 
-    start: Poly
-    start_roots: tuple[complex, ...]
     target: Poly
     gamma: complex = 1.0 + 0.0j
 
     def __post_init__(self):
-        if self.start.degree != self.target.degree:
-            raise ValueError("start and target degrees differ")
-        if abs(abs(self.gamma) - 1.0) > 1e-12:
+        if not abs(abs(self.gamma) - 1.0) <= 1e-12:  # a NaN gamma fails too
             raise ValueError("gamma must have unit magnitude")
-        bound = START_RESIDUAL_TOL * self.start.scale
-        for r in self.start_roots:
-            if abs(self.start(r)) > bound * max(1.0, abs(r)) ** self.start.degree:
-                raise ValueError(f"start root {r} does not satisfy the start system")
 
     def at(self, t: float) -> Poly:
         g = (1.0 - t) * self.gamma
-        return Poly(tuple(g * s + t * q
-                          for s, q in zip(self.start.coeffs, self.target.coeffs)))
-
-    def coeff_rate(self) -> tuple[complex, ...]:
-        return tuple(q - self.gamma * s
-                     for s, q in zip(self.start.coeffs, self.target.coeffs))
+        coeffs = [t * q for q in self.target.coeffs]
+        coeffs[0] -= g
+        coeffs[-1] += g
+        return Poly(tuple(coeffs))
 
 
 def make_path(target: Poly, rng: random.Random | None = None) -> ContinuationPath:
-    """Default path from the twisted unit-circle start system."""
-    start, roots = unit_circle_start(target.degree)
+    """The path to target with a unit twist gamma drawn from rng."""
     u = rng.random() if rng is not None else 0.6180339887498949
-    return ContinuationPath(start, roots, target,
-                            gamma=cmath.exp(2j * math.pi * u))
+    return ContinuationPath(target, gamma=cmath.exp(2j * math.pi * u))
 
 
 def path_kernels(path: ContinuationPath) -> tuple:
     """(velocity, correct): the two evaluations track makes on a path, with
     every coefficient row, scale and exponent they read bound once per path.
 
-    velocity(t, x) returns (dx/dt, P'_t(x)), P'_t = (1-t) (gamma S)' + t Q'
-    and dx/dt = -R(x) / P'_t(x), R = Q - gamma S, from one Horner pass over
-    the rows (k gamma s_k, k q_k, r_k), k = n..1.  It raises
-    PathSingularityError if |P'_t(x)| < DERIV_FLOOR * scale * max(1, |x|)**(n-1)
-    for both scales in turn: the bound B(t) = ((1-t) max|gamma s_k| +
-    t max|q_k|)(1 + 1e-12) >= max|c_k|, then, only when that trips, max|c_k|
-    of P_t itself, as the split sum rounds worse where gamma s_k and q_k cancel.
+    velocity(t, x) returns (dx/dt, P'_t(x)), P'_t = (1-t) n gamma x^(n-1) +
+    t Q' and dx/dt = -R(x) / P'_t(x), R = Q - gamma S = Q + gamma - gamma x^n,
+    from one Horner pass over the rows (k q_k, r_k), k = n..1, that also
+    raises n gamma to n gamma x^(n-1).  It raises PathSingularityError if
+    |P'_t(x)| < DERIV_FLOOR * scale * max(1, |x|)**(n-1) for both scales in
+    turn: the bound B(t) = ((1-t) |gamma| + t max|q_k|)(1 + 1e-12) >= max|c_k|,
+    then, only when that trips, max|c_k| of P_t itself, as the split sum
+    rounds worse where an end coefficient t q_0 - (1-t) gamma or
+    t q_n + (1-t) gamma cancels; every other c_k is t q_k.
 
-    correct(t, x, dp) runs Newton on P_t from x until the residual is at most
-    1e-13 max|c_k| max(1, |x|)**n, or returns None after NEWTON_STEPS steps.
-    Its first step divides by dp, which must be velocity(t, x)[1]: that
-    evaluation already passed the P' test.  Later steps call velocity, whose
-    test fires exactly when one on max|c_k| alone would, as B(t) >= max|c_k|.
+    correct(t, x, dp) returns x if its residual on P_t is at most
+    1e-13 max|c_k| max(1, |x|)**n, or else the point one Newton step on,
+    dividing by dp, if that point's residual is, or else None, so that track
+    halves the step.  dp must be velocity(t, x)[1]: that evaluation already
+    passed the P' test.
     """
-    gamma, n = path.gamma, path.target.degree
-    s, q, r = path.start.coeffs, path.target.coeffs, path.coeff_rate()
-    (ds0, dq0, num0), *body = [(k * (gamma * s[k]), k * q[k], r[k])
-                               for k in range(n, 0, -1)]
-    body, r0, n1 = tuple(body), r[0], n - 1
-    pairs = tuple(zip([gamma * c for c in reversed(s)], reversed(q)))
-    start_scale = max(abs(a) for a, _ in pairs)
-    target_scale = max(abs(b) for _, b in pairs)
+    gamma, q, n = path.gamma, path.target.coeffs, path.target.degree
+    (dq0, _), *body = [(k * q[k], q[k]) for k in range(n, 0, -1)]
+    ds0, num0, r0 = n * gamma, q[n] - gamma, q[0] + gamma
+    body, rq, n1 = tuple(body), q[::-1], n - 1
+    start_scale, target_scale = abs(gamma), max(map(abs, q))
 
-    def exact_at(t: float, x: complex) -> tuple:
-        """P_t's coefficients in Horner order, their scale max|c_k| and P_t(x)."""
-        g, coeffs, fx = 1.0 - t, [], 0.0 + 0.0j
-        for a, b in pairs:
-            c = g * a + t * b
-            coeffs.append(c)
-            fx = fx * x + c
-        return coeffs, max(map(abs, coeffs)), fx
+    def exact_at(t: float) -> tuple[list[complex], float]:
+        """P_t's coefficients in Horner order and their scale max|c_k|."""
+        g = (1.0 - t) * gamma
+        coeffs = [t * b for b in rq]
+        coeffs[0] += g
+        coeffs[-1] -= g
+        return coeffs, max(map(abs, coeffs))
+
+    def horner(coeffs: list[complex], x: complex) -> complex:
+        fx = 0.0 + 0.0j
+        for a in coeffs:
+            fx = fx * x + a
+        return fx
 
     def velocity(t: float, x: complex) -> tuple[complex, complex]:
         g = 1.0 - t
         ds, dq, num = ds0, dq0, num0
-        for a, b, c in body:
-            ds = ds * x + a
+        for b, c in body:
+            ds = ds * x
             dq = dq * x + b
             num = num * x + c
         dp = g * ds + t * dq
@@ -186,38 +176,33 @@ def path_kernels(path: ContinuationPath) -> tuple:
         adp = abs(dp)
         bound = (g * start_scale + t * target_scale) * (1.0 + 1e-12)
         if adp < DERIV_FLOOR * bound * m \
-                and adp < DERIV_FLOOR * exact_at(t, x)[1] * m:
+                and adp < DERIV_FLOOR * exact_at(t)[1] * m:
             raise PathSingularityError(f"P' vanished along the path at t={t!r}")
         return -(num * x + r0) / dp, dp
 
     def correct(t: float, x: complex, dp: complex) -> complex | None:
-        coeffs, scale, fx = exact_at(t, x)
-        for i in range(NEWTON_STEPS + 1):
-            if abs(fx) <= 1e-13 * scale * max(1.0, abs(x)) ** n:
-                return x
-            if i == NEWTON_STEPS:
-                return None
-            if i:
-                dp = velocity(t, x)[1]
-            x = x - fx / dp
-            fx = 0.0 + 0.0j
-            for a in coeffs:
-                fx = fx * x + a
+        coeffs, scale = exact_at(t)
+        tol = 1e-13 * scale
+        fx = horner(coeffs, x)
+        if abs(fx) <= tol * max(1.0, abs(x)) ** n:
+            return x
+        x = x - fx / dp
+        return x if abs(horner(coeffs, x)) <= tol * max(1.0, abs(x)) ** n else None
 
     return velocity, correct
 
 
 def track(path: ContinuationPath) -> list[complex]:
-    """Advance every start root to t = 1 and return the corrected roots.
+    """Advance every root of unity to t = 1 and return the corrected roots.
 
     The velocity chains dx/da_k = -x^k / P'(x) along the path, dx/dt = -sum_k
-    (q_k - gamma s_k) x^k / ((1-t) (gamma S)'(x) + t Q'(x)), all three sums
+    (q_k - gamma s_k) x^k / ((1-t) n gamma x^(n-1) + t Q'(x)), every term
     from one fused Horner pass (path_kernels), which also returns P'_t(x).
     Each root carries its own step size h, starting at FIRST_STEP; no cap
     follows, so only the rest of the span, 1 - t, limits a step.  An attempt
     is one Dormand-Prince 5(4) step: seven velocity evaluations, the first
     reused after a rejection, the last at the order-5 value, where the
-    corrector starts: its first Newton step takes P' from that last stage.
+    corrector starts: its one Newton step takes P' from that last stage.
     After every attempt h is scaled by 0.9 * err**-0.2, clipped to [1/4, 2],
     where err is the gap between the order-5 and order-4 values relative to
     LOCAL_TOL (err <= 1 passes); the step advances with the order-5 value.
@@ -226,14 +211,14 @@ def track(path: ContinuationPath) -> list[complex]:
     FIRST_STEP / 2**MAX_REFINE_DEPTH raises PathSingularityError.
 
     Three tests guard every accepted step against a hop onto a neighbouring
-    path: the order-5 and order-4 values agree to LOCAL_TOL; Newton reaches a
-    1e-13 relative residual without P' dropping under DERIV_FLOOR; and the
-    Newton correction is at most a quarter of the predicted move.  Both scales
-    are max|c_k| of P_t itself, as the split sum rounds worse where gamma s_k
-    and q_k cancel; P' is tested first against the bound B(t) >= max|c_k|
-    (path_kernels).  After the final polish on the target, a non-finite root,
-    a residual of FINAL_RESIDUAL_TOL or more, or two paths on one simple root
-    raise TrackingFailureError.
+    path: the order-5 and order-4 values agree to LOCAL_TOL; at most one
+    Newton step reaches a 1e-13 relative residual; and that Newton correction
+    is at most a quarter of the predicted move.  The residual's scale is
+    max|c_k| of P_t itself, and so is P''s once P' trips the bound
+    B(t) >= max|c_k| (path_kernels), as the split sum rounds worse where an
+    end coefficient cancels.  After the final polish on the target, a
+    non-finite root, a residual of FINAL_RESIDUAL_TOL or more, or two paths on
+    one simple root raise TrackingFailureError.
     """
     velocity, correct = path_kernels(path)
     n = path.target.degree
@@ -261,7 +246,7 @@ def track(path: ContinuationPath) -> list[complex]:
                         - 17253 / 339200 * k5 + 22 / 525 * k6 - 1 / 40 * k7), dp
 
     out = []
-    for x in path.start_roots:
+    for x in unit_roots(n):
         t, h, k1 = 0.0, FIRST_STEP, None
         while t < 1.0:
             t1 = min(1.0, t + h)
@@ -286,7 +271,7 @@ def track(path: ContinuationPath) -> list[complex]:
             if h < h_min:
                 raise PathSingularityError(
                     f"step size fell below {h_min!r} at t={t!r}")
-        for _ in range(3 * NEWTON_STEPS):  # final polish on the exact target
+        for _ in range(NEWTON_STEPS):  # final polish on the exact target
             fx = path.target(x)
             dp = path.target.deriv(x)
             if abs(dp) == 0.0:

@@ -8,7 +8,7 @@ import pytest
 from geodiff import polyroots
 from geodiff.polyroots import (ContinuationPath, Poly, make_path, match_distance,
                                oracle_roots, quadratic_sensitivities, track,
-                               unit_circle_start)
+                               unit_roots)
 
 
 def sort_roots(roots):
@@ -23,6 +23,11 @@ def coeffs_from_roots(roots):
         for k in range(len(coeffs) - 1):
             coeffs[k] -= r * coeffs[k + 1]
     return coeffs
+
+
+def start_coeffs(n):
+    """s_0..s_n of the start system x^n - 1."""
+    return [-1.0] + [0.0] * (n - 1) + [1.0]
 
 
 def clustered_target(rng):
@@ -59,8 +64,7 @@ class TestPoly:
 
 class TestTrack:
     def test_square_stretch(self):
-        start, roots = unit_circle_start(2)
-        path = ContinuationPath(start, roots, Poly((-4.0, 0.0, 1.0)))
+        path = ContinuationPath(Poly((-4.0, 0.0, 1.0)))
         got = sort_roots(track(path))
         assert got[0].real == pytest.approx(-2.0, abs=1e-10)
         assert got[1].real == pytest.approx(2.0, abs=1e-10)
@@ -79,25 +83,19 @@ class TestTrack:
         assert got == [-1.5] == oracle_roots(target)
 
     def test_identity_path(self):
-        start, roots = unit_circle_start(4)
-        path = ContinuationPath(start, roots, start, gamma=cmath.exp(0.7j))
+        # the target is the start system x^4 - 1 itself
+        path = ContinuationPath(Poly(tuple(start_coeffs(4))), gamma=cmath.exp(0.7j))
         got = track(path)
-        assert max(abs(g - r) for g, r in zip(got, roots)) < 1e-12
-
-    def test_degree_mismatch(self):
-        start, roots = unit_circle_start(2)
-        with pytest.raises(ValueError):
-            ContinuationPath(start, roots, Poly((1.0, 0.0, 0.0, 1.0)))
+        assert max(abs(g - r) for g, r in zip(got, unit_roots(4))) < 1e-12
 
     def test_gamma_must_be_unit(self):
-        start, roots = unit_circle_start(2)
         with pytest.raises(ValueError):
-            ContinuationPath(start, roots, Poly((-4.0, 0.0, 1.0)), gamma=2.0 + 0j)
+            ContinuationPath(Poly((-4.0, 0.0, 1.0)), gamma=2.0 + 0j)
 
-    def test_bad_start_roots(self):
-        start, _ = unit_circle_start(2)
-        with pytest.raises(ValueError):
-            ContinuationPath(start, (0.5 + 0j, 2.0 + 0j), Poly((-4.0, 0.0, 1.0)))
+    @pytest.mark.parametrize("gamma", [complex(math.nan, 0.0), complex(0.0, math.nan)])
+    def test_nan_gamma_rejected(self, gamma):
+        with pytest.raises(ValueError, match="unit magnitude"):
+            ContinuationPath(Poly((-4.0, 0.0, 1.0)), gamma=gamma)
 
     def test_first_step_does_not_change_the_roots(self, monkeypatch):
         # FIRST_STEP only sets the first step; the error control sets the rest
@@ -119,18 +117,9 @@ class TestTrack:
                             polyroots.TrackingFailureError)):
             track(make_path(target))
 
-    def test_start_with_every_coefficient_nonzero(self):
-        # the scale bound of P_t sums both ends, not just the target's
-        start = Poly((2.0, -1.0 + 0.5j, 3.0, 1.0))
-        target = Poly((1.0 - 2.0j, 0.5j, -1.5 + 1.0j, 2.0 - 0.5j))
-        path = ContinuationPath(start, tuple(oracle_roots(start)), target,
-                                gamma=cmath.exp(0.9j))
-        assert match_distance(track(path), oracle_roots(target)) < 1e-12
-
     def test_untwisted_path_through_a_double_root(self):
         # (1-t)(x^2 - 1) + t(x^2 + 1) = x^2 + 2t - 1 has a double root at t = 1/2
-        start, roots = unit_circle_start(2)
-        path = ContinuationPath(start, roots, Poly((1.0, 0.0, 1.0)))
+        path = ContinuationPath(Poly((1.0, 0.0, 1.0)))
         with pytest.raises(polyroots.PathSingularityError):
             track(path)
 
@@ -151,6 +140,44 @@ class TestTrack:
             assert match_distance(tracked, reference) < 1e-10
             checked += 1
         assert checked >= 20
+
+    def test_rejected_correction_still_matches_the_oracle(self, monkeypatch):
+        # roots suite, seed 18, case 13: one Newton step misses the residual
+        # test once, and track halves that step instead of accepting it
+        target = Poly((-2.4386731401646635, 4.028433834722684, -4.851233444036143,
+                       0.5072865946055138, -0.36789992514202563, 1.6882408748441673,
+                       -4.810650183973861, 2.393249440415709, 1.0))
+        path = ContinuationPath(target, gamma=complex(0.3276015882802513,
+                                                      -0.944815960574469))
+        kernels = polyroots.path_kernels
+        results = []
+
+        def recording(path):
+            velocity, correct = kernels(path)
+
+            def corrector(t, x, dp):
+                results.append(correct(t, x, dp))
+                return results[-1]
+
+            return velocity, corrector
+
+        monkeypatch.setattr(polyroots, "path_kernels", recording)
+        tracked = track(path)
+        assert None in results
+        assert match_distance(tracked, oracle_roots(target)) < 1e-12
+
+    def test_repeated_start_root_lands_twice(self, monkeypatch):
+        # two paths from one start root end on one simple root of the target
+        monkeypatch.setattr(polyroots, "unit_roots",
+                            lambda n: (1.0 + 0j,) * 2 + unit_roots(n)[2:])
+        with pytest.raises(polyroots.TrackingFailureError,
+                           match="two paths landed on the same simple root"):
+            track(make_path(Poly((-6.0, 11.0, -6.0, 1.0))))
+
+    def test_final_residual_test_raises(self, monkeypatch):
+        monkeypatch.setattr(polyroots, "FINAL_RESIDUAL_TOL", 0.0)
+        with pytest.raises(polyroots.TrackingFailureError, match="residual"):
+            track(make_path(Poly((-6.0, 11.0, -6.0, 1.0))))
 
     def test_roots_are_pinned(self):
         # any change to the predictor, the step control or the corrector
@@ -206,7 +233,9 @@ class TestVelocity:
             coeffs = [rng.uniform(-5.0, 5.0) for _ in range(degree)] + [1.0]
             path = make_path(Poly(tuple(complex(c) for c in coeffs)), rng=rng)
             velocity, _ = polyroots.path_kernels(path)
-            rate = Poly(path.coeff_rate())
+            start = start_coeffs(degree)
+            rate = Poly(tuple(q - path.gamma * s
+                              for s, q in zip(start, path.target.coeffs)))
             for t in (0.0, rng.random(), 1.0):
                 p_t = path.at(t)
                 on_path = rng.choice(oracle_roots(p_t))
@@ -218,7 +247,7 @@ class TestVelocity:
                     want = -rate(x) / p_t.deriv(x)
                     terms = sum(k * (abs((1.0 - t) * path.gamma * s) + abs(t * q))
                                 * abs(x) ** (k - 1) for k, (s, q) in
-                                enumerate(zip(path.start.coeffs, path.target.coeffs)))
+                                enumerate(zip(start, path.target.coeffs)))
                     cond = 1.0 + terms / abs(p_t.deriv(x))
                     assert abs(got - want) <= 4 * degree * eps * abs(want) * cond
 
@@ -253,11 +282,33 @@ class TestVelocity:
             assert stage_at == (t, x)
             assert repr(dp) == repr(kernels(path)[0](t, x)[1])
 
+    def test_floor_bound_covers_the_path_scale(self):
+        # the P' floor first tests against B(t) = ((1-t) |gamma| + t max|q_k|)
+        # (1 + 1e-12), which must never fall below max|c_k| of P_t itself
+        rng = random.Random("polyroots-bound")
+        for _ in range(200):
+            degree = rng.randint(1, 8)
+            coeffs = [complex(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))
+                      for _ in range(degree + 1)]
+            path = make_path(Poly(tuple(coeffs)), rng=rng)
+            for t in (0.0, rng.random(), rng.random(), 1.0):
+                bound = ((1.0 - t) * abs(path.gamma) + t * path.target.scale) \
+                    * (1.0 + 1e-12)
+                assert bound >= path.at(t).scale
+
+    def test_corrector_takes_one_newton_step(self):
+        # on P_1 = x^2 - 4 a root comes back as it is, a point one Newton step
+        # from it comes back stepped, and one that one step leaves short, None
+        _, correct = polyroots.path_kernels(ContinuationPath(Poly((-4.0, 0.0, 1.0))))
+        assert correct(1.0, 2.0 + 0j, 4.0 + 0j) == 2.0
+        near = 2.0 + 1e-8 + 0j
+        assert abs(correct(1.0, near, 2.0 * near) - 2.0) < 1e-15
+        assert correct(1.0, 2.1 + 0j, 4.2 + 0j) is None
+
     def test_cancelling_coefficients_pass_on_p_t_scale(self):
         # at t = 1/2 gamma s_k and q_k cancel: P_t = 2**-51 x, so P' = 2**-51
         # trips the bound B(t) >= 1 but clears P_t's own scale max|c_k| = 2**-51
-        start, roots = unit_circle_start(1)
-        path = ContinuationPath(start, roots, Poly((1.0, -1.0 + 2.0 ** -50)))
+        path = ContinuationPath(Poly((1.0, -1.0 + 2.0 ** -50)))
         velocity, _ = polyroots.path_kernels(path)
         got, dp = velocity(0.5, 0j)
         assert dp == 2.0 ** -51 and abs(dp) < polyroots.DERIV_FLOOR
@@ -265,8 +316,7 @@ class TestVelocity:
 
     def test_vanishing_p_prime_raises(self):
         # x^2 + 2t - 1 has a double root at x = 0, t = 1/2: P' = 0 trips both
-        start, roots = unit_circle_start(2)
-        path = ContinuationPath(start, roots, Poly((1.0, 0.0, 1.0)))
+        path = ContinuationPath(Poly((1.0, 0.0, 1.0)))
         velocity, _ = polyroots.path_kernels(path)
         with pytest.raises(polyroots.PathSingularityError):
             velocity(0.5, 0j)

@@ -6,6 +6,8 @@ import os
 import sys
 
 import geodiff
+# the tracer reads geodiff.cli, which `import geodiff` alone does not load
+import geodiff.cli  # noqa: F401
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if ROOT not in sys.path:
