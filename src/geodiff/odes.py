@@ -119,7 +119,7 @@ def integrate(problem: OdeProblem, h: float) -> float:
             k2 = rhs(s + half, f + half * k1)
             k3 = rhs(s + half, f + half * k2)
             k4 = rhs(s + hh, f + hh * k3)
-        except (ZeroDivisionError, OverflowError, ValueError) as exc:
+        except (ValueError, ArithmeticError) as exc:
             raise SingularityError(
                 f"{problem.name}: right-hand side failed near s={s!r}: {exc}"
             ) from exc
@@ -154,7 +154,7 @@ def residual(problem: OdeProblem, samples: int) -> ResidualResult:
             r = rhs(s, f_val)
             if not (math.isfinite(dfds) and math.isfinite(r)):
                 raise ValueError
-        except (ValueError, ZeroDivisionError):
+        except (ValueError, ArithmeticError):
             skipped.append(s)
             continue
         worst = max(worst, abs(dfds - r) / max(abs(r), 1e-30))

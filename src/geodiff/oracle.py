@@ -207,15 +207,6 @@ def measure_trirect(x: float, y: float, z: float) -> float:
 # --- cyclic quadrilateral ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CyclicEmbedding:
-    """Four concyclic vertices; side i runs from vertex i to vertex i+1."""
-
-    radius: float
-    thetas: tuple[float, float, float, float]
-    points: tuple[Point, Point, Point, Point]
-
-
 def cyclic_constructible(sides) -> bool:
     """Whether the sides close up on a circle with the center inside.
 
@@ -227,8 +218,9 @@ def cyclic_constructible(sides) -> bool:
                      for s in sides) >= 2.0 * math.pi
 
 
-def embed_cyclic(q) -> CyclicEmbedding:
-    """Place the quadrilateral on its circumcircle.
+def embed_cyclic(q) -> tuple[Point, Point, Point, Point]:
+    """The quadrilateral's vertices on its circumcircle about the origin,
+    vertex 0 on the positive x-axis and side i from vertex i to vertex i+1.
 
     The unknown is phi, half the central angle of the longest side s_max.
     On a circle of radius R = s_max / (2 sin phi) side s_i subtends
@@ -298,13 +290,14 @@ def embed_cyclic(q) -> CyclicEmbedding:
     for p, pn, s in zip(points, points[1:] + points[:1], sides):
         if abs(dist(p, pn) - s) > CHORD_TOL * s:
             raise InvariantViolation(f"chord {dist(p, pn)} does not match side {s}")
-    return CyclicEmbedding(radius, thetas, tuple(points))
+    return tuple(points)
 
 
-def cyclic_diagonal(e: CyclicEmbedding) -> float:
-    """Diagonal joining the (v,x) vertex (index 0) and the (y,u) vertex (index 2)."""
-    return dist(e.points[0], e.points[2])
+def cyclic_diagonal(points) -> float:
+    """Diagonal of embed_cyclic's vertices from the (v,x) one to the (y,u) one."""
+    return dist(points[0], points[2])
 
 
-def cyclic_area(e: CyclicEmbedding) -> float:
-    return shoelace(list(e.points))
+def cyclic_area(points) -> float:
+    """Shoelace area of embed_cyclic's vertices."""
+    return shoelace(list(points))

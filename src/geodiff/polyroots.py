@@ -57,6 +57,15 @@ class RepeatedRootError(ValueError):
     """Sensitivities are undefined at a repeated root."""
 
 
+def _horner(coeffs, x: complex) -> complex:
+    """The polynomial with coefficients coeffs, leading one first, at x; the
+    one Horner loop here besides path_kernels' fused velocity pass."""
+    acc = 0.0 + 0.0j
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
+
+
 @dataclass(frozen=True)
 class Poly:
     """Coefficients a_0..a_n, low order first."""
@@ -81,16 +90,10 @@ class Poly:
         return max(abs(c) for c in self.coeffs)
 
     def __call__(self, x: complex) -> complex:
-        acc = 0.0 + 0.0j
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return _horner(reversed(self.coeffs), x)
 
     def deriv(self, x: complex) -> complex:
-        acc = 0.0 + 0.0j
-        for k in range(self.degree, 0, -1):
-            acc = acc * x + k * self.coeffs[k]
-        return acc
+        return _horner((k * self.coeffs[k] for k in range(self.degree, 0, -1)), x)
 
 
 def unit_roots(n: int) -> tuple[complex, ...]:
@@ -157,12 +160,6 @@ def path_kernels(path: ContinuationPath) -> tuple:
         coeffs[-1] -= g
         return coeffs, max(map(abs, coeffs))
 
-    def horner(coeffs: list[complex], x: complex) -> complex:
-        fx = 0.0 + 0.0j
-        for a in coeffs:
-            fx = fx * x + a
-        return fx
-
     def velocity(t: float, x: complex) -> tuple[complex, complex]:
         g = 1.0 - t
         ds, dq, num = ds0, dq0, num0
@@ -183,11 +180,11 @@ def path_kernels(path: ContinuationPath) -> tuple:
     def correct(t: float, x: complex, dp: complex) -> complex | None:
         coeffs, scale = exact_at(t)
         tol = 1e-13 * scale
-        fx = horner(coeffs, x)
+        fx = _horner(coeffs, x)
         if abs(fx) <= tol * max(1.0, abs(x)) ** n:
             return x
         x = x - fx / dp
-        return x if abs(horner(coeffs, x)) <= tol * max(1.0, abs(x)) ** n else None
+        return x if abs(_horner(coeffs, x)) <= tol * max(1.0, abs(x)) ** n else None
 
     return velocity, correct
 
@@ -323,10 +320,7 @@ def oracle_roots(p: Poly) -> list[complex]:
     for _ in range(ORACLE_MAX_ITER):
         biggest = 0.0
         for i in range(n):
-            prod = lead
-            for j in range(n):
-                if j != i:
-                    prod *= xs[i] - xs[j]
+            prod = math.prod((xs[i] - xs[j] for j in range(n) if j != i), start=lead)
             delta = p(xs[i]) / prod
             xs[i] -= delta
             biggest = max(biggest, abs(delta))

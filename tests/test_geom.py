@@ -26,9 +26,9 @@ class TestTypes:
         with pytest.raises(geom.DomainError):
             geom.Triangle(1.0, 1.0, 2.0 - 1e-15)
 
-    def test_triangle_margin_configurable(self):
-        sides = (1.0, 1.0, 1.999999)
-        geom.Triangle(*sides)  # fine at the default margin
+    def test_sides_just_inside_the_degenerate_bound_accepted(self):
+        sides = (1.0, 1.0, 1.999999)  # 1e-6 short of degenerate
+        assert geom.Triangle(*sides).sides == sides
 
     def test_quad_needs_circumscribed_circle(self):
         with pytest.raises(geom.DomainError):

@@ -158,6 +158,16 @@ class TestResidual:
         res = odes.residual(spiky, 11)
         assert 0.0 in res.skipped
 
+    def test_overflowing_samples_are_skipped_and_reported(self):
+        # s ** 4 overflows for every sample past s = 1, as in integrate
+        ovf = odes.OdeProblem(
+            "ovf", (1.0, 1e80), {},
+            lambda s, f: s ** 4 / f,
+            formulas.circle_area, 0, None)
+        res = odes.residual(ovf, 5)
+        assert len(res.skipped) == 4 and 1.0 not in res.skipped
+        assert math.isfinite(res.max_residual)
+
     def test_nothing_evaluated_is_an_infinite_defect(self):
         # the median of sides (s, 1, 5) is imaginary for every s in range
         broken = odes.OdeProblem(

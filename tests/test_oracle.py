@@ -101,30 +101,36 @@ class TestIndependentConstructions:
                      0.5, 1e-9)
 
 
+def central_angles(pts):
+    """Angle at the origin between consecutive vertices, each in (0, pi)."""
+    return [math.atan2(abs(p[0] * pn[1] - p[1] * pn[0]), p[0] * pn[0] + p[1] * pn[1])
+            for p, pn in zip(pts, pts[1:] + pts[:1])]
+
+
 class TestCyclicEmbedding:
     def test_unit_square(self):
-        e = oracle.embed_cyclic(geom.CyclicQuad(1, 1, 1, 1))
-        assert_close(e.radius, math.sqrt(2.0) / 2.0, 1e-10)
-        for th in e.thetas:
+        pts = oracle.embed_cyclic(geom.CyclicQuad(1, 1, 1, 1))
+        for p in pts:
+            assert_close(math.hypot(*p), math.sqrt(2.0) / 2.0, 1e-10)
+        for th in central_angles(pts):
             assert_close(th, math.pi / 2.0, 1e-10)
 
     def test_angle_sum_converges(self):
-        e = oracle.embed_cyclic(geom.CyclicQuad(1.0, 1.0, 1.0, 1.5))
-        assert abs(sum(e.thetas) - 2.0 * math.pi) < 1e-10
+        pts = oracle.embed_cyclic(geom.CyclicQuad(1.0, 1.0, 1.0, 1.5))
+        assert abs(math.fsum(central_angles(pts)) - 2.0 * math.pi) < 1e-10
 
     def test_chords_reproduce_sides(self):
         q = geom.CyclicQuad(1.0, 2.0, 1.5, 1.8)
-        e = oracle.embed_cyclic(q)
-        pts = list(e.points)
+        pts = oracle.embed_cyclic(q)
         for p, pn, s in zip(pts, pts[1:] + pts[:1], q.sides):
             assert_close(oracle.dist(p, pn), s, 1e-10)
 
     def test_diagonal_cross_validates_closed_form(self):
         q = geom.CyclicQuad(1.0, 2.0, 1.5, 1.8)
-        e = oracle.embed_cyclic(q)
-        assert_close(oracle.cyclic_diagonal(e), formulas.ptolemy_diagonal(*q.sides),
+        pts = oracle.embed_cyclic(q)
+        assert_close(oracle.cyclic_diagonal(pts), formulas.ptolemy_diagonal(*q.sides),
                      1e-9)
-        assert_close(oracle.cyclic_area(e), formulas.cyclic_quad_area(*q.sides),
+        assert_close(oracle.cyclic_area(pts), formulas.cyclic_quad_area(*q.sides),
                      1e-9)
 
     def test_center_outside_rejected(self):
@@ -142,12 +148,11 @@ class TestCyclicEmbedding:
          0.12251407906999023),
     ])
     def test_near_diameter_quads_embed(self, sides):
-        e = oracle.embed_cyclic(geom.CyclicQuad(*sides))
-        assert abs(sum(e.thetas) - 2.0 * math.pi) < 1e-10
-        pts = list(e.points)
+        pts = oracle.embed_cyclic(geom.CyclicQuad(*sides))
+        assert abs(math.fsum(central_angles(pts)) - 2.0 * math.pi) < 1e-10
         for p, pn, s in zip(pts, pts[1:] + pts[:1], sides):
             assert abs(oracle.dist(p, pn) - s) <= oracle.CHORD_TOL * s
-        assert_close(oracle.cyclic_diagonal(e), formulas.ptolemy_diagonal(*sides),
+        assert_close(oracle.cyclic_diagonal(pts), formulas.ptolemy_diagonal(*sides),
                      1e-12)
 
 
@@ -193,8 +198,8 @@ def test_cevian_split_adds_up_to_its_side():
 @settings(max_examples=60, deadline=None)
 def test_cyclic_vertices_concyclic(q):
     try:
-        e = oracle.embed_cyclic(q)
+        pts = oracle.embed_cyclic(q)
     except oracle.NotConstructibleError:
         return
-    for p in e.points:
-        assert_close(math.hypot(*p), e.radius, 1e-10)
+    for p in pts[1:]:
+        assert_close(math.hypot(*p), math.hypot(*pts[0]), 1e-10)

@@ -8,9 +8,12 @@ Print the digests for the running interpreter (no pytest needed) with
     PYTHONPATH=src:tests python tests/test_report_digest.py
 """
 
+import ast
 import hashlib
+import pathlib
 from dataclasses import astuple
 
+import geodiff
 from geodiff.cli import SUITES, RunConfig, run
 
 DIGESTS = {
@@ -32,6 +35,17 @@ def record_digest(suite: str) -> str:
 
 def test_record_digests():
     assert {suite: record_digest(suite) for suite in SUITES} == DIGESTS
+
+
+def test_builtin_sum_counts_failures_only():
+    # a builtin sum of floats rounds differently from Python 3.12 on, which
+    # would split the digests above by interpreter; math.fsum does not
+    found = [(path.name, ast.unparse(node))
+             for path in sorted(pathlib.Path(geodiff.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "sum"]
+    # cli.run's failure count, a sum of bools
+    assert found == [("cli.py", "sum((not r.passed for r in report.records))")]
 
 
 if __name__ == "__main__":
