@@ -1,5 +1,4 @@
-"""The validated triangle and cyclic quadrilateral, and the inverse bisector
-problem.
+"""The validated triangle and the inverse bisector problem.
 
 Conventions, fixed once for the whole package:
 
@@ -18,11 +17,12 @@ a, b, c             vertex-to-incenter bisector segments at the alpha, beta
 
 All angles are radians.  The median/cevian/bisector kernels in ``formulas``
 act on the gamma vertex / the z-side; callers permute sides to reach the
-other vertices.  Only the two shapes whose checks other code relies on have
-a type here: ``sampling`` draws triangles as ``Triangle`` and cyclic
-quadrilaterals as ``CyclicQuad``, ``bisector_problem_solve`` accepts only
-sides that form a ``Triangle``, and ``oracle.embed_cyclic`` places a
-``CyclicQuad``.  Every other draw is a plain tuple of floats.
+other vertices.  Only the triangle, whose checks other code relies on, has
+a type here: ``sampling`` draws triangles as ``Triangle`` and
+``bisector_problem_solve`` accepts only sides that form one.  A cyclic
+quadrilateral is drawn as four points on a circle (``sampling.cyclic_quad``,
+``oracle.embed_cyclic``), so it is convex and cyclic by construction and
+needs no type; every other draw is a plain tuple of floats.
 """
 
 from __future__ import annotations
@@ -74,29 +74,6 @@ class Triangle:
     @property
     def sides(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
-
-
-@dataclass(frozen=True)
-class CyclicQuad:
-    """Side lengths of a cyclic quadrilateral, in cyclic order."""
-
-    x: float
-    y: float
-    u: float
-    v: float
-
-    def __post_init__(self):
-        _require_positive(x=self.x, y=self.y, u=self.u, v=self.v)
-        total = self.x + self.y + self.u + self.v
-        margin = EPS_DEG * total
-        for s in self.sides:
-            if total - 2.0 * s <= margin:
-                raise DomainError(
-                    f"no circumscribed circle for sides {self.sides}")
-
-    @property
-    def sides(self) -> tuple[float, float, float, float]:
-        return (self.x, self.y, self.u, self.v)
 
 
 def incenter_bisector_lengths(t: Triangle) -> tuple[float, float, float]:

@@ -25,7 +25,11 @@ class Case:
     """Every random draw of one theorems case, in stream order, and the
     constructions that several operations share.  Each construction is built
     when an operation first reads it and kept once built, so that its
-    OracleError lands in the record of each operation that reads it."""
+    OracleError lands in the record of each operation that reads it.  The
+    cyclic quadrilateral is drawn last, as its construction (a radius and
+    three cuts, ``sampling.cyclic_quad``); the quad operations' point is the
+    sides measured from its vertices, so a failing construction lands in
+    both quad records."""
 
     def __init__(self, rng: random.Random):
         self.t = t = sampling.triangle(rng)
@@ -38,10 +42,10 @@ class Case:
         self.apex = theta + rng.uniform(0.02, 0.98) * (2.0 * math.pi - theta)
         self.trirect = sampling.trirect(rng)
         self.quad = sampling.cyclic_quad(rng)
-        self.quad_sides = self.quad.sides
 
     e = cached_property(lambda c: oracle.embed_triangle(c.t))
-    cyclic = cached_property(lambda c: oracle.embed_cyclic(c.quad))
+    cyclic = cached_property(lambda c: oracle.embed_cyclic(*c.quad))
+    quad_sides = cached_property(lambda c: oracle.cyclic_sides(c.cyclic))
     # the incenter and circumcenter are rebuilt per measurement
     full = cached_property(lambda c: oracle.measure_bisector_full(c.e))
     to_incenter = cached_property(lambda c: oracle.measure_bisector_to_incenter(c.e))
@@ -76,7 +80,8 @@ def table() -> list[Op]:
 
     def on_quad(name, closed, out_dim, measure):
         return Op(name, closed, out_dim, (1, 1, 1, 1),
-                  lambda rng: sampling.cyclic_quad(rng).sides,
+                  lambda rng: oracle.cyclic_sides(
+                      oracle.embed_cyclic(*sampling.cyclic_quad(rng))),
                   "quad", lambda c: c.quad_sides, lambda c: measure(c.cyclic))
 
     def cevian(rng):

@@ -17,15 +17,9 @@ from dataclasses import dataclass
 
 Point = tuple[float, float]
 
-CHORD_TOL = 1e-10  # relative chord-length reproduction
-
 
 class OracleError(ValueError):
     pass
-
-
-class NotConstructibleError(OracleError):
-    """No circumscribed circle with the center inside the polygon."""
 
 
 class InvariantViolation(OracleError):
@@ -207,90 +201,27 @@ def measure_trirect(x: float, y: float, z: float) -> float:
 # --- cyclic quadrilateral ------------------------------------------------------
 
 
-def cyclic_constructible(sides) -> bool:
-    """Whether the sides close up on a circle with the center inside.
+def embed_cyclic(radius: float, a: float, b: float,
+                 c: float) -> tuple[Point, Point, Point, Point]:
+    """The vertices radius * (cos 2 pi t, sin 2 pi t) at t = 0, a, b, c.
 
-    With the longest side as a diameter (R = max(sides)/2) the central angles
-    2*asin(s/(2R)) must already reach 2*pi; they shrink as R grows.
+    With 0 < a < b < c < 1 they follow each other counterclockwise within
+    one turn of the circle of that radius about the origin, so they span a
+    convex cyclic quadrilateral, side i from vertex i to vertex i+1.  The
+    circumcenter lies inside it exactly when no arc exceeds half a turn.
+    Cuts out of that order raise OracleError.
     """
-    lo = max(sides) / 2.0
-    return math.fsum(2.0 * math.asin(min(1.0, s / (2.0 * lo)))
-                     for s in sides) >= 2.0 * math.pi
+    if not 0.0 < a < b < c < 1.0:
+        raise OracleError(f"cuts ({a}, {b}, {c}) must increase inside (0, 1)")
+    tau = 2.0 * math.pi
+    return tuple((radius * math.cos(tau * t), radius * math.sin(tau * t))
+                 for t in (0.0, a, b, c))
 
 
-def embed_cyclic(q) -> tuple[Point, Point, Point, Point]:
-    """The quadrilateral's vertices on its circumcircle about the origin,
-    vertex 0 on the positive x-axis and side i from vertex i to vertex i+1.
-
-    The unknown is phi, half the central angle of the longest side s_max.
-    On a circle of radius R = s_max / (2 sin phi) side s_i subtends
-    2*asin(k_i sin phi) with k_i = s_i / s_max, so the sides close up where
-
-        f(phi) = 2 phi + sum_{i != max} 2 asin(k_i sin phi) - 2 pi = 0.
-
-    f is increasing and concave on [0, pi/2], f(0) = -2 pi, and
-    ``cyclic_constructible`` is f(pi/2) >= 0.  Newton starts at
-    pi / (1 + sum k_i), the root of the tangent at 0 (f' = 2 + 2 sum k_i
-    there), which lies left of the root because f is concave, and climbs
-    to it without overshooting.  It stops at the first iterate that fails
-    to climb, which leaves f at the rounding level.
-
-    The slope f' = 2 + sum 2 k_i cos phi / sqrt(cos^2 phi + (1 - k_i^2) sin^2 phi)
-    stays between 2 and 8, so phi is well conditioned everywhere.  Solving
-    for R instead is ill-conditioned near the smallest radius, where s_max is
-    almost a diameter and the angle sum has an infinite slope in R.  The
-    square root is cos(asin(k sin phi)) without the cancellation of
-    1 - k^2 sin^2 phi, and the half angles are atan2 of it and k sin phi.
-
-    Only the all-convex configuration (every central angle < pi, center
-    inside) is supported; anything else raises NotConstructibleError.  The
-    result must reproduce the angle sum 2 pi to 1e-10 and every side to
-    CHORD_TOL, or InvariantViolation is raised.
-    """
-    sides = q.sides
-    if not cyclic_constructible(sides):
-        raise NotConstructibleError(
-            f"sides {sides} need the center-outside configuration")
-    longest = max(range(4), key=sides.__getitem__)
-    s_max = sides[longest]
-    ks = [s / s_max for i, s in enumerate(sides) if i != longest]
-    one_minus_k2 = [(1.0 - k) * (1.0 + k) for k in ks]
-
-    def half_angles(phi: float) -> list[tuple[float, float]]:
-        """asin(k_i sin phi) and its derivative in phi, for each k_i."""
-        sin, cos = math.sin(phi), math.cos(phi)
-        out = []
-        for k, c in zip(ks, one_minus_k2):
-            root = math.sqrt(cos * cos + c * sin * sin)
-            out.append((math.atan2(k * sin, root), k * cos / root))
-        return out
-
-    phi = math.pi / (1.0 + math.fsum(ks))
-    terms = half_angles(phi)
-    while True:
-        err = 2.0 * (phi + math.fsum(a for a, _ in terms)) - 2.0 * math.pi
-        nxt = phi - err / (2.0 + 2.0 * math.fsum(d for _, d in terms))
-        if not nxt > phi:  # also stops a non-finite step
-            break
-        phi, terms = nxt, half_angles(nxt)
-
-    radius = s_max / (2.0 * math.sin(phi))
-    halves = iter(terms)
-    thetas = tuple(2.0 * phi if i == longest else 2.0 * next(halves)[0]
-                   for i in range(4))
-    total = math.fsum(thetas)
-    if abs(total - 2.0 * math.pi) > 1e-10:
-        raise InvariantViolation(
-            f"central angles sum to {total} for sides {sides}")
-    at = 0.0
-    points = []
-    for th in thetas:
-        points.append((radius * math.cos(at), radius * math.sin(at)))
-        at += th
-    for p, pn, s in zip(points, points[1:] + points[:1], sides):
-        if abs(dist(p, pn) - s) > CHORD_TOL * s:
-            raise InvariantViolation(f"chord {dist(p, pn)} does not match side {s}")
-    return tuple(points)
+def cyclic_sides(points) -> tuple[float, float, float, float]:
+    """The four consecutive chords of embed_cyclic's vertices, side i from
+    vertex i to vertex i+1: the closed forms' inputs, measured."""
+    return tuple(dist(p, q) for p, q in zip(points, points[1:] + points[:1]))
 
 
 def cyclic_diagonal(points) -> float:

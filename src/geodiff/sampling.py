@@ -1,13 +1,12 @@
 """Seeded generators for valid random inputs.
 
-Lengths are log-uniform in [0.1, 10]; triangle and quadrilateral inequalities
-are enforced by rejection with a relative degeneracy margin of 1e-3, which
-keeps conditioning benign without hiding interesting shapes.  Cyclic
-quadrilaterals are also rejected unless ``oracle.cyclic_constructible`` holds
-(circumcenter inside).  That is the test ``oracle.embed_cyclic`` starts
-with, so the sampler accepts what it would embed without embedding it.
-Triangles and cyclic quadrilaterals come as the validated ``geom`` types;
-every other draw is a plain tuple of floats.
+Lengths are log-uniform in [0.1, 10]; the triangle inequality is enforced by
+rejection with a relative degeneracy margin of 1e-3, which keeps conditioning
+benign without hiding interesting shapes.  A cyclic quadrilateral is drawn as
+its construction, a circle and four points on it, so every draw is convex
+and cyclic and needs no test; ``oracle`` places the points and measures the
+sides.  Triangles come as the validated ``geom.Triangle``; every other draw
+is a plain tuple of floats.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 
-from . import geom, oracle
+from . import geom
 
 LENGTH_LO = 0.1
 LENGTH_HI = 10.0
@@ -47,16 +46,17 @@ def cevian_split(rng: random.Random, z: float) -> tuple[float, float]:
     return z - n, n
 
 
-def cyclic_quad(rng: random.Random) -> geom.CyclicQuad:
-    """Cyclic quadrilateral constructible with the circumcenter inside."""
+def cyclic_quad(rng: random.Random) -> tuple[float, float, float, float]:
+    """A circle's radius and three sorted cuts 0 < a < b < c < 1 of its
+    perimeter, in turns: with a cut at 0, the vertices that
+    ``oracle.embed_cyclic`` places.  The circumcenter falls outside the
+    quadrilateral in half the draws.  rng.random() can return 0.0, and a cut
+    at 0.0 or two equal cuts would leave a zero side, so such cuts are drawn
+    again before the radius is drawn."""
     while True:
-        s = [length(rng) for _ in range(4)]
-        total = math.fsum(s)
-        # total - 2v falls as v grows, also when rounded: the longest side decides
-        if total - 2.0 * max(s) <= MARGIN * total \
-                or not oracle.cyclic_constructible(s):
-            continue
-        return geom.CyclicQuad(*s)
+        a, b, c = sorted((rng.random(), rng.random(), rng.random()))
+        if 0.0 < a < b < c:
+            return length(rng), a, b, c
 
 
 def trirect(rng: random.Random) -> tuple[float, float, float]:

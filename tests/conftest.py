@@ -25,8 +25,12 @@ def valid_quad(sides):
     return min(total - 2.0 * s for s in sides) > MARGIN * total
 
 
-quads = st.tuples(side, side, side, side).filter(valid_quad) \
-    .map(lambda s: geom.CyclicQuad(*s))
+cut = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+
+# drawn as sampling.cyclic_quad draws: a radius and three increasing cuts
+quads = st.tuples(side, cut, cut, cut) \
+    .map(lambda d: (d[0], *sorted(d[1:]))) \
+    .filter(lambda d: 0.0 < d[1] < d[2] < d[3])
 
 
 def ravi_triangles(rng, draws):

@@ -119,8 +119,8 @@ class TestSuites:
         assert err < 1e-12
 
     def test_cyclic_oracle_failure_becomes_records(self, monkeypatch):
-        def broken(quad):
-            raise oracle.InvariantViolation("chord does not match")
+        def broken(radius, a, b, c):
+            raise oracle.InvariantViolation("vertices off the circle")
 
         monkeypatch.setattr(oracle, "embed_cyclic", broken)
         report = run(RunConfig(suite="theorems", cases=3, seed=5))
@@ -317,7 +317,9 @@ def failure_report(monkeypatch):
     def singular_path(path):
         raise polyroots.PathSingularityError("P' vanished on the path")
 
-    monkeypatch.setattr(oracle, "embed_cyclic", broken)
+    # the scale suite's quad sampler builds embed_cyclic too; the area is
+    # measured only in theorems
+    monkeypatch.setattr(oracle, "cyclic_area", broken)
     monkeypatch.setattr(oracle, "circumcenter", broken)
     monkeypatch.setattr(geom, "bisector_problem_solve", no_triangle)
     monkeypatch.setattr(odes, "catalog", singular_catalog)
@@ -470,8 +472,8 @@ class TestRecordAlphabet:
             cls = todo.pop()
             names.append(cls.__name__)
             todo.extend(cls.__subclasses__())
-        assert {"InvariantViolation", "NotConstructibleError",
-                "NoTriangleError", "DomainError"} <= set(names)
+        assert {"InvariantViolation", "NoTriangleError",
+                "DomainError"} <= set(names)
         assert [n for n in names if not RECORD_TEXT.fullmatch(n)] == []
 
     @pytest.mark.parametrize("char", [",", '"', "\r", "\n", "\\", "\u00e9"])

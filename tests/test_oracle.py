@@ -101,75 +101,121 @@ class TestIndependentConstructions:
                      0.5, 1e-9)
 
 
-def central_angles(pts):
-    """Angle at the origin between consecutive vertices, each in (0, pi)."""
-    return [math.atan2(abs(p[0] * pn[1] - p[1] * pn[0]), p[0] * pn[0] + p[1] * pn[1])
-            for p, pn in zip(pts, pts[1:] + pts[:1])]
+def arcs(pts):
+    """Counterclockwise angle at the origin from each vertex to the next, in
+    turns, each in (0, 1)."""
+    return [math.atan2(p[0] * pn[1] - p[1] * pn[0], p[0] * pn[0] + p[1] * pn[1])
+            / (2.0 * math.pi) % 1.0 for p, pn in zip(pts, pts[1:] + pts[:1])]
 
 
 class TestCyclicEmbedding:
     def test_unit_square(self):
-        pts = oracle.embed_cyclic(geom.CyclicQuad(1, 1, 1, 1))
+        pts = oracle.embed_cyclic(math.sqrt(2.0) / 2.0, 0.25, 0.5, 0.75)
         for p in pts:
-            assert_close(math.hypot(*p), math.sqrt(2.0) / 2.0, 1e-10)
-        for th in central_angles(pts):
-            assert_close(th, math.pi / 2.0, 1e-10)
+            assert_close(math.hypot(*p), math.sqrt(2.0) / 2.0, 1e-15)
+        sides = oracle.cyclic_sides(pts)
+        for side in sides:
+            assert_close(side, 1.0, 1e-15)
+        assert_close(oracle.cyclic_diagonal(pts), math.sqrt(2.0), 1e-15)
+        assert_close(oracle.cyclic_diagonal(pts), formulas.ptolemy_diagonal(*sides),
+                     1e-15)
+        assert_close(oracle.cyclic_area(pts), 1.0, 1e-15)
+        assert_close(oracle.cyclic_area(pts), formulas.cyclic_quad_area(*sides),
+                     1e-15)
 
-    def test_angle_sum_converges(self):
-        pts = oracle.embed_cyclic(geom.CyclicQuad(1.0, 1.0, 1.0, 1.5))
-        assert abs(math.fsum(central_angles(pts)) - 2.0 * math.pi) < 1e-10
+    def test_arcs_follow_the_cuts(self):
+        # the last arc is 0.7 of a turn: the circumcenter lies outside
+        pts = oracle.embed_cyclic(1.3, 0.1, 0.15, 0.3)
+        for got, want in zip(arcs(pts), (0.1, 0.05, 0.15, 0.7)):
+            assert_close(got, want, 1e-14)
 
     def test_chords_reproduce_sides(self):
-        q = geom.CyclicQuad(1.0, 2.0, 1.5, 1.8)
-        pts = oracle.embed_cyclic(q)
-        for p, pn, s in zip(pts, pts[1:] + pts[:1], q.sides):
-            assert_close(oracle.dist(p, pn), s, 1e-10)
+        # a chord subtending t turns of a circle of radius R is 2 R sin(pi t)
+        radius, cuts = 2.5, (0.1, 0.15, 0.3)
+        pts = oracle.embed_cyclic(radius, *cuts)
+        bounds = (0.0, *cuts, 1.0)
+        for side, t0, t1 in zip(oracle.cyclic_sides(pts), bounds, bounds[1:]):
+            assert_close(side, 2.0 * radius * math.sin(math.pi * (t1 - t0)), 1e-14)
 
     def test_diagonal_cross_validates_closed_form(self):
-        q = geom.CyclicQuad(1.0, 2.0, 1.5, 1.8)
-        pts = oracle.embed_cyclic(q)
-        assert_close(oracle.cyclic_diagonal(pts), formulas.ptolemy_diagonal(*q.sides),
-                     1e-9)
-        assert_close(oracle.cyclic_area(pts), formulas.cyclic_quad_area(*q.sides),
-                     1e-9)
+        # the circumcenter inside, then outside
+        for draw in ((1.0, 0.2, 0.45, 0.7), (1.3, 0.1, 0.15, 0.3)):
+            pts = oracle.embed_cyclic(*draw)
+            sides = oracle.cyclic_sides(pts)
+            assert_close(oracle.cyclic_diagonal(pts),
+                         formulas.ptolemy_diagonal(*sides), 1e-14)
+            assert_close(oracle.cyclic_area(pts), formulas.cyclic_quad_area(*sides),
+                         1e-14)
 
-    def test_center_outside_rejected(self):
-        with pytest.raises(oracle.NotConstructibleError):
-            oracle.embed_cyclic(geom.CyclicQuad(5.0, 2.0, 2.0, 1.5))
-        assert not oracle.cyclic_constructible((5.0, 2.0, 2.0, 1.5))
-        assert oracle.cyclic_constructible((1.0, 2.0, 1.5, 1.8))
-
-    @pytest.mark.parametrize("sides", [
-        # the longest side is almost a diameter, where the angle sum has an
-        # infinite slope in R; a solve in R missed the invariant checks here
-        (0.2568794086862331, 0.9214384736617623, 3.8792933398741476,
-         3.698985011552588),
-        (8.467865052524978, 8.47112434120543, 0.11261593162077684,
-         0.12251407906999023),
-    ])
-    def test_near_diameter_quads_embed(self, sides):
-        pts = oracle.embed_cyclic(geom.CyclicQuad(*sides))
-        assert abs(math.fsum(central_angles(pts)) - 2.0 * math.pi) < 1e-10
-        for p, pn, s in zip(pts, pts[1:] + pts[:1], sides):
-            assert abs(oracle.dist(p, pn) - s) <= oracle.CHORD_TOL * s
+    @pytest.mark.parametrize("draw", [
+        # side 0 is a diameter to 1e-12 of a turn, with the circumcenter just
+        # inside and just outside: the boundary between the two configurations
+        (3.0, 0.5 - 1e-12, 0.6, 0.9),
+        (3.0, 0.5 + 1e-12, 0.6, 0.9),
+    ], ids=["inside", "outside"])
+    def test_near_diameter_quads_embed(self, draw):
+        pts = oracle.embed_cyclic(*draw)
+        sides = oracle.cyclic_sides(pts)
+        assert_close(sides[0], 2.0 * draw[0], 1e-15)
         assert_close(oracle.cyclic_diagonal(pts), formulas.ptolemy_diagonal(*sides),
-                     1e-12)
+                     1e-14)
+        assert_close(oracle.cyclic_area(pts), formulas.cyclic_quad_area(*sides),
+                     1e-14)
+
+    @pytest.mark.parametrize("cuts", [(0.0, 0.2, 0.3), (0.2, 0.2, 0.3),
+                                      (0.3, 0.2, 0.4), (0.2, 0.3, 1.0)])
+    def test_cuts_must_increase_inside_the_turn(self, cuts):
+        with pytest.raises(oracle.OracleError):
+            oracle.embed_cyclic(1.0, *cuts)
 
 
 def test_cyclic_sampler_stream_is_pinned():
-    # the constructibility test must accept exactly the quads a full
-    # embedding accepts: these are the quads an embedding sampler drew
+    # the rng stream is pinned: reports replay only if these draws stay put
     rng = random.Random(2024)
-    got = [sampling.cyclic_quad(rng).sides for _ in range(3)]
+    got = [sampling.cyclic_quad(rng) for _ in range(3)]
     assert got == [
-        (0.6034093998931805, 0.49044781883185823, 0.2525196317146418,
-         0.7138611387303806),
-        (7.312520601755827, 1.225516150537341, 7.451843759812566,
-         2.7600990876815654),
-        (1.318458054304633, 1.2262258188168071, 0.42606818902599025,
-         0.17608763256048615),
+        (5.951090270338124, 0.3037513583913575, 0.47009071843107064,
+         0.7282642914232076),
+        (0.30926679835363596, 0.26522113780066725, 0.41008858946872573,
+         0.7166143935816427),
+        (2.8544225902680656, 0.4158721009442904, 0.49830138202139995,
+         0.8125816265884215),
     ]
-    assert rng.random() == 0.028919720517454617
+    assert rng.random() == 0.9632496477523979
+
+
+def test_cyclic_sampler_redraws_a_zero_cut():
+    # rng.random() can return 0.0; a cut there would leave a zero side
+    class ZeroFirst(random.Random):
+        first = True
+
+        def random(self):
+            if self.first:
+                self.first = False
+                return 0.0
+            return super().random()
+
+    rng, ref = ZeroFirst(7), random.Random(7)
+    draw = sampling.cyclic_quad(rng)
+    ref.random(), ref.random()  # the other two cuts of the rejected draw
+    assert draw == sampling.cyclic_quad(ref)
+    assert 0.0 < draw[1]
+    assert rng.random() == ref.random()
+
+
+def test_cyclic_draws_are_convex_cyclic_quads():
+    rng = random.Random(31)
+    outside = 0
+    for _ in range(10_000):
+        radius, a, b, c = draw = sampling.cyclic_quad(rng)
+        pts = oracle.embed_cyclic(*draw)
+        for p in pts:
+            assert abs(math.hypot(*p) - radius) <= 1e-12 * radius, (draw, p)
+        sides = oracle.cyclic_sides(pts)
+        assert math.fsum(sides) - 2.0 * max(sides) > 0.0, draw
+        # the center lies outside when some arc is longer than half a turn
+        outside += max(a, b - a, c - b, 1.0 - c) > 0.5
+    assert outside == 5022  # of 10^4; four uniform points leave it out half the time
 
 
 def test_triangle_sampler_and_length_streams_are_pinned():
@@ -197,9 +243,5 @@ def test_cevian_split_adds_up_to_its_side():
 @given(quads)
 @settings(max_examples=60, deadline=None)
 def test_cyclic_vertices_concyclic(q):
-    try:
-        pts = oracle.embed_cyclic(q)
-    except oracle.NotConstructibleError:
-        return
-    for p in pts[1:]:
-        assert_close(math.hypot(*p), math.hypot(*pts[0]), 1e-10)
+    for p in oracle.embed_cyclic(*q):
+        assert_close(math.hypot(*p), q[0], 1e-12)

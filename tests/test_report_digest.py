@@ -17,11 +17,11 @@ import geodiff
 from geodiff.cli import SUITES, RunConfig, run
 
 DIGESTS = {
-    "theorems": "a2a796c6476f2f8b8995e9abfc3f90c1f66176010f5e50a1c7731fabc2f5c4a9",
+    "theorems": "22c1eb4bb8652a87cce75532f92220a6f61d88455dcb02b382410c93f2ba1a5b",
     "derive": "e842414eaace3873bf5f4a953ae552b7c02d71f1867cef41fbca29e52b122be6",
-    "scale": "ad5c8e05dfc80e259fcb23e5883ab340ae3d58e55e43ec5b8e498ddb47c50959",
+    "scale": "7f3a6c1703d1bb2804dc50029f5da2e033f8e7ab6e88eac3e28fcb94e39b8849",
     "roots": "9dfb25e653d560a81cb59d90f214c0e43e7ec1cb8bb3661bcbd382045e88ce4c",
-    "all": "158103192ebf4872f16533d3646d80af2e78047223171d2c9764e6a2d2c816cd",
+    "all": "0e0db54cdc0afa0d952008594685f01c66f0fe134bb267c5ee84d9c4de6129e4",
 }
 
 
