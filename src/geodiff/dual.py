@@ -27,7 +27,7 @@ import math
 
 H = 2.0 ** -300
 
-# the carrier type, for type checks and the tracer's float/dual split
+# the carrier type, read only by the functions below and the tracer
 DualScalar = complex
 
 

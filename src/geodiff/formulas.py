@@ -1,20 +1,21 @@
 """Closed-form metric expressions on raw scalars.
 
-Every function here accepts floats or the complex derivative carriers of
-``dual`` and applies no input validation: ``sampling`` draws valid inputs,
-and only ``bisector_side`` fails, with ValueError, when its cubic in
-u = z^2 - (a^2 + b^2) has no admissible root.  The angle opposite the z-side
-(between the x- and y-sides) is always gamma, and all bisector/median/cevian
-expressions act on that vertex / the z-side.  Each relation is stated once,
-here: the operation table in ``ops`` and the derivation catalog in ``odes``
-name these functions.
+Each function is plain arithmetic, the same on floats and on the complex
+derivative carriers of ``dual``: + - * /, comparisons on ``.real``, and
+``dual``'s sqrt, sin and atan; no ``**``, no type test, no input validation.
+``sampling`` draws valid inputs, and only ``bisector_side`` fails, with
+ValueError, when its cubic in u = z^2 - (a^2 + b^2) has no admissible root.
+The angle opposite the z-side (between the x- and y-sides) is always gamma,
+and all bisector/median/cevian expressions act on that vertex / the z-side.
+Each relation is stated once, here: the operation table in ``ops`` and the
+derivation catalog in ``odes`` name these functions.
 """
 
 from __future__ import annotations
 
 import math
 
-from .dual import DualScalar, atan, der, seed, sin, sqrt
+from .dual import atan, sin, sqrt
 
 PI = math.pi
 
@@ -78,7 +79,8 @@ def incenter_ratio(x, y, z):
 
 def trirect_face_area(x, y, z):
     """Area of the face opposite the right corner of a trirectangular tetrahedron."""
-    return sqrt((x * y / 2.0) ** 2 + (x * z / 2.0) ** 2 + (y * z / 2.0) ** 2)
+    xy, xz, yz = x * y / 2.0, x * z / 2.0, y * z / 2.0
+    return sqrt(xy * xy + xz * xz + yz * yz)
 
 
 def inscribed_angle(theta):
@@ -119,7 +121,7 @@ def circle_area(r):
 
 
 def sphere_volume(r):
-    return 4.0 * PI * r ** 3 / 3.0
+    return 4.0 * PI * r * r * r / 3.0
 
 
 # --- inverse bisector problem -------------------------------------------------
@@ -133,9 +135,9 @@ def sphere_volume(r):
 # k = c^2/(a^2 b^2) the cubic is G(u) = k u^3 + B u^2 - C, B = 1 + k(a^2 + b^2),
 # C = 4a^2 b^2: no coefficient is a difference, so nothing cancels.
 # G(0) = -C < 0 < G(2ab), and G is increasing and convex for u > 0, so its
-# one positive root is the admissible one, in (0, 2ab).  G >= B u^2 - C and
-# G >= k u^3 - C there, so Newton started at min(sqrt(C/B), cbrt(C/k)) lies
-# at or above the root and descends to it.
+# one positive root is the admissible one, in (0, 2ab).  Newton starts at
+# sqrt(C/B), where G = k (C/B)^(3/2) >= 0 (so at or above the root, and below
+# cbrt(C/k) since C k^2 < B^3), and descends to it.
 
 
 def bisector_cubic_coeffs(a, b, c):
@@ -152,14 +154,14 @@ def bisector_side(a, b, c):
     a and b are the vertex-to-incenter bisector lengths at the two endpoints
     of the sought side.  The side is sqrt(a^2 + b^2 + u) for the one positive
     root u of G, admissible only strictly inside (0, 2ab).  Newton descends
-    to it and stops at the first iterate that fails to descend.  Complex-step
-    arguments are supported: a root moves with the coefficients as
-    u' = -(k' u^3 + B' u^2 - C') / G'(u), the root-sensitivity formula
-    du/da_k = -u^k / G'(u), so the float root gets that derivative.
+    from sqrt(C/B) and stops at the first iterate that fails to descend.  A
+    root moves with its coefficients as du/da_k = -u^k / G'(u), so one more
+    step, with G on the arguments minus G on their real parts, adds its
+    derivative on complex steps and 0.0 on floats.
     """
     av, bv, cv = a.real, b.real, c.real
     k, big_b, big_c = bisector_cubic_coeffs(av, bv, cv)
-    u = min(math.sqrt(big_c / big_b), (big_c / k) ** (1.0 / 3.0))
+    u = math.sqrt(big_c / big_b)
     while True:
         slope = (3.0 * k * u + 2.0 * big_b) * u
         nxt = u - ((k * u + big_b) * u * u - big_c) / slope
@@ -168,8 +170,6 @@ def bisector_side(a, b, c):
         u = nxt
     if not 0.0 < u < 2.0 * av * bv:
         raise ValueError(f"no admissible side for bisector lengths ({av}, {bv}, {cv})")
-    if isinstance(a, DualScalar) or isinstance(b, DualScalar) \
-            or isinstance(c, DualScalar):
-        kd, bd, cd = bisector_cubic_coeffs(a, b, c)
-        u = seed(u, -der((kd * u + bd) * u * u - cd) / slope)
+    kd, bd, cd = bisector_cubic_coeffs(a, b, c)
+    u -= ((kd * u + bd) * u * u - cd - ((k * u + big_b) * u * u - big_c)) / slope
     return sqrt(a * a + b * b + u)

@@ -315,6 +315,13 @@ class TestBisectorProblem:
             for args in ((b, c, a), (a, c, b), (a, b, c)):
                 formulas.bisector_side(*args)
 
+    @pytest.mark.parametrize("c", [0.0, 1e-200])
+    def test_vanishing_cubic_term_is_no_admissible_side(self, c):
+        # c^2/(a^2 b^2) is 0, so G's one positive root is u = 2ab, the
+        # degenerate end of the admissible interval
+        with pytest.raises(ValueError):
+            formulas.bisector_side(1.0, 1.0, c)
+
     def test_near_degenerate_cubics(self):
         # sides of this triple from mpmath at 50 digits; the forward map
         # cancels in x + y - z on them, so the solve itself still fails the
@@ -419,6 +426,8 @@ def test_bisector_cubic_has_one_admissible_root(t):
     # each of the three cubics G(u) = k u^3 + B u^2 - C in
     # u = z^2 - (a^2 + b^2), with k = c^2/(a^2 b^2), B = 1 + k(a^2 + b^2)
     # and C = 4 a^2 b^2: G(0) < 0 < G(2ab), and G' > 0 at the returned root.
+    # C k^2 < B^3 says sqrt(C/B) < cbrt(C/k), so Newton's start is the
+    # nearer of the two upper bounds on the root.
     abc = geom.incenter_bisector_lengths(t)
     for a, b, c in ((abc[1], abc[2], abc[0]), (abc[0], abc[2], abc[1]), abc):
         fa, fb, fc = Fraction(a), Fraction(b), Fraction(c)
@@ -432,6 +441,7 @@ def test_bisector_cubic_has_one_admissible_root(t):
             return (k * u + big_b) * u * u - big_c
 
         assert cubic(0) < 0 < cubic(2 * fa * fb)
+        assert big_c * k * k < big_b ** 3
         u = Fraction(formulas.bisector_side(a, b, c)) ** 2 - fa * fa - fb * fb
         assert 0 < u < 2 * fa * fb
         assert (3 * k * u + 2 * big_b) * u > 0

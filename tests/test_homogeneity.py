@@ -1,11 +1,11 @@
 import dataclasses
-import math
 import random
 
 import pytest
 
 from conftest import assert_close
 from geodiff import dual, homogeneity
+from geodiff.cli import run_scale
 from geodiff.homogeneity import finite_scaling, scale_residual
 from geodiff.ops import table
 
@@ -65,19 +65,14 @@ class TestScaleResidual:
 
     def test_a_derivative_pass_computes_the_float_value(self, rng):
         # the H^2 terms of complex products and quotients stay below the real
-        # part's rounding; `**` is libm pow on floats but repeated products
-        # on complex, which may differ by an ulp or two
-        pow_ops = {"trirect_face_area", "sphere_volume"}
+        # part's rounding
         for op in table():
             for _ in range(500):
                 point = op.sample(rng)
                 want = op.closed(*point)
                 got = op.closed(*(dual.seed(xi, ni * xi)
                                   for xi, ni in zip(point, op.arg_dims))).real
-                if op.name in pow_ops:
-                    assert abs(got - want) <= 2 * math.ulp(want), (op.name, point)
-                else:
-                    assert got == want, (op.name, point)
+                assert got == want, (op.name, point)
 
     def test_dimension_slip_is_caught(self):
         wrong = dataclasses.replace(BY_NAME["median"], out_dim=2)
@@ -90,11 +85,21 @@ class TestScaleResidual:
 
 
 class TestFiniteLambdaScaling:
+    # scaling by a power of two is exact, and so is every kernel step on it:
+    # + - * / and sqrt round lam^n t as they round t, and sin and atan see
+    # only angles and ratios, which do not scale
     def test_direct_scaling(self, rng):
         for op in table():
             for _ in range(25):
                 for _, want, scaled in finite_scaling(op, op.sample(rng)):
-                    assert_close(scaled, want, 1e-12, op.name)
+                    assert scaled == want, op.name
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_every_lambda_record_is_exact(self, seed):
+        records = run_scale(random.Random(f"{seed}:scale"), 200)
+        lam = [r for r in records if ":lam=" in r.op]
+        assert len(lam) == 2 * 200 * len(table())
+        assert [r for r in lam if r.rel_err != 0.0] == []
 
 
 class TestDerivativesMatchFiniteDifferences:

@@ -19,9 +19,9 @@ from geodiff.cli import SUITES, RunConfig, run
 DIGESTS = {
     "theorems": "22c1eb4bb8652a87cce75532f92220a6f61d88455dcb02b382410c93f2ba1a5b",
     "derive": "e842414eaace3873bf5f4a953ae552b7c02d71f1867cef41fbca29e52b122be6",
-    "scale": "7f3a6c1703d1bb2804dc50029f5da2e033f8e7ab6e88eac3e28fcb94e39b8849",
+    "scale": "6341e9228bbe47d6af412bbf215aeb86d6d90ae4a536a483055f497163573273",
     "roots": "9dfb25e653d560a81cb59d90f214c0e43e7ec1cb8bb3661bcbd382045e88ce4c",
-    "all": "0e0db54cdc0afa0d952008594685f01c66f0fe134bb267c5ee84d9c4de6129e4",
+    "all": "9925ad5f02e95c32c5174efcd2687e33b4db7504d1c83afb424b1118d42e431b",
 }
 
 
@@ -46,6 +46,23 @@ def test_builtin_sum_counts_failures_only():
              if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "sum"]
     # cli.run's failure count, a sum of bools
     assert found == [("cli.py", "sum((not r.passed for r in report.records))")]
+
+
+def test_formulas_kernels_are_plain_arithmetic():
+    # libm pow rounds differently from products, so a `**` would move the
+    # exact scale records and split a carrier's real part from the float
+    # value; a type test would be a second path that one number type skips
+    path = pathlib.Path(geodiff.__file__).parent / "formulas.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = [ast.unparse(node) for node in ast.walk(tree)
+             if isinstance(getattr(node, "op", None), ast.Pow)
+             or isinstance(node, ast.Call)
+             and getattr(node.func, "id", "") == "isinstance"]
+    assert found == []
+    imported = [(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level
+                for alias in node.names]
+    assert imported == [("dual", "atan"), ("dual", "sin"), ("dual", "sqrt")]
 
 
 if __name__ == "__main__":
