@@ -130,27 +130,35 @@ def path_kernels(path: ContinuationPath) -> tuple:
     """(velocity, correct): the two evaluations track makes on a path, with
     every coefficient row, scale and exponent they read bound once per path.
 
-    velocity(t, x) returns (dx/dt, P'_t(x)), P'_t = (1-t) n gamma x^(n-1) +
-    t Q' and dx/dt = -R(x) / P'_t(x), R = Q - gamma S = Q + gamma - gamma x^n,
-    from one Horner pass over the rows (k q_k, r_k), k = n..1, that also
-    raises n gamma to n gamma x^(n-1).  It raises PathSingularityError if
-    |P'_t(x)| < DERIV_FLOOR * scale * max(1, |x|)**(n-1) for both scales in
-    turn: the bound B(t) = ((1-t) |gamma| + t max|q_k|)(1 + 1e-12) >= max|c_k|,
-    then, only when that trips, max|c_k| of P_t itself, as the split sum
-    rounds worse where an end coefficient t q_0 - (1-t) gamma or
-    t q_n + (1-t) gamma cancels; every other c_k is t q_k.
+    velocity(t, x) returns dx/dt = -R(x) / P'_t(x), R = Q - gamma S = Q + gamma
+    - gamma x^n, from one Horner pass over the rows (k q_k, r_k), k = n..1,
+    that also raises n gamma to ds = n gamma x^(n-1): P'_t = (1-t) ds + t Q'.
+    velocity(t, x, True) returns (dx/dt, P'_t(x), P_t(x)) from that pass, with
+    P_t(x) as the split sum (ds x / n - gamma) + t R(x).  It raises
+    PathSingularityError if |P'_t(x)| < DERIV_FLOOR * scale * max(1, |x|)**(n-1)
+    for both scales in turn: max(|gamma|, max|q_k|) (1 + 1e-12) >= max|c_k|,
+    one constant per path, then, only when that trips, max|c_k| of P_t itself,
+    as the split sum rounds worse where an end coefficient t q_0 - (1-t) gamma
+    or t q_n + (1-t) gamma cancels; every other c_k is t q_k.
 
-    correct(t, x, dp) returns x if its residual on P_t is at most
-    1e-13 max|c_k| max(1, |x|)**n, or else the point one Newton step on,
-    dividing by dp, if that point's residual is, or else None, so that track
-    halves the step.  dp must be velocity(t, x)[1]: that evaluation already
-    passed the P' test.
+    correct(t, x, v, dp, fx), given (v, dp, fx) = velocity(t, x, True),
+    returns (x, v) if the residual of x on P_t is at most 1e-13 max|c_k|
+    max(1, |x|)**n, or else the point one Newton step on, dividing by dp, and
+    dx/dt there if that point's residual is, or else None, so that track
+    halves the step.  A residual is a velocity pass's split sum.  It differs
+    from a Horner pass over the c_k by less than 8 n eps (2 |gamma| +
+    t sum|r_k|) max(1, |x|)**n; within that band of the threshold the test,
+    and the Newton step after it, read P_t(x) off the c_k instead.
     """
     gamma, q, n = path.gamma, path.target.coeffs, path.target.degree
     (dq0, _), *body = [(k * q[k], q[k]) for k in range(n, 0, -1)]
     ds0, num0, r0 = n * gamma, q[n] - gamma, q[0] + gamma
     body, rq, n1 = tuple(body), q[::-1], n - 1
-    start_scale, target_scale = abs(gamma), max(map(abs, q))
+    floor = DERIV_FLOOR * (max(abs(gamma), max(map(abs, q))) * (1.0 + 1e-12))
+    inner = [abs(c) for c in q[1:n]]
+    mid = max(inner, default=0.0)
+    band0, band1 = (8 * n * 2.0 ** -52 * a  # |r_n| = |num0|, |r_0| = |r0|
+                    for a in (2.0 * abs(gamma), math.fsum([abs(num0), abs(r0), *inner])))
 
     def exact_at(t: float) -> tuple[list[complex], float]:
         """P_t's coefficients in Horner order and their scale max|c_k|."""
@@ -160,7 +168,7 @@ def path_kernels(path: ContinuationPath) -> tuple:
         coeffs[-1] -= g
         return coeffs, max(map(abs, coeffs))
 
-    def velocity(t: float, x: complex) -> tuple[complex, complex]:
+    def velocity(t: float, x: complex, full: bool = False):
         g = 1.0 - t
         ds, dq, num = ds0, dq0, num0
         for b, c in body:
@@ -170,21 +178,36 @@ def path_kernels(path: ContinuationPath) -> tuple:
         dp = g * ds + t * dq
         ax = abs(x)
         m = ax ** n1 if ax > 1.0 else 1.0
-        adp = abs(dp)
-        bound = (g * start_scale + t * target_scale) * (1.0 + 1e-12)
-        if adp < DERIV_FLOOR * bound * m \
-                and adp < DERIV_FLOOR * exact_at(t)[1] * m:
+        if abs(dp) < floor * m and abs(dp) < DERIV_FLOOR * exact_at(t)[1] * m:
             raise PathSingularityError(f"P' vanished along the path at t={t!r}")
-        return -(num * x + r0) / dp, dp
+        r = num * x + r0
+        if full:
+            return -r / dp, dp, (ds * x / n - gamma) + t * r
+        return -r / dp
 
-    def correct(t: float, x: complex, dp: complex) -> complex | None:
+    def miss(t: float, x: complex, fx: complex) -> complex | None:
+        """None if x passes the residual test, else the residual to step by."""
+        ax = abs(x)
+        mx = ax ** n if ax > 1.0 else 1.0
+        a, w = abs(fx), (band0 + t * band1) * mx
+        g = (1.0 - t) * gamma
+        tol = 1e-13 * max(abs(t * q[n] + g), abs(t * q[0] - g), t * mid) * mx
+        if a + w <= tol:
+            return None
+        if a - w > tol:
+            return fx
         coeffs, scale = exact_at(t)
-        tol = 1e-13 * scale
         fx = _horner(coeffs, x)
-        if abs(fx) <= tol * max(1.0, abs(x)) ** n:
-            return x
+        return None if abs(fx) <= 1e-13 * scale * mx else fx
+
+    def correct(t: float, x: complex, v: complex, dp: complex,
+                fx: complex) -> tuple[complex, complex] | None:
+        fx = miss(t, x, fx)
+        if fx is None:
+            return x, v
         x = x - fx / dp
-        return x if abs(_horner(coeffs, x)) <= tol * max(1.0, abs(x)) ** n else None
+        v, _, fx = velocity(t, x, True)
+        return (x, v) if miss(t, x, fx) is None else None
 
     return velocity, correct
 
@@ -194,14 +217,17 @@ def track(path: ContinuationPath) -> list[complex]:
 
     The velocity chains dx/da_k = -x^k / P'(x) along the path, dx/dt = -sum_k
     (q_k - gamma s_k) x^k / ((1-t) n gamma x^(n-1) + t Q'(x)), every term
-    from one fused Horner pass (path_kernels), which also returns P'_t(x).
-    Each root carries its own step size h, starting at FIRST_STEP; no cap
-    follows, so only the rest of the span, 1 - t, limits a step.  An attempt
-    is one Dormand-Prince 5(4) step: seven velocity evaluations, the first
-    reused after a rejection, the last at the order-5 value, where the
-    corrector starts: its one Newton step takes P' from that last stage.
-    After every attempt h is scaled by 0.9 * err**-0.2, clipped to [1/4, 2],
-    where err is the gap between the order-5 and order-4 values relative to
+    from one fused Horner pass (path_kernels).  Each root carries its own
+    step size h, starting at FIRST_STEP; no cap follows, so only the rest of
+    the span, 1 - t, limits a step.  An attempt is one Dormand-Prince 5(4)
+    step: seven velocity passes, the first reused from the point the last
+    accepted step ended on (first same as last) or after a rejection, the
+    last at the order-5 value y5, where the corrector starts.  That pass also
+    returns P'_t(y5), by which the corrector's one Newton step divides, and
+    P_t(y5), the residual it judges; the residual at the Newton point comes
+    from the velocity pass there, which is the next step's first.  After
+    every attempt h is scaled by 0.9 * err**-0.2, clipped to [1/4, 2], where
+    err is the gap between the order-5 and order-4 values relative to
     LOCAL_TOL (err <= 1 passes); the step advances with the order-5 value.
     An attempt that passes that test but fails the corrector, or that meets a
     vanishing P', halves h instead.  A root whose step falls below
@@ -211,54 +237,45 @@ def track(path: ContinuationPath) -> list[complex]:
     path: the order-5 and order-4 values agree to LOCAL_TOL; at most one
     Newton step reaches a 1e-13 relative residual; and that Newton correction
     is at most a quarter of the predicted move.  The residual's scale is
-    max|c_k| of P_t itself, and so is P''s once P' trips the bound
-    B(t) >= max|c_k| (path_kernels), as the split sum rounds worse where an
-    end coefficient cancels.  After the final polish on the target, a
-    non-finite root, a residual of FINAL_RESIDUAL_TOL or more, or two paths on
-    one simple root raise TrackingFailureError.
+    max|c_k| of P_t itself, and so is P''s (path_kernels), as the split sum
+    rounds worse where an end coefficient cancels.  After the final polish on
+    the target, a non-finite root, a residual of FINAL_RESIDUAL_TOL or more,
+    or two paths on one simple root raise TrackingFailureError.
     """
     velocity, correct = path_kernels(path)
     n = path.target.degree
     h_min = FIRST_STEP / 2 ** MAX_REFINE_DEPTH
-
-    def dopri(t1: float, t: float, x: complex,
-              k1: complex) -> tuple[complex, complex, complex]:
-        """One Dormand-Prince 5(4) step, t to t1: the order-5 value y5,
-        y5 - y4 and P'_t1(y5)."""
-        h = t1 - t
-        k2 = velocity(t + h / 5.0, x + h * (k1 / 5.0))[0]
-        k3 = velocity(t + 0.3 * h, x + h * (3 / 40 * k1 + 9 / 40 * k2))[0]
-        k4 = velocity(t + 0.8 * h,
-                      x + h * (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3))[0]
-        k5 = velocity(t + 8 / 9 * h,
-                      x + h * (19372 / 6561 * k1 - 25360 / 2187 * k2
-                               + 64448 / 6561 * k3 - 212 / 729 * k4))[0]
-        k6 = velocity(t1, x + h * (9017 / 3168 * k1 - 355 / 33 * k2
-                                   + 46732 / 5247 * k3 + 49 / 176 * k4
-                                   - 5103 / 18656 * k5))[0]
-        y5 = x + h * (35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4
-                      - 2187 / 6784 * k5 + 11 / 84 * k6)
-        k7, dp = velocity(t1, y5)
-        return y5, h * (71 / 57600 * k1 - 71 / 16695 * k3 + 71 / 1920 * k4
-                        - 17253 / 339200 * k5 + 22 / 525 * k6 - 1 / 40 * k7), dp
-
     out = []
     for x in unit_roots(n):
-        t, h, k1 = 0.0, FIRST_STEP, None
+        t, h = 0.0, FIRST_STEP
+        k1 = velocity(t, x)
         while t < 1.0:
             t1 = min(1.0, t + h)
-            try:
-                if k1 is None:  # x and t are unchanged after a rejection
-                    k1 = velocity(t, x)[0]
-                y5, delta, dp = dopri(t1, t, x, k1)
+            d = t1 - t
+            try:  # one Dormand-Prince 5(4) step, t to t1
+                k2 = velocity(t + d / 5.0, x + d * (k1 / 5.0))
+                k3 = velocity(t + 0.3 * d, x + d * (3 / 40 * k1 + 9 / 40 * k2))
+                k4 = velocity(t + 0.8 * d,
+                              x + d * (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3))
+                k5 = velocity(t + 8 / 9 * d,
+                              x + d * (19372 / 6561 * k1 - 25360 / 2187 * k2
+                                       + 64448 / 6561 * k3 - 212 / 729 * k4))
+                k6 = velocity(t1, x + d * (9017 / 3168 * k1 - 355 / 33 * k2
+                                           + 46732 / 5247 * k3 + 49 / 176 * k4
+                                           - 5103 / 18656 * k5))
+                y5 = x + d * (35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4
+                              - 2187 / 6784 * k5 + 11 / 84 * k6)
+                k7, dp, fx = velocity(t1, y5, True)
+                delta = d * (71 / 57600 * k1 - 71 / 16695 * k3 + 71 / 1920 * k4
+                             - 17253 / 339200 * k5 + 22 / 525 * k6 - 1 / 40 * k7)
                 err = abs(delta) / (LOCAL_TOL * max(1.0, abs(y5)))
                 # the 1e-4 floor only avoids 0 ** -0.2; the cap of 2 binds from 0.02
                 factor = min(2.0, max(0.25, 0.9 * max(err, 1e-4) ** -0.2))
                 if err <= 1.0:
-                    corrected = correct(t1, y5, dp)
-                    if corrected is not None and abs(corrected - y5) \
-                            <= 0.25 * abs(y5 - x) + 1e-12 * max(1.0, abs(corrected)):
-                        t, x, k1 = t1, corrected, None
+                    done = correct(t1, y5, k7, dp, fx)
+                    if done is not None and abs(done[0] - y5) \
+                            <= 0.25 * abs(y5 - x) + 1e-12 * max(1.0, abs(done[0])):
+                        t, (x, k1) = t1, done
                         h *= factor
                         continue
                     factor = 0.5
@@ -317,12 +334,15 @@ def oracle_roots(p: Poly) -> list[complex]:
     lead = p.coeffs[-1]
     radius = 1.0 + max(abs(c) for c in p.coeffs[:-1]) / abs(lead)
     xs = [radius * cmath.exp(2j * math.pi * (k + 0.25) / n) for k in range(n)]
+    others = [[j for j in range(n) if j != i] for i in range(n)]
     for _ in range(ORACLE_MAX_ITER):
         biggest = 0.0
-        for i in range(n):
-            prod = math.prod((xs[i] - xs[j] for j in range(n) if j != i), start=lead)
-            delta = p(xs[i]) / prod
-            xs[i] -= delta
+        for i, js in enumerate(others):
+            x, prod = xs[i], lead
+            for j in js:
+                prod *= x - xs[j]
+            delta = p(x) / prod
+            xs[i] = x - delta
             biggest = max(biggest, abs(delta))
         scale = max(1.0, max(abs(x) for x in xs))
         if biggest < 1e-12 * scale:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 
 from conftest import assert_close, quads, ravi_triangles, triangles, valid_quad
-from geodiff import formulas, geom, oracle
+from geodiff import dual, formulas, geom, oracle
 
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
@@ -321,6 +321,26 @@ class TestBisectorProblem:
         # degenerate end of the admissible interval
         with pytest.raises(ValueError):
             formulas.bisector_side(1.0, 1.0, c)
+
+    def test_side_bits_are_pinned(self):
+        # the exact bits of the float root and of its derivative step, on
+        # floats (where the step adds 0.0) and on complex steps, one with all
+        # imaginary parts 0 (where its two cubic values cancel exactly)
+        floats = {(1.1, 1.3, 1.2): "2.0790030109577944",
+                  (352.47849023531734, 1.0455188619820959,
+                   0.0003718428888505927): "353.5240090309796",
+                  (0.5, 7.25, 3.0): "7.347718126681653"}
+        for args, want in floats.items():
+            assert repr(formulas.bisector_side(*args)) == want
+        steps = ("(2.951403168291807+3.8137421657721276e-91j)",
+                 "(2.3411512809966735+0j)",
+                 "(2.3765320279362516-4.362547328562027e-91j)",
+                 "(2.2315451583276653+4.4863359824567423e-91j)")
+        rng = random.Random("bisector-steps")
+        for want in steps:
+            args = [rng.uniform(0.5, 2.0) for _ in range(3)]
+            ds = [rng.choice((0.0, 1.0, rng.uniform(-1.0, 1.0))) for _ in range(3)]
+            assert repr(formulas.bisector_side(*map(dual.seed, args, ds))) == want
 
     def test_near_degenerate_cubics(self):
         # sides of this triple from mpmath at 50 digits; the forward map

@@ -141,6 +141,23 @@ class TestTrack:
             checked += 1
         assert checked >= 20
 
+    def test_clustered_split(self):
+        # the close real pair still stops 32 of these 200 paths with a step
+        # below its floor just before t = 1; every path that ends must end
+        # on the oracle's roots.  An endgame may raise the count, never lower it
+        rng = random.Random("cluster")
+        tracked = 0
+        for _ in range(200):
+            target, _ = clustered_target(rng)
+            path = make_path(target, rng=rng)
+            try:
+                found = track(path)
+            except polyroots.PathSingularityError:
+                continue
+            assert match_distance(found, oracle_roots(target)) < 1e-10
+            tracked += 1
+        assert tracked >= 168
+
     def test_rejected_correction_still_matches_the_oracle(self, monkeypatch):
         # roots suite, seed 18, case 13: one Newton step misses the residual
         # test once, and track halves that step instead of accepting it
@@ -155,8 +172,8 @@ class TestTrack:
         def recording(path):
             velocity, correct = kernels(path)
 
-            def corrector(t, x, dp):
-                results.append(correct(t, x, dp))
+            def corrector(t, x, v, dp, fx):
+                results.append(correct(t, x, v, dp, fx))
                 return results[-1]
 
             return velocity, corrector
@@ -182,9 +199,10 @@ class TestTrack:
     def test_roots_are_pinned(self):
         # any change to the predictor, the step control or the corrector
         # moves these bits; re-pin them only with a change that explains it.
-        # Re-pinned when the velocity began to evaluate P'_t as
-        # (1-t) (gamma S)'(x) + t Q'(x) instead of from P'_t's coefficients:
-        # same guards, other rounding, so the last bits of some roots moved
+        # Re-pinned when the corrector began to read P_t(x) off the velocity
+        # pass, as gamma S(x) + t R(x) instead of from P_t's coefficients
+        # outside the rounding band: same guards and decisions, another
+        # Newton step by a few ulps, so the last bits of some roots moved
         rng = random.Random("polyroots-pinned")
         for want in PINNED_ROOTS:
             coeffs = [rng.uniform(-5.0, 5.0) for _ in range(8)] + [1.0]
@@ -197,24 +215,24 @@ PINNED_ROOTS = (
      (0.7902675878617381+1.6739397742819586j),
      (-0.5299313793575506+1.0009361596303745j),
      (-0.6078045923491536+0j),
-     (-1.2007331672658026-5.877471754111438e-38j),
+     (-1.2007331672658026+3.0814879110195774e-32j),
      (-0.5299313793575506-1.0009361596303745j),
-     (0.7902675878617381-1.6739397742819586j),
+     (0.7902675878617382-1.6739397742819584j),
      (0.9011865741574957-0.5279291537550607j)),
-    ((1.2049156080049943-2.8888949165808538e-34j),
+    ((1.2049156080049943+2.311115933264683e-33j),
      (0.5077735961627002+0.6314923693056981j),
-     (-1.119870604496442+1.0798695850126148j),
-     (-0.480481020587589+0.8124538380287739j),
-     (-1.976044252120233-2.938735877055719e-39j),
-     (-1.1198706044964417-1.0798695850126145j),
+     (-1.1198706044964417+1.0798695850126148j),
+     (-0.480481020587589+0.812453838028774j),
+     (-1.976044252120233+4.930380657631324e-32j),
+     (-1.1198706044964417-1.0798695850126148j),
      (-0.480481020587589-0.812453838028774j),
      (0.5077735961627002-0.6314923693056981j)),
     ((0.9416425432520886-0.38198959677552224j),
      (0.9416425432520886+0.38198959677552224j),
      (0.23822271751162186+0.8178356727355957j),
      (-0.8240590505598272+1.0148722612803647j),
-     (-4.413602629344147-1.88079096131566e-37j),
-     (-0.8086015581558212-1.232595164407831e-32j),
+     (-4.413602629344147-5.423418723394456e-31j),
+     (-0.8086015581558212-6.162975822039155e-33j),
      (-0.8240590505598272-1.0148722612803647j),
      (0.23822271751162186-0.8178356727355957j)),
 )
@@ -225,7 +243,10 @@ class TestVelocity:
         # track's velocity -R(x) / P'_t(x) from the fused kernel against the
         # one from P_t itself (ContinuationPath.at): R is the same Horner sum
         # bit for bit, and the two P'_t(x) round differently, by a few eps
-        # times the sum of the |terms| of (1-t) (gamma S)'(x) + t Q'(x)
+        # times the sum of the |terms| of (1-t) (gamma S)'(x) + t Q'(x).  The
+        # full pass's split sum P_t(x) = gamma S(x) + t R(x) stays within the
+        # corrector's band, 8 n eps (2 |gamma| + t sum|r_k|) max(1, |x|)**n,
+        # of the Horner sum over P_t's own coefficients
         rng = random.Random("polyroots-velocity")
         eps = math.ulp(1.0)
         for _ in range(60):
@@ -236,13 +257,15 @@ class TestVelocity:
             start = start_coeffs(degree)
             rate = Poly(tuple(q - path.gamma * s
                               for s, q in zip(start, path.target.coeffs)))
+            spread = math.fsum(map(abs, rate.coeffs))
             for t in (0.0, rng.random(), 1.0):
                 p_t = path.at(t)
                 on_path = rng.choice(oracle_roots(p_t))
                 off_path = [complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
                             for _ in range(2)]
                 for x in [on_path] + off_path:
-                    got, dp = velocity(t, x)
+                    got, dp, fx = velocity(t, x, True)
+                    assert repr(velocity(t, x)) == repr(got)
                     assert got == -rate(x) / dp
                     want = -rate(x) / p_t.deriv(x)
                     terms = sum(k * (abs((1.0 - t) * path.gamma * s) + abs(t * q))
@@ -250,25 +273,29 @@ class TestVelocity:
                                 enumerate(zip(start, path.target.coeffs)))
                     cond = 1.0 + terms / abs(p_t.deriv(x))
                     assert abs(got - want) <= 4 * degree * eps * abs(want) * cond
+                    band = 8 * degree * eps * (2.0 + t * spread)
+                    assert abs(fx - p_t(x)) <= band * max(1.0, abs(x)) ** degree
 
     def test_corrector_takes_p_prime_from_the_last_stage(self, monkeypatch):
-        # every corrector call starts at the last stage's point (t1, y5) and
-        # its first Newton step divides by that stage's P', which must equal a
-        # fresh kernel evaluation there bit for bit
+        # every corrector call starts at the last stage's point (t1, y5),
+        # whose full pass hands it P' and the residual, and which must equal
+        # a fresh kernel evaluation there bit for bit; the velocity it returns
+        # is the one at the point it returns, and track makes no pass of its
+        # own there: that one is the next step's first stage
         kernels = polyroots.path_kernels
-        calls = []
+        calls, passes = [], []
 
         def recording(path):
             velocity, correct = kernels(path)
-            last = []
 
-            def stage(t, x):
-                last[:] = [(t, x)]
-                return velocity(t, x)
+            def stage(t, x, full=False):
+                passes.append((t, x, full))
+                return velocity(t, x, full)
 
-            def corrector(t, x, dp):
-                calls.append((path, last[0], (t, x), dp))
-                return correct(t, x, dp)
+            def corrector(t, x, v, dp, fx):
+                got = correct(t, x, v, dp, fx)
+                calls.append((path, passes[-1], (t, x), (v, dp, fx), got))
+                return got
 
             return stage, corrector
 
@@ -278,41 +305,133 @@ class TestVelocity:
             coeffs = [rng.uniform(-5.0, 5.0) for _ in range(degree)] + [1.0]
             track(make_path(Poly(tuple(coeffs)), rng=rng))
         assert len(calls) > 100
-        for path, stage_at, (t, x), dp in calls:
-            assert stage_at == (t, x)
-            assert repr(dp) == repr(kernels(path)[0](t, x)[1])
+        ends = set()
+        for path, stage_at, (t, x), handed, got in calls:
+            velocity = kernels(path)[0]
+            assert stage_at == (t, x, True)
+            assert repr(handed) == repr(velocity(t, x, True))
+            if got is not None:
+                assert repr(got[1]) == repr(velocity(t, got[0]))
+                ends.add((t, got[0]))
+        assert not ends & {(t, x) for t, x, full in passes if not full}
 
-    def test_floor_bound_covers_the_path_scale(self):
-        # the P' floor first tests against B(t) = ((1-t) |gamma| + t max|q_k|)
-        # (1 + 1e-12), which must never fall below max|c_k| of P_t itself
+    def test_floor_bound_covers_the_path_scale(self, monkeypatch):
+        # the P' floor first tests against one constant per path,
+        # max(|gamma|, max|q_k|) (1 + 1e-12), at least the old per-t bound
+        # B(t) = ((1-t) |gamma| + t max|q_k|) (1 + 1e-12), which must never
+        # fall below max|c_k| of P_t itself
         rng = random.Random("polyroots-bound")
         for _ in range(200):
             degree = rng.randint(1, 8)
             coeffs = [complex(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))
                       for _ in range(degree + 1)]
             path = make_path(Poly(tuple(coeffs)), rng=rng)
+            floor = max(abs(path.gamma), path.target.scale) * (1.0 + 1e-12)
             for t in (0.0, rng.random(), rng.random(), 1.0):
                 bound = ((1.0 - t) * abs(path.gamma) + t * path.target.scale) \
                     * (1.0 + 1e-12)
-                assert bound >= path.at(t).scale
+                assert floor >= bound >= path.at(t).scale
+        # so it raises where the B(t) form raised, bit for bit: around the
+        # critical points of P_t, where P' crosses DERIV_FLOOR max|c_k| m
+        rng = random.Random("polyroots-floor")
+        raised = kept = 0
+        for _ in range(40):
+            degree = rng.randint(2, 8)
+            coeffs = [complex(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))
+                      for _ in range(degree)] + [1.0]
+            path = make_path(Poly(tuple(coeffs)), rng=rng)
+            t = rng.random()
+            p_t = path.at(t)
+            bound = ((1.0 - t) * abs(path.gamma) + t * path.target.scale) \
+                * (1.0 + 1e-12)
+            slope = Poly(tuple(k * c for k, c in enumerate(p_t.coeffs)))
+            with monkeypatch.context() as m:  # a floor of 0 never raises
+                m.setattr(polyroots, "DERIV_FLOOR", 0.0)
+                bare, _ = polyroots.path_kernels(path)
+            velocity, _ = polyroots.path_kernels(path)
+            for xc in oracle_roots(Poly(slope.coeffs[1:])):
+                step = polyroots.DERIV_FLOOR * p_t.scale / abs(slope.deriv(xc))
+                turn = cmath.exp(2j * math.pi * rng.random())
+                for f in (0.1, 0.5, 0.9, 1.1, 2.0, 4.0):
+                    x = xc + f * step * turn * max(1.0, abs(xc)) ** (degree - 1)
+                    adp = abs(bare(t, x, True)[1])
+                    m = max(1.0, abs(x)) ** (degree - 1)
+                    old = adp < polyroots.DERIV_FLOOR * bound * m \
+                        and adp < polyroots.DERIV_FLOOR * p_t.scale * m
+                    try:
+                        velocity(t, x)
+                    except polyroots.PathSingularityError:
+                        assert old
+                        raised += 1
+                    else:
+                        assert not old
+                        kept += 1
+        assert raised > 50 and kept > 50
 
     def test_corrector_takes_one_newton_step(self):
         # on P_1 = x^2 - 4 a root comes back as it is, a point one Newton step
         # from it comes back stepped, and one that one step leaves short, None
-        _, correct = polyroots.path_kernels(ContinuationPath(Poly((-4.0, 0.0, 1.0))))
-        assert correct(1.0, 2.0 + 0j, 4.0 + 0j) == 2.0
+        velocity, correct = polyroots.path_kernels(
+            ContinuationPath(Poly((-4.0, 0.0, 1.0))))
+        assert correct(1.0, 2.0 + 0j, *velocity(1.0, 2.0 + 0j, True))[0] == 2.0
         near = 2.0 + 1e-8 + 0j
-        assert abs(correct(1.0, near, 2.0 * near) - 2.0) < 1e-15
-        assert correct(1.0, 2.1 + 0j, 4.2 + 0j) is None
+        x, v = correct(1.0, near, *velocity(1.0, near, True))
+        assert abs(x - 2.0) < 1e-15 and v == velocity(1.0, x)
+        assert correct(1.0, 2.1 + 0j, *velocity(1.0, 2.1 + 0j, True)) is None
+
+    def test_corrector_decides_on_p_t_coefficients(self):
+        # the split-sum residual, with its band, must pass exactly the points
+        # that P_t's own coefficients pass: |P_t(x)| <= 1e-13 max|c_k|
+        # max(1, |x|)**n, P_t(x) from a Horner pass over them.  correct keeps
+        # x itself only then; otherwise its Newton step moves x, or leaves it
+        # where it failed and returns None.  Points sit on the path and at
+        # 0.5 to 2 times the threshold's distance from it, so many fall in
+        # the band; the cancelling path puts every one of them there
+        rng = random.Random("polyroots-decide")
+        paths = [(ContinuationPath(Poly((1.0, -1.0 + 2.0 ** -50))), 0.5)]
+        for _ in range(150):
+            degree = rng.randint(1, 8)
+            coeffs = [complex(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))
+                      for _ in range(degree)] + [complex(rng.uniform(0.5, 2.0))]
+            path = make_path(Poly(tuple(coeffs)), rng=rng)
+            paths.append((path, rng.choice((0.0, rng.random(), 1.0))))
+        decided = {True: 0, False: 0}
+        for path, t in paths:
+            n = path.target.degree
+            velocity, correct = polyroots.path_kernels(path)
+            p_t = path.at(t)
+            points = [complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))]
+            for root in oracle_roots(p_t):
+                points.append(root)
+                gap = 1e-13 * p_t.scale * max(1.0, abs(root)) ** n \
+                    / abs(p_t.deriv(root))
+                turn = cmath.exp(2j * math.pi * rng.random())
+                points += [root + f * gap * turn for f in (0.5, 0.9, 1.0, 1.1, 2.0)]
+            for x in points:
+                try:
+                    got = correct(t, x, *velocity(t, x, True))
+                except polyroots.PathSingularityError:
+                    continue
+                want = abs(p_t(x)) <= 1e-13 * p_t.scale * max(1.0, abs(x)) ** n
+                assert (got is not None and got[0] == x) == want, (path, t, x)
+                decided[want] += 1
+        assert min(decided.values()) > 300
 
     def test_cancelling_coefficients_pass_on_p_t_scale(self):
         # at t = 1/2 gamma s_k and q_k cancel: P_t = 2**-51 x, so P' = 2**-51
-        # trips the bound B(t) >= 1 but clears P_t's own scale max|c_k| = 2**-51
+        # trips the floor constant 1 but clears P_t's own scale max|c_k| =
+        # 2**-51; the split sum gamma (x - 1) + t R(x) cancels too, so the
+        # corrector reads P_t(x) off P_t's coefficients, decides on that
+        # scale, and steps by that residual
         path = ContinuationPath(Poly((1.0, -1.0 + 2.0 ** -50)))
-        velocity, _ = polyroots.path_kernels(path)
-        got, dp = velocity(0.5, 0j)
+        velocity, correct = polyroots.path_kernels(path)
+        got, dp, fx = velocity(0.5, 0j, True)
         assert dp == 2.0 ** -51 and abs(dp) < polyroots.DERIV_FLOOR
-        assert got == -2.0 / 2.0 ** -51
+        assert got == -2.0 / 2.0 ** -51 and fx == 0.0
+        x = 1e-14 + 0j  # |P_t(x)| = 2**-51 1e-14 <= 1e-13 2**-51
+        assert correct(0.5, x, *velocity(0.5, x, True))[0] == x
+        x = 1e-12 + 0j  # one exact Newton step lands on the root 0
+        assert correct(0.5, x, *velocity(0.5, x, True))[0] == 0.0
 
     def test_vanishing_p_prime_raises(self):
         # x^2 + 2t - 1 has a double root at x = 0, t = 1/2: P' = 0 trips both
@@ -320,6 +439,8 @@ class TestVelocity:
         velocity, _ = polyroots.path_kernels(path)
         with pytest.raises(polyroots.PathSingularityError):
             velocity(0.5, 0j)
+        with pytest.raises(polyroots.PathSingularityError):
+            velocity(0.5, 0j, True)
 
 
 class TestQuadraticSensitivities:

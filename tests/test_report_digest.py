@@ -20,8 +20,8 @@ DIGESTS = {
     "theorems": "22c1eb4bb8652a87cce75532f92220a6f61d88455dcb02b382410c93f2ba1a5b",
     "derive": "e842414eaace3873bf5f4a953ae552b7c02d71f1867cef41fbca29e52b122be6",
     "scale": "6341e9228bbe47d6af412bbf215aeb86d6d90ae4a536a483055f497163573273",
-    "roots": "9dfb25e653d560a81cb59d90f214c0e43e7ec1cb8bb3661bcbd382045e88ce4c",
-    "all": "9925ad5f02e95c32c5174efcd2687e33b4db7504d1c83afb424b1118d42e431b",
+    "roots": "efa293d02fc4de7a108283d89b9fd9b838fe8d019f3e7f8c8f2a11ef8b72149e",
+    "all": "6294f922333433da67dff951338830eefb1ce055717b2099267b414b7bf68fd6",
 }
 
 
