@@ -6,11 +6,12 @@ Suites: theorems (closed forms vs the coordinate oracle), derive (ODE
 convergence and residuals), scale (homogeneity sweep), roots (continuation
 vs simultaneous iteration), or all.  Each suite is one function
 ``run_<suite>(rng, cases) -> list[Record]`` in ``RUNNERS``, and each record
-is judged by its module constant below.  Reports are byte-identical for a
-fixed (config, seed) on every supported CPython, 3.10 to 3.13; the
-timestamp lives in the JSON header, never in records.  CSV rows and JSON
-records each come from one template, with no quoting or escaping: record text
-holds nothing that needs either (see ``write_report``).
+is judged by its module constant below, a scale ``:lam=`` one by equality.
+Reports are byte-identical for a fixed (config, seed) on every supported
+CPython, 3.10 to 3.13; the timestamp lives in the JSON header, never in
+records.  CSV rows and JSON records each come from one template, with no
+quoting or escaping: record text holds nothing that needs either (see
+``write_report``).
 
 The derive suite draws nothing at random, so it ignores ``--seed``; it steps
 at ``DEFAULT_H`` and reads ``--cases`` as the number of sample points of
@@ -34,7 +35,7 @@ DEFAULT_H = (1e-1, 1e-2, 1e-3)
 
 THEOREMS_TOL = 1e-9
 SCALE_TOL = 1e-10
-LAMBDA_TOL = 1e-12
+LAMBDA_TOL = 1e-12  # perfbench copies it; run_scale judges :lam= records exactly
 ROOTS_TOL = 1e-6
 SENS_TOL = 1e-5
 ENDPOINT_TOL = 1e-7
@@ -93,14 +94,20 @@ def _rel(actual: float, expected: float) -> float:
 
 
 def _record(suite, case_id, op, inputs, expected: float, actual: float,
-            tol) -> Record:
-    """Record of one float comparison; for floats, repr is what _fmt gives.
-    An actual equal to a nonzero expected reuses its text (zeros have signs)."""
+            tol: float | None) -> Record:
+    """Record of one float comparison, passing below relative tol (on equality
+    if tol is None).  An actual equal to a nonzero expected reuses its text
+    (zeros have signs); for floats, repr is what _fmt gives."""
     err = _rel(actual, expected)
     text = repr(expected)
     return Record(suite, case_id, op, inputs, text,
                   text if actual == expected and expected else repr(actual),
-                  err, err < tol)
+                  err, actual == expected if tol is None else err < tol)
+
+
+def _defect(suite, case_id, op, inputs, value: float, tol) -> Record:
+    """Record of a value that should be 0, passing below tol."""
+    return Record(suite, case_id, op, inputs, "0.0", repr(value), value, value < tol)
 
 
 def _failed(suite, case_id, op, inputs, expected: str, exc) -> Record:
@@ -139,7 +146,7 @@ def run_theorems(rng: random.Random, cases: int) -> list[Record]:
                                    closed, THEOREMS_TOL))
 
         sides = case.triangle
-        abc = geom.incenter_bisector_lengths(case.t)
+        abc = geom.incenter_bisector_lengths(*sides)
         try:
             recovered = geom.bisector_problem_solve(*abc)
             err = max(_rel(got, want) for got, want in zip(recovered, sides))
@@ -158,10 +165,9 @@ def run_derive(rng: random.Random, cases: int) -> list[Record]:
     for entry in odes.catalog():
         if entry.residual_only:
             res = odes.residual(entry, max(2, cases))
-            out.append(Record("derive", 0, f"{entry.name}:residual",
-                              _fmt(*entry.s_range), "0.0",
-                              repr(res.max_residual), res.max_residual,
-                              res.max_residual < RESIDUAL_TOL))
+            out.append(_defect("derive", 0, f"{entry.name}:residual",
+                               _fmt(*entry.s_range), res.max_residual,
+                               RESIDUAL_TOL))
             continue
         exact = odes.reference_endpoint(entry)
         try:
@@ -199,15 +205,13 @@ def run_scale(rng: random.Random, cases: int) -> list[Record]:
         for i in range(cases):
             point = op.sample(rng)
             ins = _fmt(*point)
-            res = homogeneity.scale_residual(op, point)
-            out.append(Record("scale", i, op.name, ins, "0.0",
-                              repr(res), res, res < SCALE_TOL))
+            out.append(_defect("scale", i, op.name, ins,
+                               homogeneity.scale_residual(op, point), SCALE_TOL))
             for lam, want, scaled in homogeneity.finite_scaling(op, point):
                 name = names.get(lam)
                 if name is None:
                     name = names[lam] = f"{op.name}:lam={lam:g}"
-                out.append(_record("scale", i, name, ins, want, scaled,
-                                   LAMBDA_TOL))
+                out.append(_record("scale", i, name, ins, want, scaled, None))
     return out
 
 
@@ -222,9 +226,8 @@ def run_roots(rng: random.Random, cases: int) -> list[Record]:
             tracked = polyroots.track(path)
             reference = polyroots.oracle_roots(target)
             dist = polyroots.match_distance(tracked, reference)
-            out.append(Record("roots", i, "track",
-                              _fmt(*coeffs), "0.0", repr(dist), dist,
-                              dist < ROOTS_TOL))
+            out.append(_defect("roots", i, "track", _fmt(*coeffs), dist,
+                               ROOTS_TOL))
         except (polyroots.PathSingularityError, polyroots.TrackingFailureError,
                 polyroots.OracleFailureError) as exc:
             out.append(_failed("roots", i, "track", _fmt(*coeffs), "0.0", exc))
@@ -233,9 +236,8 @@ def run_roots(rng: random.Random, cases: int) -> list[Record]:
         r1 = rng.uniform(-3.0, 3.0)
         r2 = r1 + rng.uniform(0.5, 3.0)
         b, c = -a * (r1 + r2), a * r1 * r2
-        err = quad_sens_error(a, b, c, r2)
-        out.append(Record("roots", i, "quad_sens", _fmt(a, b, c, r2), "0.0",
-                          repr(err), err, err < SENS_TOL))
+        out.append(_defect("roots", i, "quad_sens", _fmt(a, b, c, r2),
+                           quad_sens_error(a, b, c, r2), SENS_TOL))
     return out
 
 

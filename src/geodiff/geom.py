@@ -1,4 +1,4 @@
-"""The validated triangle and the inverse bisector problem.
+"""The triangle test and the inverse bisector problem.
 
 Conventions, fixed once for the whole package:
 
@@ -17,18 +17,16 @@ a, b, c             vertex-to-incenter bisector segments at the alpha, beta
 
 All angles are radians.  The median/cevian/bisector kernels in ``formulas``
 act on the gamma vertex / the z-side; callers permute sides to reach the
-other vertices.  Only the triangle, whose checks other code relies on, has
-a type here: ``sampling`` draws triangles as ``Triangle`` and
-``bisector_problem_solve`` accepts only sides that form one.  A cyclic
-quadrilateral is drawn as four points on a circle (``sampling.cyclic_quad``,
-``oracle.embed_cyclic``), so it is convex and cyclic by construction and
-needs no type; every other draw is a plain tuple of floats.
+other vertices.  No shape has a type: a triangle is its sides (x, y, z),
+and a cyclic quadrilateral is drawn as four points on a circle
+(``sampling.cyclic_quad``, ``oracle.embed_cyclic``), convex and cyclic by
+construction.  ``triangle_sides`` tests sides no sampler vouches for,
+such as the ones ``bisector_problem_solve`` solves for.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import formulas
 
@@ -41,7 +39,7 @@ class GeometryError(ValueError):
 
 
 class DomainError(GeometryError):
-    """Input outside a type's domain."""
+    """Input outside a function's domain."""
 
 
 class NoTriangleError(GeometryError):
@@ -54,35 +52,22 @@ def _require_positive(**named) -> None:
             raise DomainError(f"{name} must be a positive finite length, got {v!r}")
 
 
-@dataclass(frozen=True)
-class Triangle:
-    """Side lengths of a nondegenerate triangle."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        _require_positive(x=self.x, y=self.y, z=self.z)
-        margin = EPS_DEG * (self.x + self.y + self.z)
-        for a, b, c in ((self.x, self.y, self.z), (self.y, self.z, self.x),
-                        (self.z, self.x, self.y)):
-            if a + b - c <= margin:
-                raise DomainError(
-                    f"degenerate triangle sides ({self.x}, {self.y}, {self.z})")
-
-    @property
-    def sides(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
+def triangle_sides(x: float, y: float, z: float) -> tuple[float, float, float]:
+    """(x, y, z) if each is positive and finite and each pair exceeds the third
+    by more than EPS_DEG times the perimeter; otherwise DomainError."""
+    _require_positive(x=x, y=y, z=z)
+    margin = EPS_DEG * (x + y + z)
+    if x + y - z <= margin or y + z - x <= margin or z + x - y <= margin:
+        raise DomainError(f"degenerate triangle sides ({x}, {y}, {z})")
+    return (x, y, z)
 
 
-def incenter_bisector_lengths(t: Triangle) -> tuple[float, float, float]:
+def incenter_bisector_lengths(x: float, y: float,
+                              z: float) -> tuple[float, float, float]:
     """Vertex-to-incenter bisector lengths (a, b, c) at the alpha, beta, gamma
     vertices — the forward map inverted by bisector_problem_solve."""
-    a = formulas.bisector_to_incenter(t.y, t.z, t.x)
-    b = formulas.bisector_to_incenter(t.x, t.z, t.y)
-    c = formulas.bisector_to_incenter(t.x, t.y, t.z)
-    return (a, b, c)
+    f = formulas.bisector_to_incenter
+    return (f(y, z, x), f(x, z, y), f(x, y, z))
 
 
 def bisector_problem_solve(a: float, b: float, c: float) -> tuple[float, float, float]:
@@ -93,10 +78,10 @@ def bisector_problem_solve(a: float, b: float, c: float) -> tuple[float, float, 
     positive root).  The lengths are first divided by 2**e with
     e = frexp(max(a, b, c))[1], which is exact and leaves the largest in
     [1/2, 1); the sides are solved and round-tripped at that scale and then
-    multiplied back.  They must form a Triangle whose forward map reproduces
-    the rescaled (a, b, c) to relative ROUNDTRIP_TOL.  Otherwise, and on any
-    arithmetic error, NoTriangleError: on positive finite input no other
-    error escapes.
+    multiplied back.  They must pass triangle_sides, and their forward map
+    must reproduce the rescaled (a, b, c) to relative ROUNDTRIP_TOL.
+    Otherwise, and on any arithmetic error, NoTriangleError: on positive
+    finite input no other error escapes.
     """
     _require_positive(a=a, b=b, c=c)
     e = math.frexp(max(a, b, c))[1]
@@ -104,7 +89,7 @@ def bisector_problem_solve(a: float, b: float, c: float) -> tuple[float, float, 
     try:
         sides = (formulas.bisector_side(sb, sc, sa), formulas.bisector_side(sa, sc, sb),
                  formulas.bisector_side(sa, sb, sc))
-        fwd = incenter_bisector_lengths(Triangle(*sides))
+        fwd = incenter_bisector_lengths(*triangle_sides(*sides))
         back = tuple(math.ldexp(s, e) for s in sides)
     except (ValueError, ArithmeticError) as exc:
         # no admissible root, a DomainError, or a length out of float range

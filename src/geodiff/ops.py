@@ -26,15 +26,15 @@ class Case:
     constructions that several operations share.  Each construction is built
     when an operation first reads it and kept once built, so that its
     OracleError lands in the record of each operation that reads it.  The
+    triangle is drawn first, as its sides; ``e`` is its three vertices.  The
     cyclic quadrilateral is drawn last, as its construction (a radius and
     three cuts, ``sampling.cyclic_quad``); the quad operations' point is the
     sides measured from its vertices, so a failing construction lands in
     both quad records."""
 
     def __init__(self, rng: random.Random):
-        self.t = t = sampling.triangle(rng)
-        self.triangle = t.sides
-        self.cevian = (t.x, t.y, *sampling.cevian_split(rng, t.z))
+        self.triangle = x, y, z = sampling.triangle(rng)
+        self.cevian = (x, y, *sampling.cevian_split(rng, z))
         self.pair = (sampling.length(rng), sampling.length(rng))
         self.third = (sampling.length(rng), *sampling.angle_pair(rng))
         theta = sampling.central_angle(rng)
@@ -43,14 +43,14 @@ class Case:
         self.trirect = sampling.trirect(rng)
         self.quad = sampling.cyclic_quad(rng)
 
-    e = cached_property(lambda c: oracle.embed_triangle(c.t))
+    e = cached_property(lambda c: oracle.embed_triangle(*c.triangle))
     cyclic = cached_property(lambda c: oracle.embed_cyclic(*c.quad))
     quad_sides = cached_property(lambda c: oracle.cyclic_sides(c.cyclic))
     # the incenter and circumcenter are rebuilt per measurement
-    full = cached_property(lambda c: oracle.measure_bisector_full(c.e))
-    to_incenter = cached_property(lambda c: oracle.measure_bisector_to_incenter(c.e))
-    r = cached_property(lambda c: oracle.measure_inradius(c.e))
-    big_r = cached_property(lambda c: oracle.measure_circumradius(c.e))
+    full = cached_property(lambda c: oracle.measure_bisector_full(*c.e))
+    to_incenter = cached_property(lambda c: oracle.measure_bisector_to_incenter(*c.e))
+    r = cached_property(lambda c: oracle.measure_inradius(*c.e))
+    big_r = cached_property(lambda c: oracle.measure_circumradius(*c.e))
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,7 @@ def table() -> list[Op]:
     length = sampling.length
 
     def on_triangle(name, closed, out_dim, measure):
-        return Op(name, closed, out_dim, (1, 1, 1),
-                  lambda rng: sampling.triangle(rng).sides,
+        return Op(name, closed, out_dim, (1, 1, 1), sampling.triangle,
                   "triangle", lambda c: c.triangle, measure)
 
     def on_quad(name, closed, out_dim, measure):
@@ -85,8 +84,8 @@ def table() -> list[Op]:
                   "quad", lambda c: c.quad_sides, lambda c: measure(c.cyclic))
 
     def cevian(rng):
-        t = sampling.triangle(rng)
-        return (t.x, t.y, *sampling.cevian_split(rng, t.z))
+        x, y, z = sampling.triangle(rng)
+        return (x, y, *sampling.cevian_split(rng, z))
 
     def third(rng):
         beta, gamma = sampling.angle_pair(rng)
@@ -97,13 +96,13 @@ def table() -> list[Op]:
            lambda rng: (length(rng), length(rng)), "pair", lambda c: c.pair,
            lambda c: oracle.right_triangle_hypotenuse(*c.pair)),
         on_triangle("median", formulas.median, 1,
-                    lambda c: oracle.measure_median(c.e)),
+                    lambda c: oracle.measure_median(*c.e)),
         Op("cevian", formulas.cevian, 1, (1, 1, 1, 1), cevian, "triangle",
-           lambda c: c.cevian, lambda c: oracle.measure_cevian(c.e, *c.cevian[2:])),
+           lambda c: c.cevian, lambda c: oracle.measure_cevian(*c.e, *c.cevian[2:])),
         on_triangle("triangle_area", formulas.triangle_area, 2,
-                    lambda c: oracle.measure_area(c.e)),
+                    lambda c: oracle.measure_area(*c.e)),
         on_triangle("angle_from_sides", formulas.angle_gamma, 0,
-                    lambda c: oracle.measure_angle_gamma(c.e)),
+                    lambda c: oracle.measure_angle_gamma(*c.e)),
         on_triangle("bisector_full", formulas.bisector_full, 1, lambda c: c.full),
         on_triangle("bisector_to_incenter", formulas.bisector_to_incenter, 1,
                     lambda c: c.to_incenter),
@@ -119,7 +118,7 @@ def table() -> list[Op]:
         on_triangle("inradius", formulas.inradius, 1, lambda c: c.r),
         Op("euler_distance", formulas.euler_distance, 1, (1, 1),
            sampling.incircle_pair, "triangle", lambda c: (c.r, c.big_r),
-           lambda c: oracle.measure_euler_distance(c.e)),
+           lambda c: oracle.measure_euler_distance(*c.e)),
         Op("third_side", formulas.third_side, 1, (1, 0, 0), third, "third",
            lambda c: c.third, lambda c: oracle.third_side_by_construction(*c.third)),
         on_quad("ptolemy_diagonal", formulas.ptolemy_diagonal, 1,

@@ -13,7 +13,6 @@ points have been rotated or translated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 Point = tuple[float, float]
 
@@ -60,96 +59,83 @@ def line_intersection(p1: Point, d1: Point, p2: Point, d2: Point) -> Point:
     return (p1[0] + t * d1[0], p1[1] + t * d1[1])
 
 
-@dataclass(frozen=True)
-class TriangleEmbedding:
-    """Vertices with |AC| = x, |BC| = y, |AB| = z; C is the gamma vertex."""
-
-    a: Point
-    b: Point
-    c: Point
-
-
-def embed_triangle(t) -> TriangleEmbedding:
-    """Canonical embedding A=(0,0), B=(z,0), C above the z-side.
+def embed_triangle(x: float, y: float, z: float) -> tuple[Point, Point, Point]:
+    """Vertices A=(0,0), B=(z,0), C above the z-side, the measurements' input.
 
     The foot offset of the altitude from C follows from equating the two
     right-triangle expressions for its height: t0 = (x^2 - y^2 + z^2)/(2z).
     """
-    x, y, z = t.x, t.y, t.z
     t0 = (x * x - y * y + z * z) / (2.0 * z)
     h2 = x * x - t0 * t0
     if h2 <= 0.0:
         raise InvariantViolation(
             f"no positive altitude for sides ({x}, {y}, {z})")
-    return TriangleEmbedding((0.0, 0.0), (z, 0.0), (t0, math.sqrt(h2)))
+    return (0.0, 0.0), (z, 0.0), (t0, math.sqrt(h2))
 
 
-def measure_median(e: TriangleEmbedding) -> float:
-    return dist(e.c, _lerp(e.a, e.b, 0.5))
+def measure_median(a: Point, b: Point, c: Point) -> float:
+    return dist(c, _lerp(a, b, 0.5))
 
 
-def measure_cevian(e: TriangleEmbedding, m: float, n: float) -> float:
+def measure_cevian(a: Point, b: Point, c: Point, m: float, n: float) -> float:
     """Cevian from C to the point of AB at distance n from B."""
-    z = dist(e.a, e.b)
+    z = dist(a, b)
     if abs(z - (m + n)) > 1e-9 * max(z, m + n):
         raise OracleError(f"split m+n={m + n} does not match |AB|={z}")
-    foot = _lerp(e.b, e.a, n / z)
-    return dist(e.c, foot)
+    foot = _lerp(b, a, n / z)
+    return dist(c, foot)
 
 
-def measure_area(e: TriangleEmbedding) -> float:
-    return shoelace([e.a, e.b, e.c])
+def measure_area(a: Point, b: Point, c: Point) -> float:
+    return shoelace([a, b, c])
 
 
-def measure_angle_gamma(e: TriangleEmbedding) -> float:
-    return _angle_at(e.c, e.a, e.b)
+def measure_angle_gamma(a: Point, b: Point, c: Point) -> float:
+    return _angle_at(c, a, b)
 
 
-def measure_bisector_full(e: TriangleEmbedding) -> float:
+def measure_bisector_full(a: Point, b: Point, c: Point) -> float:
     """The bisector foot divides AB in the ratio |AC| : |CB| from A."""
-    x = dist(e.a, e.c)
-    y = dist(e.b, e.c)
-    foot = _lerp(e.a, e.b, x / (x + y))
-    return dist(e.c, foot)
+    x, y = dist(a, c), dist(b, c)
+    foot = _lerp(a, b, x / (x + y))
+    return dist(c, foot)
 
 
-def incenter(e: TriangleEmbedding) -> Point:
+def incenter(a: Point, b: Point, c: Point) -> Point:
     """Side-opposite-weighted vertex average."""
-    wa = dist(e.b, e.c)
-    wb = dist(e.a, e.c)
-    wc = dist(e.a, e.b)
+    wa, wb, wc = dist(b, c), dist(a, c), dist(a, b)
     s = wa + wb + wc
-    return ((wa * e.a[0] + wb * e.b[0] + wc * e.c[0]) / s,
-            (wa * e.a[1] + wb * e.b[1] + wc * e.c[1]) / s)
+    return ((wa * a[0] + wb * b[0] + wc * c[0]) / s,
+            (wa * a[1] + wb * b[1] + wc * c[1]) / s)
 
 
-def measure_bisector_to_incenter(e: TriangleEmbedding) -> float:
-    return dist(e.c, incenter(e))
+def measure_bisector_to_incenter(a: Point, b: Point, c: Point) -> float:
+    return dist(c, incenter(a, b, c))
 
 
-def circumcenter(e: TriangleEmbedding) -> Point:
+def circumcenter(a: Point, b: Point, c: Point) -> Point:
     """Perpendicular-bisector intersection."""
-    mid_ab = _lerp(e.a, e.b, 0.5)
-    mid_ac = _lerp(e.a, e.c, 0.5)
-    perp_ab = (e.a[1] - e.b[1], e.b[0] - e.a[0])
-    perp_ac = (e.a[1] - e.c[1], e.c[0] - e.a[0])
+    mid_ab = _lerp(a, b, 0.5)
+    mid_ac = _lerp(a, c, 0.5)
+    perp_ab = (a[1] - b[1], b[0] - a[0])
+    perp_ac = (a[1] - c[1], c[0] - a[0])
     return line_intersection(mid_ab, perp_ab, mid_ac, perp_ac)
 
 
-def measure_circumradius(e: TriangleEmbedding) -> float:
-    return dist(circumcenter(e), e.a)
+def measure_circumradius(a: Point, b: Point, c: Point) -> float:
+    return dist(circumcenter(a, b, c), a)
 
 
-def measure_inradius(e: TriangleEmbedding) -> float:
+def measure_inradius(a: Point, b: Point, c: Point) -> float:
     """Distance from the incenter to the AB side line."""
-    i = incenter(e)
-    ux, uy = e.b[0] - e.a[0], e.b[1] - e.a[1]
-    cross = ux * (i[1] - e.a[1]) - uy * (i[0] - e.a[0])
+    i = incenter(a, b, c)
+    ux, uy = b[0] - a[0], b[1] - a[1]
+    cross = ux * (i[1] - a[1]) - uy * (i[0] - a[0])
     return abs(cross) / math.hypot(ux, uy)
 
 
-def measure_euler_distance(e: TriangleEmbedding) -> float:
-    return dist(circumcenter(e), incenter(e))
+def measure_euler_distance(a: Point, b: Point, c: Point) -> float:
+    return dist(circumcenter(a, b, c), incenter(a, b, c))
 
 
 # --- independent constructions for the non-triangle operations -----------------

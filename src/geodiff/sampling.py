@@ -5,8 +5,7 @@ rejection with a relative degeneracy margin of 1e-3, which keeps conditioning
 benign without hiding interesting shapes.  A cyclic quadrilateral is drawn as
 its construction, a circle and four points on it, so every draw is convex
 and cyclic and needs no test; ``oracle`` places the points and measures the
-sides.  Triangles come as the validated ``geom.Triangle``; every other draw
-is a plain tuple of floats.
+sides.  Every draw is a plain tuple of floats.
 """
 
 from __future__ import annotations
@@ -28,12 +27,12 @@ def length(rng: random.Random) -> float:
     return math.exp(_LOG_LO + _LOG_SPAN * rng.random())
 
 
-def triangle(rng: random.Random) -> geom.Triangle:
+def triangle(rng: random.Random) -> tuple[float, float, float]:
     while True:
         x, y, z = length(rng), length(rng), length(rng)
         tol = MARGIN * (x + y + z)
         if x + y - z > tol and y + z - x > tol and z + x - y > tol:
-            return geom.Triangle(x, y, z)
+            return x, y, z
 
 
 def cevian_split(rng: random.Random, z: float) -> tuple[float, float]:
@@ -83,4 +82,4 @@ def central_angle(rng: random.Random) -> float:
 
 def bisector_lengths(rng: random.Random) -> tuple[float, float, float]:
     """Vertex-to-incenter bisector triple realized by some random triangle."""
-    return geom.incenter_bisector_lengths(triangle(rng))
+    return geom.incenter_bisector_lengths(*triangle(rng))

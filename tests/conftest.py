@@ -17,7 +17,7 @@ side = st.floats(min_value=0.1, max_value=10.0,
                  allow_nan=False, allow_infinity=False)
 
 triangles = st.tuples(side, side, side).filter(lambda s: valid_sides(*s)) \
-    .map(lambda s: geom.Triangle(*s))
+    .map(lambda s: geom.triangle_sides(*s))
 
 
 def valid_quad(sides):
@@ -37,7 +37,7 @@ def ravi_triangles(rng, draws):
     """Near-degenerate triangles by Ravi substitution: sides (q + r, r + p,
     p + q) with p, q log-uniform in [0.1, 10] and r = delta * min(p, q),
     delta log-uniform in [1e-12, 1e-3], so x + y - z = 2r.  Draws that
-    geom.Triangle rejects are dropped."""
+    geom.triangle_sides rejects are dropped."""
 
     def log_uniform(lo, hi):
         return math.exp(rng.uniform(math.log(lo), math.log(hi)))
@@ -47,7 +47,7 @@ def ravi_triangles(rng, draws):
         p, q = log_uniform(0.1, 10.0), log_uniform(0.1, 10.0)
         r = log_uniform(1e-12, 1e-3) * min(p, q)
         try:
-            out.append(geom.Triangle(q + r, r + p, p + q))
+            out.append(geom.triangle_sides(q + r, r + p, p + q))
         except geom.DomainError:
             pass
     return out

@@ -97,6 +97,20 @@ class TestSuites:
         report = run(RunConfig(suite="scale", cases=5, seed=1))
         assert report.summary["failures"] == 0
 
+    def test_lambda_record_one_ulp_off_fails(self, monkeypatch):
+        """A :lam= record passes only on equality, far inside any 1e-12."""
+        finite_scaling = homogeneity.finite_scaling
+
+        def one_ulp_off(op, point):
+            return [(lam, want, math.nextafter(scaled, math.inf))
+                    for lam, want, scaled in finite_scaling(op, point)]
+
+        monkeypatch.setattr(homogeneity, "finite_scaling", one_ulp_off)
+        lam = [r for r in run(RunConfig(suite="scale", cases=2, seed=1)).records
+               if ":lam=" in r.op]
+        assert lam and not any(r.passed for r in lam)
+        assert max(r.rel_err for r in lam) < 1e-12
+
     def test_roots_small_run(self):
         report = run(RunConfig(suite="roots", cases=5, seed=1))
         assert report.summary["failures"] == 0
@@ -169,7 +183,7 @@ class TestSuites:
         assert calls == {name: 3 for name in names}
 
     def test_any_oracle_failure_becomes_a_record(self, monkeypatch):
-        def broken(e, m, n):
+        def broken(a, b, c, m, n):
             raise oracle.OracleError("split does not match")
 
         monkeypatch.setattr(oracle, "measure_cevian", broken)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 
 from conftest import assert_close, quads, ravi_triangles, triangles, valid_quad
-from geodiff import dual, formulas, geom, oracle
+from geodiff import dual, formulas, geom, oracle, sampling
 
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
@@ -15,20 +15,31 @@ EPS = Fraction(2) ** -52
 
 
 class TestTypes:
+    """geom.triangle_sides, the one test a triangle's sides get."""
+
     def test_triangle_rejects_nonpositive(self):
         for bad in [(0.0, 1, 1), (-1, 2, 2), (1, math.nan, 1), (1, 2, math.inf)]:
             with pytest.raises(geom.DomainError):
-                geom.Triangle(*bad)
+                geom.triangle_sides(*bad)
 
     def test_triangle_rejects_degenerate(self):
         with pytest.raises(geom.DomainError):
-            geom.Triangle(1.0, 2.0, 3.0)
+            geom.triangle_sides(1.0, 2.0, 3.0)
         with pytest.raises(geom.DomainError):
-            geom.Triangle(1.0, 1.0, 2.0 - 1e-15)
+            geom.triangle_sides(1.0, 1.0, 2.0 - 1e-15)
 
     def test_sides_just_inside_the_degenerate_bound_accepted(self):
         sides = (1.0, 1.0, 1.999999)  # 1e-6 short of degenerate
-        assert geom.Triangle(*sides).sides == sides
+        assert geom.triangle_sides(*sides) == sides
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_sampled_triangles_pass_unchanged(self, seed):
+        # the sampler's MARGIN test is stricter than EPS_DEG's, so its draws
+        # need no second test
+        rng = random.Random(seed)
+        for _ in range(10_000):
+            sides = sampling.triangle(rng)
+            assert geom.triangle_sides(*sides) == sides
 
 
 class TestHypotenuse:
@@ -61,7 +72,7 @@ class TestCevian:
                      1e-14)
 
     def test_collapsed_x_limit_gives_m(self):
-        # formula at x -> 0 with y = m + n; geom.Triangle rejects the
+        # formula at x -> 0 with y = m + n; geom.triangle_sides rejects the
         # degenerate triangle itself
         d = formulas.cevian(1e-8, 5.0, 2.0, 3.0)
         assert_close(d, 2.0, 1e-12)
@@ -72,9 +83,9 @@ class TestCevian:
 
     def test_split_mismatch(self):
         # the theorems oracle checks the split against the constructed z-side
-        e = oracle.embed_triangle(geom.Triangle(4, 3, 5))
+        e = oracle.embed_triangle(4, 3, 5)
         with pytest.raises(oracle.OracleError):
-            oracle.measure_cevian(e, 2.0, 2.0)
+            oracle.measure_cevian(*e, 2.0, 2.0)
 
 
 class TestArea:
@@ -144,9 +155,9 @@ class TestBisectors:
         """On Ravi triangles the exact (x+y)/(x+y+z) has condition number 1."""
         checked = ravi_triangles(random.Random(9), 3000)
         for t in checked:
-            x, y, z = map(Fraction, t.sides)
+            x, y, z = map(Fraction, t)
             exact = (x + y) / (x + y + z)
-            got = Fraction(formulas.incenter_ratio(*t.sides))
+            got = Fraction(formulas.incenter_ratio(*t))
             assert abs(got - exact) <= 4 * EPS * exact, t
         assert len(checked) == 2709
 
@@ -258,7 +269,7 @@ class TestBisectorProblem:
             assert_close(s, SQ3, 1e-10)
 
     def test_roundtrip_3_4_5(self):
-        abc = geom.incenter_bisector_lengths(geom.Triangle(3, 4, 5))
+        abc = geom.incenter_bisector_lengths(3, 4, 5)
         assert_close(abc[0], math.sqrt(10.0), 1e-14)
         assert_close(abc[1], math.sqrt(5.0), 1e-14)
         assert_close(abc[2], SQ2, 1e-14)
@@ -274,7 +285,7 @@ class TestBisectorProblem:
         # every positive triple is realizable in exact arithmetic; this one
         # comes from an extremely obtuse isoceles triangle
         x, y, z = geom.bisector_problem_solve(1.0, 1.0, 100.0)
-        abc = geom.incenter_bisector_lengths(geom.Triangle(x, y, z))
+        abc = geom.incenter_bisector_lengths(*geom.triangle_sides(x, y, z))
         for got, want in zip(abc, (1.0, 1.0, 100.0)):
             assert_close(got, want, 1e-8)
 
@@ -288,7 +299,7 @@ class TestBisectorProblem:
 
     def test_no_triangle(self):
         # the recovered sides (1e12 + 0.7071, 1e12 + 0.7071, sqrt 2) are
-        # inside Triangle's EPS_DEG degeneracy margin
+        # inside triangle_sides' EPS_DEG degeneracy margin
         with pytest.raises(geom.NoTriangleError):
             geom.bisector_problem_solve(1.0, 1.0, 1e12)
 
@@ -366,21 +377,23 @@ class TestBisectorProblem:
 @given(triangles)
 @settings(max_examples=150)
 def test_symmetric_ops(t):
-    perms = list(itertools.permutations(t.sides))
+    x, y, z = t
+    perms = list(itertools.permutations(t))
     for op in (formulas.triangle_area, formulas.circumradius, formulas.inradius):
-        ref = op(*t.sides)
+        ref = op(*t)
         for p in perms:
             assert_close(op(*p), ref, 1e-12, op.__name__)
-    assert_close(formulas.median(t.y, t.x, t.z), formulas.median(*t.sides),
+    assert_close(formulas.median(y, x, z), formulas.median(*t),
                  1e-12, "median x<->y")
 
 
 @given(triangles)
 @settings(max_examples=100)
 def test_cevian_symmetry(t):
-    m, n = 0.3 * t.z, 0.7 * t.z
-    d1 = formulas.cevian(t.x, t.y, m, n)
-    d2 = formulas.cevian(t.y, t.x, n, m)
+    x, y, z = t
+    m, n = 0.3 * z, 0.7 * z
+    d1 = formulas.cevian(x, y, m, n)
+    d2 = formulas.cevian(y, x, n, m)
     assert_close(d2, d1, 1e-12)
 
 
@@ -399,43 +412,43 @@ def test_quad_symmetries(q):
 
 
 @given(triangles)
-@example(geom.Triangle(8.3125, 8.37280547895568, 0.1015625))
+@example(geom.triangle_sides(8.3125, 8.37280547895568, 0.1015625))
 @settings(max_examples=150)
 def test_homogeneity_of_length_ops(t):
     for lam in (0.5, 2.0, 10.0):
-        scaled = (lam * t.x, lam * t.y, lam * t.z)
-        assert_close(formulas.median(*scaled), lam * formulas.median(*t.sides),
+        scaled = tuple(lam * s for s in t)
+        assert_close(formulas.median(*scaled), lam * formulas.median(*t),
                      1e-12)
         assert_close(formulas.circumradius(*scaled),
-                     lam * formulas.circumradius(*t.sides), 1e-12)
-        assert_close(formulas.inradius(*scaled), lam * formulas.inradius(*t.sides),
+                     lam * formulas.circumradius(*t), 1e-12)
+        assert_close(formulas.inradius(*scaled), lam * formulas.inradius(*t),
                      1e-12)
         assert_close(formulas.triangle_area(*scaled),
-                     lam * lam * formulas.triangle_area(*t.sides), 1e-12)
-        assert_close(formulas.angle_gamma(*scaled), formulas.angle_gamma(*t.sides),
+                     lam * lam * formulas.triangle_area(*t), 1e-12)
+        assert_close(formulas.angle_gamma(*scaled), formulas.angle_gamma(*t),
                      1e-12)
 
 
 @given(triangles)
 @settings(max_examples=150)
 def test_euler_inequality_and_consistency(t):
-    r, big_r = formulas.inradius(*t.sides), formulas.circumradius(*t.sides)
+    x, y, z = t
+    r, big_r = formulas.inradius(*t), formulas.circumradius(*t)
     assert big_r >= 2.0 * r * (1.0 - 1e-12)
     assert big_r * big_r - 2.0 * big_r * r >= -1e-12 * big_r * big_r
-    area = formulas.triangle_area(*t.sides)
-    s = sum(t.sides) / 2.0
-    assert_close(big_r * 4.0 * area, t.x * t.y * t.z, 1e-12)
+    area = formulas.triangle_area(*t)
+    s = sum(t) / 2.0
+    assert_close(big_r * 4.0 * area, x * y * z, 1e-12)
     assert_close(r * s, area, 1e-12)
-    assert_close(formulas.incenter_ratio(*t.sides),
-                 (t.x + t.y) / (t.x + t.y + t.z), 1e-12)
+    assert_close(formulas.incenter_ratio(*t), (x + y) / (x + y + z), 1e-12)
 
 
 @given(triangles)
 @settings(max_examples=100, deadline=None)
 def test_bisector_problem_roundtrip(t):
-    abc = geom.incenter_bisector_lengths(t)
+    abc = geom.incenter_bisector_lengths(*t)
     sides = geom.bisector_problem_solve(*abc)
-    for got, want in zip(sides, t.sides):
+    for got, want in zip(sides, t):
         assert_close(got, want, 1e-8)
 
 
@@ -448,7 +461,7 @@ def test_bisector_cubic_has_one_admissible_root(t):
     # and C = 4 a^2 b^2: G(0) < 0 < G(2ab), and G' > 0 at the returned root.
     # C k^2 < B^3 says sqrt(C/B) < cbrt(C/k), so Newton's start is the
     # nearer of the two upper bounds on the root.
-    abc = geom.incenter_bisector_lengths(t)
+    abc = geom.incenter_bisector_lengths(*t)
     for a, b, c in ((abc[1], abc[2], abc[0]), (abc[0], abc[2], abc[1]), abc):
         fa, fb, fc = Fraction(a), Fraction(b), Fraction(c)
         k = fc * fc / (fa * fa * fb * fb)
@@ -470,9 +483,10 @@ def test_bisector_cubic_has_one_admissible_root(t):
 @given(triangles)
 @settings(max_examples=100)
 def test_right_angle_iff_pythagoras(t):
-    gamma = formulas.angle_gamma(*t.sides)
-    lhs = t.z * t.z
-    rhs = t.x * t.x + t.y * t.y
+    x, y, z = t
+    gamma = formulas.angle_gamma(*t)
+    lhs = z * z
+    rhs = x * x + y * y
     if abs(gamma - math.pi / 2.0) < 1e-12:
         assert abs(lhs - rhs) <= 1e-10 * rhs
     if abs(lhs - rhs) <= 1e-14 * rhs:
