@@ -85,12 +85,13 @@ class Report:
     timestamp: str = ""
 
 
-def _fmt(*values) -> str:
-    return ";".join(map(repr, map(float, values)))
+def _fmt(*values: float) -> str:
+    return ";".join(map(float.__repr__, values))
 
 
 def _rel(actual: float, expected: float) -> float:
-    return abs(actual - expected) / max(abs(expected), 1e-30)
+    scale = abs(expected)  # max(scale, 1e-30), NaN kept, without the call
+    return abs(actual - expected) / (1e-30 if scale < 1e-30 else scale)
 
 
 def _record(suite, case_id, op, inputs, expected: float, actual: float,
@@ -121,35 +122,36 @@ def _failed(suite, case_id, op, inputs, expected: str, exc) -> Record:
 
 def run_theorems(rng: random.Random, cases: int) -> list[Record]:
     out = []
-    theorem_ops = sorted((op for op in ops.table() if op.oracle),
-                         key=lambda op: ops.FAMILIES.index(op.family))
+    theorem_ops = [(op.name, op.point, op.closed, op.oracle) for op in
+                   sorted((op for op in ops.table() if op.oracle),
+                          key=lambda op: ops.FAMILIES.index(op.family))]
     for i in range(cases):
         case = ops.Case(rng)
         formatted = {}  # a family's operations share one point
-        for op in theorem_ops:
+        for name, point_of, closed_form, measure in theorem_ops:
             try:
-                point = op.point(case)
+                point = point_of(case)
             except oracle.OracleError as exc:  # euler_distance's point is measured
-                out.append(_failed("theorems", i, op.name, "", "", exc))
+                out.append(_failed("theorems", i, name, "", "", exc))
                 continue
             ins = formatted.get(point)
             if ins is None:
                 ins = formatted[point] = _fmt(*point)
-            closed = op.closed(*point)
+            closed = closed_form(*point)
             try:
-                measured = op.oracle(case)
+                measured = measure(case)
             except oracle.OracleError as exc:
                 # no oracle value: the closed form stands as the expected one
-                out.append(_failed("theorems", i, op.name, ins, _fmt(closed), exc))
+                out.append(_failed("theorems", i, name, ins, _fmt(closed), exc))
             else:
-                out.append(_record("theorems", i, op.name, ins, measured,
-                                   closed, THEOREMS_TOL))
+                out.append(_record("theorems", i, name, ins, measured, closed,
+                                   THEOREMS_TOL))
 
         sides = case.triangle
         abc = geom.incenter_bisector_lengths(*sides)
         try:
             recovered = geom.bisector_problem_solve(*abc)
-            err = max(_rel(got, want) for got, want in zip(recovered, sides))
+            err = max(map(_rel, recovered, sides))
             out.append(Record("theorems", i, "bisector_problem", _fmt(*abc),
                               formatted[sides], _fmt(*recovered), err,
                               err < THEOREMS_TOL))
@@ -290,16 +292,19 @@ def run(config: RunConfig) -> Report:
     finally:
         if collecting:
             gc.enable()
-    finite = [r.rel_err for r in report.records
-              if math.isfinite(r.rel_err) and not r.op.endswith(":order")]
-    # a finite order record carries the fitted order as its repr
-    orders = {r.op.removesuffix(":order"): float(r.actual)
-              for r in report.records
-              if r.op.endswith(":order") and math.isfinite(r.rel_err)}
+    # one pass; top skips NaN and infinities; a finite :order record's actual is its fit
+    failures, top, orders, inf = 0, -math.inf, {}, math.inf
+    for r in report.records:
+        failures += not r.passed
+        if r.op.endswith(":order"):
+            if math.isfinite(r.rel_err):
+                orders[r.op.removesuffix(":order")] = float(r.actual)
+        elif top < r.rel_err < inf:
+            top = r.rel_err
     report.summary = {
         "records": len(report.records),
-        "failures": sum(not r.passed for r in report.records),
-        "max_rel_err": max(finite) if finite else 0.0,
+        "failures": failures,
+        "max_rel_err": 0.0 if top == -inf else top,
         "fitted_orders": orders,
     }
     return report
@@ -328,7 +333,7 @@ def write_report(report: Report, path: str, fmt: str) -> None:
             # the bytes json.dump(..., indent=1) writes with "records" last
             fh.write(header[:-2] + ',\n "records": [')
             if report.records:
-                fh.writelines(_json_records(report.records))
+                _write_json_records(fh, report.records)
                 fh.write("\n ")
             fh.write("]\n}\n")
     else:
@@ -350,16 +355,15 @@ _JSON_RECORD = ('\n  {\n   "suite": "%s",\n   "case_id": %d,\n   "op": "%s",'
                 '\n   "rel_err": %s,\n   "passed": %s\n  }')
 
 
-def _json_records(records):
-    """One indent=1 JSON object per record, comma-separated."""
-    sep = ""
-    for r in records:
-        err = float.__repr__(r.rel_err) if math.isfinite(r.rel_err) \
-            else json.dumps(r.rel_err)
-        yield sep + _JSON_RECORD % (
-            r.suite, r.case_id, r.op, r.inputs, r.expected, r.actual, err,
-            "true" if r.passed else "false")
-        sep = ","
+def _write_json_records(fh, records) -> None:
+    """One indent=1 JSON object per record, comma-separated, one template per
+    record and 4096 records per write; json spells a non-finite rel_err."""
+    for start in range(0, len(records), 4096):
+        fh.write(("," if start else "") + ",".join([_JSON_RECORD % (
+            r.suite, r.case_id, r.op, r.inputs, r.expected, r.actual,
+            float.__repr__(r.rel_err) if math.isfinite(r.rel_err)
+            else json.dumps(r.rel_err),
+            "true" if r.passed else "false") for r in records[start:start + 4096]]))
 
 
 def parse_config(argv) -> RunConfig:

@@ -85,18 +85,18 @@ def bisector_problem_solve(a: float, b: float, c: float) -> tuple[float, float, 
     """
     _require_positive(a=a, b=b, c=c)
     e = math.frexp(max(a, b, c))[1]
-    sa, sb, sc = (math.ldexp(v, -e) for v in (a, b, c))
+    sa, sb, sc = math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(c, -e)
     try:
-        sides = (formulas.bisector_side(sb, sc, sa), formulas.bisector_side(sa, sc, sb),
-                 formulas.bisector_side(sa, sb, sc))
-        fwd = incenter_bisector_lengths(*triangle_sides(*sides))
-        back = tuple(math.ldexp(s, e) for s in sides)
+        x, y, z = (formulas.bisector_side(sb, sc, sa), formulas.bisector_side(sa, sc, sb),
+                   formulas.bisector_side(sa, sb, sc))
+        fa, fb, fc = incenter_bisector_lengths(*triangle_sides(x, y, z))
+        back = (math.ldexp(x, e), math.ldexp(y, e), math.ldexp(z, e))
     except (ValueError, ArithmeticError) as exc:
         # no admissible root, a DomainError, or a length out of float range
         raise NoTriangleError(
             f"no triangle for bisector lengths ({a}, {b}, {c}): {exc}") from None
-    if not all(abs(got - want) <= ROUNDTRIP_TOL * want
-               for got, want in zip(fwd, (sa, sb, sc))):
+    if not (abs(fa - sa) <= ROUNDTRIP_TOL * sa and abs(fb - sb) <= ROUNDTRIP_TOL * sb
+            and abs(fc - sc) <= ROUNDTRIP_TOL * sc):
         raise NoTriangleError(
             f"sides {back} do not round-trip to bisector lengths ({a}, {b}, {c})")
     return back

@@ -21,6 +21,17 @@ from . import formulas, oracle, sampling
 FAMILIES = ("triangle", "pair", "third", "theta", "trirect", "quad")
 
 
+class _Built(cached_property):
+    """cached_property without the lock it takes on each first read up to
+    Python 3.11: built on first read, then found in the case's __dict__."""
+
+    def __get__(self, case, owner=None):
+        if case is None:
+            return self
+        built = case.__dict__[self.attrname] = self.func(case)
+        return built
+
+
 class Case:
     """Every random draw of one theorems case, in stream order, and the
     constructions that several operations share.  Each construction is built
@@ -43,14 +54,14 @@ class Case:
         self.trirect = sampling.trirect(rng)
         self.quad = sampling.cyclic_quad(rng)
 
-    e = cached_property(lambda c: oracle.embed_triangle(*c.triangle))
-    cyclic = cached_property(lambda c: oracle.embed_cyclic(*c.quad))
-    quad_sides = cached_property(lambda c: oracle.cyclic_sides(c.cyclic))
+    e = _Built(lambda c: oracle.embed_triangle(*c.triangle))
+    cyclic = _Built(lambda c: oracle.embed_cyclic(*c.quad))
+    quad_sides = _Built(lambda c: oracle.cyclic_sides(c.cyclic))
     # the incenter and circumcenter are rebuilt per measurement
-    full = cached_property(lambda c: oracle.measure_bisector_full(*c.e))
-    to_incenter = cached_property(lambda c: oracle.measure_bisector_to_incenter(*c.e))
-    r = cached_property(lambda c: oracle.measure_inradius(*c.e))
-    big_r = cached_property(lambda c: oracle.measure_circumradius(*c.e))
+    full = _Built(lambda c: oracle.measure_bisector_full(*c.e))
+    to_incenter = _Built(lambda c: oracle.measure_bisector_to_incenter(*c.e))
+    r = _Built(lambda c: oracle.measure_inradius(*c.e))
+    big_r = _Built(lambda c: oracle.measure_circumradius(*c.e))
 
 
 @dataclass(frozen=True)

@@ -199,15 +199,17 @@ def embed_cyclic(radius: float, a: float, b: float,
     """
     if not 0.0 < a < b < c < 1.0:
         raise OracleError(f"cuts ({a}, {b}, {c}) must increase inside (0, 1)")
-    tau = 2.0 * math.pi
-    return tuple((radius * math.cos(tau * t), radius * math.sin(tau * t))
-                 for t in (0.0, a, b, c))
+    tau, cos, sin = 2.0 * math.pi, math.cos, math.sin
+    ta, tb, tc = tau * a, tau * b, tau * c
+    return ((radius * cos(0.0), radius * sin(0.0)), (radius * cos(ta), radius * sin(ta)),
+            (radius * cos(tb), radius * sin(tb)), (radius * cos(tc), radius * sin(tc)))
 
 
 def cyclic_sides(points) -> tuple[float, float, float, float]:
     """The four consecutive chords of embed_cyclic's vertices, side i from
     vertex i to vertex i+1: the closed forms' inputs, measured."""
-    return tuple(dist(p, q) for p, q in zip(points, points[1:] + points[:1]))
+    p, q, s, t = points
+    return dist(p, q), dist(q, s), dist(s, t), dist(t, p)
 
 
 def cyclic_diagonal(points) -> float:

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from dataclasses import asdict
 import pytest
 
 import geodiff
-from geodiff import cli, geom, homogeneity, odes, oracle, polyroots
+from geodiff import cli, geom, homogeneity, odes, ops, oracle, polyroots
 from geodiff.cli import (SUITES, ConfigError, Record, RunConfig, main,
                          parse_config, quad_sens_error, run, write_report)
 
@@ -182,6 +183,24 @@ class TestSuites:
         run(RunConfig(suite="theorems", cases=3, seed=5))
         assert calls == {name: 3 for name in names}
 
+    def test_case_keeps_built_constructions_only(self, monkeypatch):
+        case = ops.Case(random.Random(5))
+        assert case.e is case.e and vars(case)["e"] is case.e
+        assert isinstance(ops.Case.e, ops._Built)
+        calls = []
+
+        def embed(*quad):
+            calls.append(quad)
+            if len(calls) == 1:
+                raise oracle.OracleError("cuts must increase")
+            return ((1.0, 0.0),) * 4
+
+        monkeypatch.setattr(oracle, "embed_cyclic", embed)
+        with pytest.raises(oracle.OracleError):
+            case.cyclic  # noqa: B018
+        assert "cyclic" not in vars(case)  # a failed build is not kept ...
+        assert case.cyclic is case.cyclic and len(calls) == 2  # ... but rebuilt
+
     def test_any_oracle_failure_becomes_a_record(self, monkeypatch):
         def broken(a, b, c, m, n):
             raise oracle.OracleError("split does not match")
@@ -274,6 +293,63 @@ class TestCollectorPause:
         with pytest.raises(RuntimeError):
             run(RunConfig(suite="theorems", cases=1))
         assert gc.isenabled()
+
+
+def _summary_by_definition(records):
+    """report.summary as the README defines it, field by field."""
+    finite = [r.rel_err for r in records
+              if math.isfinite(r.rel_err) and not r.op.endswith(":order")]
+    return {
+        "records": len(records),
+        "failures": len([r for r in records if not r.passed]),
+        "max_rel_err": max(finite) if finite else 0.0,
+        "fitted_orders": {r.op.removesuffix(":order"): float(r.actual)
+                          for r in records
+                          if r.op.endswith(":order") and math.isfinite(r.rel_err)},
+    }
+
+
+class TestSummary:
+    """run()'s summary against its definition; repr, so that a -0.0, a
+    NaN or the order of fitted_orders cannot pass unseen."""
+
+    def check(self, report):
+        assert repr(report.summary) == repr(_summary_by_definition(report.records))
+
+    def test_failure_report(self, failure_report):
+        # NaN scale records, inf failure records and a non-finite :order one
+        errs = [r.rel_err for r in failure_report.records]
+        assert any(map(math.isnan, errs)) and math.inf in errs
+        assert any(r.op.endswith(":order") and r.rel_err == math.inf
+                   for r in failure_report.records)
+        self.check(failure_report)
+
+    def test_derive_report(self):
+        report = run(RunConfig(suite="derive", cases=10))
+        kinds = {r.op.rpartition(":")[2] for r in report.records}
+        assert {"order", "exact", "residual"} <= kinds
+        assert report.summary["fitted_orders"]
+        self.check(report)
+
+    @pytest.mark.parametrize("errs", [
+        (-math.inf, math.nan, -2.0, 1e-3),  # -inf and NaN are skipped
+        (-math.inf, math.nan),              # no finite rel_err outside :order
+        (-math.inf, -2.0, -0.0),            # the largest finite one is -0.0
+        (0.0, -0.0),                        # equal maxima: the first one's sign
+        (),                                 # :order records alone
+    ])
+    def test_crafted_records(self, monkeypatch, errs):
+        orders = [Record("derive", 0, "a:order", "", "4.0", "4.5", 0.125, False),
+                  Record("derive", 0, "b:order", "", "4.0", "inf", math.inf, False),
+                  Record("derive", 0, "c:order", "", "4.0", "nan", math.nan, False),
+                  Record("derive", 0, "a:order", "", "4.0", "3.9", 0.025, True)]
+        others = [Record("derive", 0, f"e{k}:residual", "", "0.0", repr(err), err,
+                         err == 0.0) for k, err in enumerate(errs)]
+        monkeypatch.setitem(cli.RUNNERS, "derive",
+                            lambda rng, cases: orders[:2] + others + orders[2:])
+        report = run(RunConfig(suite="derive", cases=2))
+        assert len(report.records) == 4 + len(errs)
+        self.check(report)
 
 
 class TestReportFiles:
@@ -389,6 +465,17 @@ class TestJsonWriter:
 
     def test_scale_report(self, tmp_path):
         self.check(run(RunConfig(suite="scale", cases=5, seed=3)), tmp_path)
+
+    def test_records_span_several_chunks(self, tmp_path):
+        # 57 records per scale case: the records fill two 4096-record writes
+        report = run(RunConfig(suite="scale", cases=80, seed=1))
+        assert len(report.records) == 4560
+        self.check(report, tmp_path)
+
+    def test_records_fill_one_chunk_exactly(self, tmp_path):
+        report = run(RunConfig(suite="scale", cases=80, seed=1))
+        del report.records[4096:]
+        self.check(report, tmp_path)
 
     def test_no_records(self, tmp_path):
         report = run(RunConfig(suite="derive", cases=2))
