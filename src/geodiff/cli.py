@@ -390,7 +390,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     report = run(config)
-    if config.output:
+    if config.output is not None:
         try:
             write_report(report, config.output, config.format)
         except OSError as exc:

@@ -113,11 +113,15 @@ class ContinuationPath:
             raise ValueError("gamma must have unit magnitude")
 
     def at(self, t: float) -> Poly:
+        """P_t; PathSingularityError where it drops degree (Poly's ValueError)."""
         g = (1.0 - t) * self.gamma
         coeffs = [t * q for q in self.target.coeffs]
         coeffs[0] -= g
         coeffs[-1] += g
-        return Poly(tuple(coeffs))
+        try:
+            return Poly(tuple(coeffs))
+        except ValueError as exc:
+            raise PathSingularityError(f"P_t at t={t!r}: {exc}") from None
 
 
 def make_path(target: Poly, rng: random.Random | None = None) -> ContinuationPath:
@@ -137,8 +141,8 @@ def path_kernels(path: ContinuationPath) -> tuple:
     P_t(x) as the split sum (ds x / n - gamma) + t R(x).  It raises
     PathSingularityError if |P'_t(x)| < DERIV_FLOOR * scale * max(1, |x|)**(n-1)
     for both scales in turn: max(|gamma|, max|q_k|) (1 + 1e-12) >= max|c_k|,
-    one constant per path, then, only when that trips, max|c_k| of P_t itself,
-    as the split sum rounds worse where an end coefficient t q_0 - (1-t) gamma
+    one constant per path, then, only when that trips, path.at(t).scale, as
+    the split sum rounds worse where an end coefficient t q_0 - (1-t) gamma
     or t q_n + (1-t) gamma cancels; every other c_k is t q_k.
 
     correct(t, x, v, dp, fx), given (v, dp, fx) = velocity(t, x, True),
@@ -148,25 +152,17 @@ def path_kernels(path: ContinuationPath) -> tuple:
     halves the step.  A residual is a velocity pass's split sum.  It differs
     from a Horner pass over the c_k by less than 8 n eps (2 |gamma| +
     t sum|r_k|) max(1, |x|)**n; within that band of the threshold the test,
-    and the Newton step after it, read P_t(x) off the c_k instead.
+    and the Newton step after it, read P_t(x) off path.at(t) instead.
     """
     gamma, q, n = path.gamma, path.target.coeffs, path.target.degree
     (dq0, _), *body = [(k * q[k], q[k]) for k in range(n, 0, -1)]
     ds0, num0, r0 = n * gamma, q[n] - gamma, q[0] + gamma
-    body, rq, n1 = tuple(body), q[::-1], n - 1
+    body, n1 = tuple(body), n - 1
     floor = DERIV_FLOOR * (max(abs(gamma), max(map(abs, q))) * (1.0 + 1e-12))
     inner = [abs(c) for c in q[1:n]]
     mid = max(inner, default=0.0)
     band0, band1 = (8 * n * 2.0 ** -52 * a  # |r_n| = |num0|, |r_0| = |r0|
                     for a in (2.0 * abs(gamma), math.fsum([abs(num0), abs(r0), *inner])))
-
-    def exact_at(t: float) -> tuple[list[complex], float]:
-        """P_t's coefficients in Horner order and their scale max|c_k|."""
-        g = (1.0 - t) * gamma
-        coeffs = [t * b for b in rq]
-        coeffs[0] += g
-        coeffs[-1] -= g
-        return coeffs, max(map(abs, coeffs))
 
     def velocity(t: float, x: complex, full: bool = False):
         g = 1.0 - t
@@ -178,7 +174,7 @@ def path_kernels(path: ContinuationPath) -> tuple:
         dp = g * ds + t * dq
         ax = abs(x)
         m = ax ** n1 if ax > 1.0 else 1.0
-        if abs(dp) < floor * m and abs(dp) < DERIV_FLOOR * exact_at(t)[1] * m:
+        if abs(dp) < floor * m and abs(dp) < DERIV_FLOOR * path.at(t).scale * m:
             raise PathSingularityError(f"P' vanished along the path at t={t!r}")
         r = num * x + r0
         if full:
@@ -196,9 +192,9 @@ def path_kernels(path: ContinuationPath) -> tuple:
             return None
         if a - w > tol:
             return fx
-        coeffs, scale = exact_at(t)
-        fx = _horner(coeffs, x)
-        return None if abs(fx) <= 1e-13 * scale * mx else fx
+        p_t = path.at(t)
+        fx = p_t(x)
+        return None if abs(fx) <= 1e-13 * p_t.scale * mx else fx
 
     def correct(t: float, x: complex, v: complex, dp: complex,
                 fx: complex) -> tuple[complex, complex] | None:

@@ -599,10 +599,12 @@ class TestMain:
         code = main(["--suite", "scale", "--cases", "1"])
         assert code == 1
 
-    def test_unwritable_output(self):
-        code = main(["--suite", "scale", "--cases", "1",
-                     "--output", "/nonexistent/dir/report.csv"])
-        assert code == 2
+    def test_unwritable_output(self, capsys):
+        # an empty path is a path that cannot be written, not "no report"
+        for output in ("/nonexistent/dir/report.csv", ""):
+            code = main(["--suite", "scale", "--cases", "1", "--output", output])
+            assert code == 2
+            assert f"cannot write {output}:" in capsys.readouterr().err
 
     def test_bad_flag_value(self):
         assert main(["--suite", "warp"]) == 2

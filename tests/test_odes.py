@@ -1,13 +1,14 @@
 import dataclasses
 import inspect
 import math
+import random
 import sys
 from fractions import Fraction
 
 import pytest
 
 from conftest import assert_close
-from geodiff import formulas, odes, ops
+from geodiff import cli, formulas, odes, ops
 from geodiff.cli import ENDPOINT_TOL, RESIDUAL_TOL
 
 CATALOG = odes.catalog()
@@ -67,6 +68,36 @@ class TestCatalog:
         for p in CATALOG:
             assert list(inspect.signature(p.rhs).parameters) \
                 == [*p.params, "s", "f"], p.name
+
+
+class TestRouteMatrix:
+    """Which route checks which identity of ``ops.table()``: theorems where
+    the op has a coordinate construction, derive where a derivation solves
+    with its kernel, scale for every op, roots where a roots record names
+    it.  Every empty cell is pinned by name, so a gap that opens or closes
+    shows here as a diff; the README carries the same matrix."""
+
+    def test_every_empty_cell_is_named(self):
+        table = ops.table()
+        names = {op.name for op in table}
+        kernels = {p.kernel for p in CATALOG}
+        covered = {
+            "theorems": {op.name for op in table if op.oracle is not None},
+            "derive": {op.name for op in table if op.closed in kernels},
+            "scale": names,
+            "roots": names & {r.op.partition(":")[0]
+                              for r in cli.run_roots(random.Random(0), 1)},
+        }
+        assert len(names) == 19
+        assert {route: sorted(names - done) for route, done in covered.items()} == {
+            "theorems": ["bisector_problem_z", "circle_area", "sphere_volume"],
+            "derive": ["incenter_ratio"],
+            "scale": [],
+            "roots": sorted(names),
+        }
+        # and one derivation checks an identity that has no op at all
+        closed = {op.closed for op in table}
+        assert [p.name for p in CATALOG if p.kernel not in closed] == ["thales"]
 
 
 class TestSigns:

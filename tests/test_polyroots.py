@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from geodiff import polyroots
+from geodiff import cli, polyroots
 from geodiff.polyroots import (ContinuationPath, Poly, make_path, match_distance,
                                oracle_roots, quadratic_sensitivities, track,
                                unit_roots)
@@ -441,6 +441,41 @@ class TestVelocity:
             velocity(0.5, 0j)
         with pytest.raises(polyroots.PathSingularityError):
             velocity(0.5, 0j, True)
+
+
+class TestDegreeDrop:
+    """With gamma = -1 a monic target's P_t has leading coefficient 2t - 1,
+    so at t = 1/2 the path drops degree: a path singularity, not a bad
+    argument."""
+
+    def test_at_raises_a_path_singularity(self):
+        # P_{1/2} = (-3 + 1)/2 + 0 x + 0 x^2: Poly rejects the vanished x^2
+        path = ContinuationPath(Poly((-3.0, 0.0, 1.0)), gamma=-1 + 0j)
+        with pytest.raises(polyroots.PathSingularityError, match="t=0.5"):
+            path.at(0.5)
+        velocity, _ = polyroots.path_kernels(path)
+        with pytest.raises(polyroots.PathSingularityError):
+            velocity(0.5, 0j)
+
+    def test_track_through_a_degree_drop_raises(self):
+        rng = random.Random(37)
+        for degree in range(1, 9):
+            for _ in range(3):
+                coeffs = [complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+                          for _ in range(degree)] + [1.0]
+                path = ContinuationPath(Poly(tuple(coeffs)), gamma=-1 + 0j)
+                with pytest.raises(polyroots.PathSingularityError):
+                    track(path)
+
+    def test_the_roots_suite_builds_p_t_through_at(self, monkeypatch):
+        # track builds P_t only through ContinuationPath.at (the corrector's
+        # in-band residual, the P' floor's fallback); a roots run reaches it
+        calls = []
+        at = ContinuationPath.at
+        monkeypatch.setattr(ContinuationPath, "at",
+                            lambda path, t: calls.append(t) or at(path, t))
+        cli.run_roots(random.Random("0:roots"), 100)
+        assert calls
 
 
 class TestQuadraticSensitivities:
