@@ -2,11 +2,11 @@
 
 Closed-form theorem kernels (formulas), the validated triangle and the
 inverse bisector problem (geom), an independent coordinate-geometry oracle
-(oracle), the differential re-derivations, each naming the kernel that
-solves it, with RK4 and residual checks (odes), the complex-step
-homogeneity checker (homogeneity), the operation table both suites iterate
-(ops), and a polynomial root continuation tracker (polyroots), driven by
-the ``geodiff`` CLI.
+(oracle), the RK4 and residual checks of the differential re-derivations
+(odes), the complex-step homogeneity checker (homogeneity), the operation
+table the theorems, derive and scale suites iterate, each op with the
+derivations its closed form solves (ops), and a polynomial root
+continuation tracker (polyroots), driven by the ``geodiff`` CLI.
 """
 
 __version__ = "0.1.0"

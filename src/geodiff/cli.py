@@ -164,7 +164,7 @@ def run_theorems(rng: random.Random, cases: int) -> list[Record]:
 def run_derive(rng: random.Random, cases: int) -> list[Record]:
     """Derivation records; nothing is drawn at random, so rng goes unused."""
     out = []
-    for entry in odes.catalog():
+    for entry in ops.derivations():
         if entry.residual_only:
             res = odes.residual(entry, max(2, cases))
             out.append(_defect("derive", 0, f"{entry.name}:residual",

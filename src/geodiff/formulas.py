@@ -7,8 +7,8 @@ derivative carriers of ``dual``: + - * /, comparisons on ``.real``, and
 ValueError, when its cubic in u = z^2 - (a^2 + b^2) has no admissible root.
 The angle opposite the z-side (between the x- and y-sides) is always gamma,
 and all bisector/median/cevian expressions act on that vertex / the z-side.
-Each relation is stated once, here: the operation table in ``ops`` and the
-derivation catalog in ``odes`` name these functions.
+Each relation is stated once, here: the operation table in ``ops`` names
+these functions, and each op's derivations solve with its function.
 """
 
 from __future__ import annotations

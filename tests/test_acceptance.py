@@ -72,7 +72,7 @@ def test_criterion_3_derivation_convergence():
             seen[check].add(name)
             if not (r.passed and gates[check](r)):
                 bad.append((r.op, r.actual))
-    anchored = {entry.name for entry in odes.catalog() if not entry.residual_only}
+    anchored = {entry.name for entry in ops.derivations() if not entry.residual_only}
     covered = seen["order"] | seen["exact"] == anchored == seen["h=0.001"]
     elapsed = time.perf_counter() - t0
     report(3, not bad and covered and elapsed < 30.0,
@@ -85,7 +85,7 @@ def test_criterion_3_derivation_convergence():
 
 def test_criterion_4_residual_mode():
     worst = {entry.name: odes.residual(entry, 1000).max_residual
-             for entry in odes.catalog() if entry.residual_only}
+             for entry in ops.derivations() if entry.residual_only}
     ok = all(v < 1e-8 for v in worst.values())
     detail = ", ".join(f"{k}={v:.1e}" for k, v in worst.items())
     report(4, ok, f"residual-mode entries over 10^3 points: {detail} (< 1e-8)")

@@ -396,10 +396,10 @@ def failure_report(monkeypatch):
     def no_triangle(*args):
         raise geom.NoTriangleError("sides violate the triangle inequality")
 
-    catalog = odes.catalog
+    derivations = ops.derivations
 
-    def singular_catalog():
-        entries = catalog()
+    def singular_derivations():
+        entries = derivations()
         entries[1] = dataclasses.replace(entries[1],
                                          rhs=lambda *args: 1.0 / 0.0)
         return entries
@@ -412,7 +412,7 @@ def failure_report(monkeypatch):
     monkeypatch.setattr(oracle, "cyclic_area", broken)
     monkeypatch.setattr(oracle, "circumcenter", broken)
     monkeypatch.setattr(geom, "bisector_problem_solve", no_triangle)
-    monkeypatch.setattr(odes, "catalog", singular_catalog)
+    monkeypatch.setattr(ops, "derivations", singular_derivations)
     monkeypatch.setattr(homogeneity, "scale_residual", lambda op, point: math.nan)
     monkeypatch.setattr(polyroots, "track", singular_path)
     report = run(RunConfig(suite="all", cases=3, seed=5))

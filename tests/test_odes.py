@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+import pathlib
 import random
 import sys
 from fractions import Fraction
@@ -11,7 +12,7 @@ from conftest import assert_close
 from geodiff import cli, formulas, odes, ops
 from geodiff.cli import ENDPOINT_TOL, RESIDUAL_TOL
 
-CATALOG = odes.catalog()
+CATALOG = ops.derivations()
 BY_NAME = {p.name: p for p in CATALOG}
 ORDER = [p.name for p in CATALOG]
 
@@ -22,15 +23,14 @@ class TestCatalog:
 
     def test_expected_names_in_order(self):
         assert ORDER == [
-            "thales", "pythagoras", "apollonius", "stewart", "heron",
-            "alkashi", "terquem", "degua", "inscribed", "circumradius",
-            "sines", "ptolemy", "brahmagupta", "euler", "bispart",
-            "inradius", "bisprob", "pyth_alt", "heron_alt",
-            "circle_area", "sphere_volume"]
+            "thales", "pythagoras", "pyth_alt", "apollonius", "stewart",
+            "heron", "heron_alt", "alkashi", "terquem", "bispart", "degua",
+            "inscribed", "circumradius", "inradius", "euler", "sines",
+            "ptolemy", "brahmagupta", "bisprob", "circle_area", "sphere_volume"]
 
     def test_residual_only_entries(self):
         assert tuple(p.name for p in CATALOG if p.residual_only) \
-            == ("ptolemy", "inradius", "bisprob", "heron_alt")
+            == ("heron_alt", "inradius", "ptolemy", "bisprob")
 
     def test_pythagoras_anchor_satisfies_closed_form(self):
         p = BY_NAME["pythagoras"]
@@ -50,17 +50,15 @@ class TestCatalog:
             assert abs(got - f0) <= 1e-12 * max(abs(f0), 1.0), p.name
 
     def test_kernels_are_operations(self):
-        """Every entry but thales solves with the kernel of an ``ops``
-        operation, and its params are the kernel's arguments other than s,
-        by name and in order."""
-        closed = {op.closed for op in ops.table()}
-        for p in CATALOG:
-            if p.name == "thales":
-                continue
-            assert p.kernel in closed, p.name
-            names = list(inspect.signature(p.kernel).parameters)
-            assert 0 <= p.at <= len(p.params), p.name
-            assert names[:p.at] + names[p.at + 1:] == list(p.params), p.name
+        """Each derivation of an op solves with that op's closed form, and
+        its params are the closed form's arguments other than s, by name and
+        in order."""
+        for op in ops.table():
+            names = list(inspect.signature(op.closed).parameters)
+            for name, _, params, _, at, _ in op.derive:
+                assert BY_NAME[name].kernel is op.closed, name
+                assert 0 <= at <= len(params), name
+                assert names[:at] + names[at + 1:] == list(params), name
 
     def test_rhs_takes_the_params_then_s_and_f(self):
         """Every right-hand side, thales' too, is written in its params'
@@ -72,37 +70,64 @@ class TestCatalog:
 
 class TestRouteMatrix:
     """Which route checks which identity of ``ops.table()``: theorems where
-    the op has a coordinate construction, derive where a derivation solves
-    with its kernel, scale for every op, roots where a roots record names
-    it.  Every empty cell is pinned by name, so a gap that opens or closes
-    shows here as a diff; the README carries the same matrix."""
+    the op has a coordinate construction, derive where the op has
+    derivations, scale for every op, roots where a roots record names it.
+    Every empty cell is pinned by name, so a gap that opens or closes shows
+    here as a diff, and the README carries the same matrix."""
 
-    def test_every_empty_cell_is_named(self):
-        table = ops.table()
+    @staticmethod
+    def covered(table):
         names = {op.name for op in table}
-        kernels = {p.kernel for p in CATALOG}
-        covered = {
+        return {
             "theorems": {op.name for op in table if op.oracle is not None},
-            "derive": {op.name for op in table if op.closed in kernels},
+            "derive": {op.name for op in table if op.derive},
             "scale": names,
             "roots": names & {r.op.partition(":")[0]
                               for r in cli.run_roots(random.Random(0), 1)},
         }
+
+    def test_every_empty_cell_is_named(self):
+        table = ops.table()
+        names = {op.name for op in table}
         assert len(names) == 19
-        assert {route: sorted(names - done) for route, done in covered.items()} == {
+        assert {route: sorted(names - done)
+                for route, done in self.covered(table).items()} == {
             "theorems": ["bisector_problem_z", "circle_area", "sphere_volume"],
             "derive": ["incenter_ratio"],
             "scale": [],
             "roots": sorted(names),
         }
         # and one derivation checks an identity that has no op at all
-        closed = {op.closed for op in table}
-        assert [p.name for p in CATALOG if p.kernel not in closed] == ["thales"]
+        in_ops = {d[0] for op in table for d in op.derive}
+        assert [p.name for p in CATALOG if p.name not in in_ops] == ["thales"]
+
+    def test_readme_carries_the_matrix(self):
+        """The README's identity x route table has one row per op, in table
+        order, then the Thales row: its derive column names the op's
+        derivations and every other column marks the routes above."""
+        readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+        lines = readme.read_text(encoding="utf-8").splitlines()
+        head = lines.index("| identity | theorems | derive | scale | roots |")
+        rows = []
+        for line in lines[head + 2:]:
+            if not line.startswith("|"):
+                break
+            rows.append([cell.strip() for cell in line.strip("|").split("|")])
+        table = ops.table()
+        covered = self.covered(table)
+
+        def mark(route, op):
+            return "x" if op.name in covered[route] else "-"
+
+        want = [[f"`{op.name}`", mark("theorems", op),
+                 ", ".join(d[0] for d in op.derive) or "-",
+                 mark("scale", op), mark("roots", op)] for op in table]
+        assert rows == want + [["Thales (no op)", "-", "thales", "-", "-"]]
 
 
 class TestSigns:
-    """The signs the module docstring fixes: each quoted alternative fails
-    the gate the catalog form passes."""
+    """The signs the ``ops`` module docstring fixes: each quoted alternative
+    fails the gate the table's form passes."""
 
     def test_bispart_needs_the_leading_minus(self):
         p = BY_NAME["bispart"]
@@ -118,7 +143,7 @@ class TestSigns:
             # (x - z)(x^2 - y^2 + z^2) in place of (z - x)(...): subtract the
             # (z - x) term, over its denominator 2 x sqrt(16 area^2), twice
             return p.rhs(y, z, s, f) - (z - s) * (s * s - y * y + z * z) \
-                / (s * math.sqrt(odes._heron_discriminant(s, y, z)))
+                / (s * math.sqrt(ops._heron_discriminant(s, y, z)))
 
         assert odes.residual(p, 1000).max_residual < RESIDUAL_TOL
         wrong = dataclasses.replace(p, rhs=flipped)

@@ -18,10 +18,10 @@ from geodiff.cli import SUITES, RunConfig, run
 
 DIGESTS = {
     "theorems": "22c1eb4bb8652a87cce75532f92220a6f61d88455dcb02b382410c93f2ba1a5b",
-    "derive": "e842414eaace3873bf5f4a953ae552b7c02d71f1867cef41fbca29e52b122be6",
+    "derive": "439d1566d091a350d2ecfbf303279a9241f5dd12b08213c43ab8b887ecfd2e26",
     "scale": "6341e9228bbe47d6af412bbf215aeb86d6d90ae4a536a483055f497163573273",
     "roots": "efa293d02fc4de7a108283d89b9fd9b838fe8d019f3e7f8c8f2a11ef8b72149e",
-    "all": "6294f922333433da67dff951338830eefb1ce055717b2099267b414b7bf68fd6",
+    "all": "91f8be5a6ee4cedec68584e1a8711fad4f8dc89a7ebe55872f11bbec831d4dbc",
 }
 
 
