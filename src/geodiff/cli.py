@@ -24,6 +24,7 @@ import argparse
 import gc
 import json
 import math
+import operator
 import random
 import sys
 import time
@@ -89,9 +90,7 @@ def _fmt(*values: float) -> str:
     return ";".join(map(float.__repr__, values))
 
 
-def _rel(actual: float, expected: float) -> float:
-    scale = abs(expected)  # max(scale, 1e-30), NaN kept, without the call
-    return abs(actual - expected) / (1e-30 if scale < 1e-30 else scale)
+_rel = dual.rel  # bound, not wrapped: a record pays one call
 
 
 def _record(suite, case_id, op, inputs, expected: float, actual: float,
@@ -99,7 +98,7 @@ def _record(suite, case_id, op, inputs, expected: float, actual: float,
     """Record of one float comparison, passing below relative tol (on equality
     if tol is None).  An actual equal to a nonzero expected reuses its text
     (zeros have signs); for floats, repr is what _fmt gives."""
-    err = _rel(actual, expected)
+    err = _rel(actual - expected, expected)
     text = repr(expected)
     return Record(suite, case_id, op, inputs, text,
                   text if actual == expected and expected else repr(actual),
@@ -151,7 +150,7 @@ def run_theorems(rng: random.Random, cases: int) -> list[Record]:
         abc = geom.incenter_bisector_lengths(*sides)
         try:
             recovered = geom.bisector_problem_solve(*abc)
-            err = max(map(_rel, recovered, sides))
+            err = max(_rel(r - s, s) for r, s in zip(recovered, sides))
             out.append(Record("theorems", i, "bisector_problem", _fmt(*abc),
                               formatted[sides], _fmt(*recovered), err,
                               err < THEOREMS_TOL))
@@ -185,7 +184,7 @@ def run_derive(rng: random.Random, cases: int) -> list[Record]:
         for h, endpoint, err in zip(DEFAULT_H, rep.endpoints, rep.errors):
             judged = h == min(DEFAULT_H)
             out.append(Record("derive", 0, f"{entry.name}:h={h:g}", repr(h),
-                              repr(exact), repr(endpoint), _rel(endpoint, exact),
+                              repr(exact), repr(endpoint), _rel(endpoint - exact, exact),
                               (err < ENDPOINT_TOL) if judged else True))
         order = rep.fitted_order
         if order is None:  # RK4 is exact, or one error alone left the floor
@@ -201,19 +200,22 @@ def run_derive(rng: random.Random, cases: int) -> list[Record]:
 
 
 def run_scale(rng: random.Random, cases: int) -> list[Record]:
+    """Per point: the identity's defect, whose pass also gives f(x), then f at
+    the point scaled by each lam against lam**n f(x)."""
     out = []
+    append, residual, mul = out.append, homogeneity.scale_residual, operator.mul
     for op in ops.table():
-        names = {}  # lam -> the op name of its records
+        name, closed, sample = op.name, op.closed, op.sample
+        lams = [(f"{name}:lam={lam:g}", lam_n, factors)
+                for lam, lam_n, factors in homogeneity.finite_scaling(op)]
         for i in range(cases):
-            point = op.sample(rng)
+            point = sample(rng)
             ins = _fmt(*point)
-            out.append(_defect("scale", i, op.name, ins,
-                               homogeneity.scale_residual(op, point), SCALE_TOL))
-            for lam, want, scaled in homogeneity.finite_scaling(op, point):
-                name = names.get(lam)
-                if name is None:
-                    name = names[lam] = f"{op.name}:lam={lam:g}"
-                out.append(_record("scale", i, name, ins, want, scaled, None))
+            defect, f_val = residual(op, point)
+            append(_defect("scale", i, name, ins, defect, SCALE_TOL))
+            for lam_name, lam_n, factors in lams:
+                append(_record("scale", i, lam_name, ins, lam_n * f_val,
+                               closed(*map(mul, point, factors)), None))
     return out
 
 
@@ -265,7 +267,7 @@ def quad_sens_error(a: float, b: float, c: float, r2: float) -> float:
     refs = (dual.der(_quad_root_near(dual.seed(a), b, c, x)),
             dual.der(_quad_root_near(a, dual.seed(b), c, x)),
             dual.der(_quad_root_near(a, b, dual.seed(c), x)))
-    return max(_rel(s, f) for s, f in zip(sens, refs))
+    return max(_rel(s - f, f) for s, f in zip(sens, refs))
 
 
 # --- driver ---------------------------------------------------------------------

@@ -18,7 +18,8 @@ raise, and ``x ** 0.5`` does not raise; ``sqrt`` below still raises at and
 below 0.  ``sqrt``, ``sin`` and ``atan`` apply ``math`` to the real part and
 their chain rule to the imaginary part; ``cmath`` would not do, since
 ``cmath.sqrt(-1)`` is ``1j`` and ``cmath.atan``'s real part is not
-``math.atan``'s.
+``math.atan``'s.  ``rel``, the one floored relative error, lives here because
+``cli``, ``odes`` and ``homogeneity`` all import this module.
 """
 
 from __future__ import annotations
@@ -39,6 +40,13 @@ def seed(x: float, d: float = 1.0) -> complex:
 def der(z) -> float:
     """The derivative z carries; 0.0 for a float."""
     return z.imag / H
+
+
+def rel(diff: float, scale: float) -> float:
+    """|diff| / |scale|, |scale| floored at 1e-30 and a NaN kept: every route's
+    relative error (max(scale, 1e-30) without the call)."""
+    scale = abs(scale)
+    return abs(diff) / (1e-30 if scale < 1e-30 else scale)
 
 
 def sqrt(x):

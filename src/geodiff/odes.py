@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
-from .dual import der, seed
+from .dual import der, rel, seed
 
 
 class SingularityError(RuntimeError):
@@ -100,6 +100,7 @@ def integrate(problem: OdeProblem, h: float) -> float:
     s0, f = problem.s_range[0], problem.anchor
     rhs = functools.partial(problem.rhs, *problem.params.values())
     comp = 0.0
+    isfinite = math.isfinite
     for i in range(steps):
         s = s0 + i * hh
         try:
@@ -111,7 +112,7 @@ def integrate(problem: OdeProblem, h: float) -> float:
             raise SingularityError(
                 f"{problem.name}: right-hand side failed near s={s!r}: {exc}"
             ) from exc
-        if not all(map(math.isfinite, (k1, k2, k3, k4))):
+        if not (isfinite(k1) and isfinite(k2) and isfinite(k3) and isfinite(k4)):
             raise SingularityError(
                 f"{problem.name}: non-finite right-hand side near s={s!r}")
         incr = hh * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0 - comp
@@ -145,7 +146,7 @@ def residual(problem: OdeProblem, samples: int) -> ResidualResult:
         except (ValueError, ArithmeticError):
             skipped.append(s)
             continue
-        worst = max(worst, abs(dfds - r) / max(abs(r), 1e-30))
+        worst = max(worst, rel(dfds - r, r))
     return ResidualResult(worst if len(skipped) < samples else math.inf,
                           tuple(skipped))
 

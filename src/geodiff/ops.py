@@ -76,13 +76,9 @@ class Case:
     big_r = _Built(lambda c: oracle.measure_circumradius(*c.e))
 
 
-def _sq(v):
-    return v * v
-
-
 def _heron_discriminant(x, y, z):
     """16 * area^2, kept as a polynomial for the linear right-hand sides."""
-    return (2.0 * (_sq(y) * _sq(z) + _sq(x) * _sq(z) + _sq(x) * _sq(y))
+    return (2.0 * ((y * y) * (z * z) + (x * x) * (z * z) + (x * x) * (y * y))
             - x ** 4 - y ** 4 - z ** 4)
 
 
@@ -151,7 +147,7 @@ def table() -> list[Op]:
                ("pythagoras", (0.0, 4.0), {"y": 3.0}, lambda y, s, f: s / f, 0, 3.0),
                # a vanishing leg leaves z = y
                ("pyth_alt", (0.0, 4.0), {"y": 3.0},
-                lambda y, s, f: f * s / (_sq(s) + _sq(y)), 0, 3.0))),
+                lambda y, s, f: f * s / (s * s + y * y), 0, 3.0))),
         on_triangle("median", formulas.median, 1, lambda c: oracle.measure_median(*c.e),
                     # collapsed side: the median to z is z/2, which presumes y = z
                     ("apollonius", (0.0, 3.0), {"y": 2.0, "z": 2.0},
@@ -166,12 +162,12 @@ def table() -> list[Op]:
                     lambda c: oracle.measure_area(*c.e),
                     # right angle opposite x: area = yz/2
                     ("heron", (math.sqrt(41.0), 3.0), {"y": 4.0, "z": 5.0},
-                     lambda y, z, s, f: (s * (_sq(y) + _sq(z)) - s ** 3) / (8.0 * f),
+                     lambda y, z, s, f: (s * (y * y + z * z) - s ** 3) / (8.0 * f),
                      0, 10.0),
                     # heron's solution, by the circumcircle route's rational form
                     ("heron_alt", (1.2, 6.8), {"y": 3.0, "z": 4.0},
                      lambda y, z, s, f: f * 0.5 * (-4.0 * s ** 3
-                                                   + 4.0 * s * (_sq(y) + _sq(z)))
+                                                   + 4.0 * s * (y * y + z * z))
                      / _heron_discriminant(s, y, z),
                      0, None)),
         on_triangle("angle_from_sides", formulas.angle_gamma, 0,
@@ -182,7 +178,7 @@ def table() -> list[Op]:
         on_triangle("bisector_full", formulas.bisector_full, 1, lambda c: c.full,
                     # right triangle: the bisector is the inscribed square's diagonal
                     ("terquem", (sq13, 4.5), {"x": 2.0, "y": 3.0},
-                     lambda x, y, s, f: -s * f / (_sq(x + y) - _sq(s)),
+                     lambda x, y, s, f: -s * f / ((x + y) * (x + y) - s * s),
                      2, math.sqrt(2.0) * 6.0 / 5.0)),
         on_triangle("bisector_to_incenter", formulas.bisector_to_incenter, 1,
                     lambda c: c.to_incenter,
@@ -197,7 +193,7 @@ def table() -> list[Op]:
            lambda c: oracle.measure_trirect(*c.trirect), (
                # collapsed edge: the slant face folds onto the yz face
                ("degua", (0.0, 3.0), {"y": 4.0, "z": 12.0},
-                lambda y, z, s, f: (_sq(y) + _sq(z)) * s / (4.0 * f), 0, 24.0),)),
+                lambda y, z, s, f: (y * y + z * z) * s / (4.0 * f), 0, 24.0),)),
         Op("inscribed_angle", formulas.inscribed_angle, 0, (0,),
            lambda rng: (sampling.central_angle(rng),), "theta", lambda c: c.theta,
            lambda c: oracle.inscribed_angle_by_construction(*c.theta, c.apex), (
@@ -207,17 +203,17 @@ def table() -> list[Op]:
                     # right angle opposite x: R = x/2
                     ("circumradius", (5.0, 2.0), {"y": 3.0, "z": 4.0},
                      lambda y, z, s, f: f * (s ** 4 - y ** 4 - z ** 4
-                                             + 2.0 * _sq(y) * _sq(z))
+                                             + 2.0 * (y * y) * (z * z))
                      / (s * _heron_discriminant(s, y, z)),
                      0, 2.5)),
         on_triangle("inradius", formulas.inradius, 1, lambda c: c.r,
                     # linear in r, but no regular anchor with y, z frozen
                     ("inradius", (1.2, 6.8), {"y": 3.0, "z": 4.0},
                      lambda y, z, s, f: (
-                         f * (_sq(s) - _sq(y) + _sq(z)) * (_sq(s) + _sq(y) - _sq(z))
+                         f * (s * s - y * y + z * z) * (s * s + y * y - z * z)
                          / (s * _heron_discriminant(s, y, z))
-                         + ((y - s) * (_sq(s) + _sq(y) - _sq(z))
-                            + (z - s) * (_sq(s) - _sq(y) + _sq(z)))
+                         + ((y - s) * (s * s + y * y - z * z)
+                            + (z - s) * (s * s - y * y + z * z))
                          / (2.0 * s * math.sqrt(_heron_discriminant(s, y, z)))),
                      0, None)),
         Op("euler_distance", formulas.euler_distance, 1, (1, 1),
@@ -235,13 +231,13 @@ def table() -> list[Op]:
         on_quad("ptolemy_diagonal", formulas.ptolemy_diagonal, 1, oracle.cyclic_diagonal,
                 # the natural vertex-merge anchor x -> 0 is a 0/0 right-hand side
                 ("ptolemy", (0.5, 2.0), {"y": 2.0, "u": 1.5, "v": 1.8},
-                 lambda y, u, v, s, f: u * v * (_sq(s) - _sq(y) + _sq(f))
+                 lambda y, u, v, s, f: u * v * (s * s - y * y + f * f)
                  / (2.0 * f * (u * v + s * y) * s),
                  0, None)),
         on_quad("cyclic_quad_area", formulas.cyclic_quad_area, 2, oracle.cyclic_area,
                 # a vanishing side leaves the (y, u, v) triangle
                 ("brahmagupta", (0.0, 1.6), {"y": 2.0, "u": 1.5, "v": 1.8},
-                 lambda y, u, v, s, f: (-s ** 3 + (_sq(y) + _sq(u) + _sq(v)) * s
+                 lambda y, u, v, s, f: (-s ** 3 + (y * y + u * u + v * v) * s
                                         + 2.0 * y * u * v) / (8.0 * f),
                  0, formulas.triangle_area(2.0, 1.5, 1.8))),
         Op("bisector_problem_z", formulas.bisector_side, 1, (1, 1, 1),
@@ -249,12 +245,12 @@ def table() -> list[Op]:
                # only implicit: the admissible cubic root in z^2 - a^2 - b^2
                ("bisprob", (1.2, 1.6), {"a": math.sqrt(10.0), "b": math.sqrt(5.0)},
                 lambda a, b, s, f: (
-                    f * (_sq(f) - _sq(a) - _sq(b))
-                    * (-f ** 4 + 2.0 * (_sq(a) + _sq(b)) * _sq(f)
-                       - _sq(_sq(a) - _sq(b)))
-                    / (s * (f ** 6 - 3.0 * (_sq(a) + _sq(b)) * f ** 4
-                            + 3.0 * _sq(_sq(a) - _sq(b)) * _sq(f)
-                            - (_sq(a) + _sq(b)) * _sq(_sq(a) - _sq(b))))),
+                    f * (f * f - a * a - b * b)
+                    * (-f ** 4 + 2.0 * (a * a + b * b) * (f * f)
+                       - (a * a - b * b) * (a * a - b * b))
+                    / (s * (f ** 6 - 3.0 * (a * a + b * b) * f ** 4
+                            + 3.0 * ((a * a - b * b) * (a * a - b * b)) * (f * f)
+                            - (a * a + b * b) * ((a * a - b * b) * (a * a - b * b))))),
                 2, None),)),
         Op("circle_area", formulas.circle_area, 2, (1,), lambda rng: (length(rng),),
            derive=(
@@ -264,5 +260,5 @@ def table() -> list[Op]:
            derive=(
                # a zero radius encloses zero volume
                ("sphere_volume", (0.0, 1.0), {},
-                lambda s, f: 4.0 * math.pi * _sq(s), 0, 0.0),)),
+                lambda s, f: 4.0 * math.pi * (s * s), 0, 0.0),)),
     ]

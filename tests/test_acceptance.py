@@ -98,9 +98,13 @@ def test_criterion_5_homogeneity():
     for op in ops.table():
         for _ in range(1000):
             point = op.sample(rng)
-            worst_res = max(worst_res, homogeneity.scale_residual(op, point))
+            worst_res = max(worst_res, homogeneity.scale_residual(op, point)[0])
         for _ in range(100):
-            for _, want, got in homogeneity.finite_scaling(op, op.sample(rng)):
+            point = op.sample(rng)
+            f_val = homogeneity.scale_residual(op, point)[1]  # as the scale suite reads f
+            for _, lam_n, factors in homogeneity.finite_scaling(op):
+                got = op.closed(*(xi * k for xi, k in zip(point, factors)))
+                want = lam_n * f_val
                 worst_lam = max(worst_lam,
                                 abs(got - want) / max(abs(want), 1e-30))
     ok = worst_res < 1e-10 and worst_lam < 1e-12

@@ -100,13 +100,20 @@ class TestSuites:
 
     def test_lambda_record_one_ulp_off_fails(self, monkeypatch):
         """A :lam= record passes only on equality, far inside any 1e-12."""
-        finite_scaling = homogeneity.finite_scaling
+        table = ops.table
 
-        def one_ulp_off(op, point):
-            return [(lam, want, math.nextafter(scaled, math.inf))
-                    for lam, want, scaled in finite_scaling(op, point)]
+        def one_ulp_high_on_floats(closed):
+            # the derivative passes, which give f(x), keep the exact kernel
+            def high(*args):
+                out = closed(*args)
+                if any(isinstance(a, complex) for a in args):
+                    return out
+                return math.nextafter(out, math.inf)
+            return high
 
-        monkeypatch.setattr(homogeneity, "finite_scaling", one_ulp_off)
+        monkeypatch.setattr(ops, "table", lambda: [
+            dataclasses.replace(op, closed=one_ulp_high_on_floats(op.closed))
+            for op in table()])
         lam = [r for r in run(RunConfig(suite="scale", cases=2, seed=1)).records
                if ":lam=" in r.op]
         assert lam and not any(r.passed for r in lam)
@@ -413,7 +420,8 @@ def failure_report(monkeypatch):
     monkeypatch.setattr(oracle, "circumcenter", broken)
     monkeypatch.setattr(geom, "bisector_problem_solve", no_triangle)
     monkeypatch.setattr(ops, "derivations", singular_derivations)
-    monkeypatch.setattr(homogeneity, "scale_residual", lambda op, point: math.nan)
+    monkeypatch.setattr(homogeneity, "scale_residual",
+                        lambda op, point: (math.nan, op.closed(*point)))
     monkeypatch.setattr(polyroots, "track", singular_path)
     report = run(RunConfig(suite="all", cases=3, seed=5))
     actual = {(r.suite, r.actual) for r in report.records if not r.passed}

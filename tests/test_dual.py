@@ -111,7 +111,7 @@ def test_rsub_rdiv():
 
 def derivatives(op, point):
     """Every partial of op at point, then the scale-direction derivative."""
-    grads = homogeneity.partials(op, point)
+    _, grads = homogeneity.partials(op, point)
     out = op.closed(*(seed(xi, ni * xi) for xi, ni in zip(point, op.arg_dims)))
     return [g.hex() for g in grads] + [der(out).hex()]
 
