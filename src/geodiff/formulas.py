@@ -153,14 +153,13 @@ def bisector_side(a, b, c):
 
     a and b are the vertex-to-incenter bisector lengths at the two endpoints
     of the sought side.  The side is sqrt(a^2 + b^2 + u) for the one positive
-    root u of G, admissible only strictly inside (0, 2ab).  Newton descends
-    from sqrt(C/B) and stops at the first iterate that fails to descend.  A
-    root moves with its coefficients as du/da_k = -u^k / G'(u), so one more
-    step, with G on the arguments minus G on their real parts, adds its
-    derivative on complex steps and 0.0 on floats.
+    root u of G, admissible only strictly inside (0, 2ab).  Newton runs on
+    the real parts from sqrt(C/B) to the first iterate that fails to descend.
+    As du/da_k = -u^k / G'(u), one more step by G(u) minus its real part adds
+    u's derivative on complex steps and 0.0 on floats, with no branch.
     """
-    av, bv, cv = a.real, b.real, c.real
-    k, big_b, big_c = bisector_cubic_coeffs(av, bv, cv)
+    kd, bd, cd = bisector_cubic_coeffs(a, b, c)
+    k, big_b, big_c = kd.real, bd.real, cd.real
     u = math.sqrt(big_c / big_b)
     while True:
         slope = (3.0 * k * u + 2.0 * big_b) * u
@@ -168,8 +167,9 @@ def bisector_side(a, b, c):
         if not nxt < u:  # also stops a non-finite step
             break
         u = nxt
-    if not 0.0 < u < 2.0 * av * bv:
-        raise ValueError(f"no admissible side for bisector lengths ({av}, {bv}, {cv})")
-    kd, bd, cd = bisector_cubic_coeffs(a, b, c)
-    u -= ((kd * u + bd) * u * u - cd - ((k * u + big_b) * u * u - big_c)) / slope
+    if not 0.0 < u < 2.0 * a.real * b.real:
+        raise ValueError(
+            f"no admissible side for bisector lengths ({a.real}, {b.real}, {c.real})")
+    g = (kd * u + bd) * u * u - cd
+    u -= (g - g.real) / slope
     return sqrt(a * a + b * b + u)

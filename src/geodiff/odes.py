@@ -100,7 +100,6 @@ def integrate(problem: OdeProblem, h: float) -> float:
     s0, f = problem.s_range[0], problem.anchor
     rhs = functools.partial(problem.rhs, *problem.params.values())
     comp = 0.0
-    isfinite = math.isfinite
     for i in range(steps):
         s = s0 + i * hh
         try:
@@ -112,10 +111,10 @@ def integrate(problem: OdeProblem, h: float) -> float:
             raise SingularityError(
                 f"{problem.name}: right-hand side failed near s={s!r}: {exc}"
             ) from exc
-        if not (isfinite(k1) and isfinite(k2) and isfinite(k3) and isfinite(k4)):
+        incr = hh * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0 - comp
+        if not math.isfinite(incr):  # a non-finite stage always lands here
             raise SingularityError(
                 f"{problem.name}: non-finite right-hand side near s={s!r}")
-        incr = hh * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0 - comp
         t = f + incr
         comp = (t - f) - incr
         f = t

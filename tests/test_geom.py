@@ -353,6 +353,47 @@ class TestBisectorProblem:
             ds = [rng.choice((0.0, 1.0, rng.uniform(-1.0, 1.0))) for _ in range(3)]
             assert repr(formulas.bisector_side(*map(dual.seed, args, ds))) == want
 
+    @pytest.mark.parametrize("args", [(1.1, 1.3, 1.2),
+                                      (dual.seed(1.1), 1.3, dual.seed(1.2, -0.5))])
+    def test_one_call_builds_the_cubic_once(self, monkeypatch, args):
+        calls = []
+        build = formulas.bisector_cubic_coeffs
+
+        def counted(*abc):
+            calls.append(abc)
+            return build(*abc)
+
+        monkeypatch.setattr(formulas, "bisector_cubic_coeffs", counted)
+        formulas.bisector_side(*args)
+        assert calls == [args]
+
+    def test_one_build_keeps_the_two_build_bits(self):
+        # the earlier form: Newton on coefficients built from the real parts,
+        # then a step by G built again on the arguments minus G on the reals
+        def two_build_side(a, b, c):
+            k, big_b, big_c = formulas.bisector_cubic_coeffs(a.real, b.real, c.real)
+            u = math.sqrt(big_c / big_b)
+            while True:
+                slope = (3.0 * k * u + 2.0 * big_b) * u
+                nxt = u - ((k * u + big_b) * u * u - big_c) / slope
+                if not nxt < u:
+                    break
+                u = nxt
+            kd, bd, cd = formulas.bisector_cubic_coeffs(a, b, c)
+            u -= ((kd * u + bd) * u * u - cd - ((k * u + big_b) * u * u - big_c)) / slope
+            return dual.sqrt(a * a + b * b + u)
+
+        rng = random.Random("one-build")
+        for _ in range(5000):
+            a, b, c = sampling.bisector_lengths(rng)
+            ds = [rng.choice((0.0, 1.0, rng.uniform(-1.0, 1.0))) for _ in range(3)]
+            carriers = [*map(dual.seed, (a, b, c), ds)]
+            for args in ((b, c, a), (a, c, b), (a, b, c),
+                         (carriers[1], carriers[2], carriers[0]),
+                         (carriers[0], carriers[2], carriers[1]), carriers):
+                assert repr(formulas.bisector_side(*args)) \
+                    == repr(two_build_side(*args)), args
+
     def test_near_degenerate_cubics(self):
         # sides of this triple from mpmath at 50 digits; the forward map
         # cancels in x + y - z on them, so the solve itself still fails the

@@ -176,6 +176,21 @@ class TestIntegrate:
         with pytest.raises(odes.SingularityError):
             odes.integrate(bomb, 0.125)
 
+    @pytest.mark.parametrize("stages", [
+        (1.0, math.nan, 1.0, 1.0),
+        (1.0, 1.0, 1.0, math.inf),
+        (1.0, math.inf, -math.inf, 1.0),
+    ], ids=["nan", "inf", "inf-and-minus-inf"])
+    def test_non_finite_stage_is_reported(self, stages):
+        # the second step's four stages return these, whatever s and f
+        values = iter((1.0,) * 4 + stages)
+        stage = odes.OdeProblem(
+            "stage", (0.0, 1.0), {}, lambda s, f: next(values),
+            lambda s: 0.0, 0, 0.0)
+        with pytest.raises(odes.SingularityError,
+                           match=r"^stage: non-finite right-hand side near s=0\.5$"):
+            odes.integrate(stage, 0.5)
+
     def test_alternative_route_agrees(self):
         a = odes.integrate(BY_NAME["pythagoras"], 1e-3)
         b = odes.integrate(BY_NAME["pyth_alt"], 1e-3)
