@@ -3,7 +3,8 @@
 
 Usage: python scripts/verify_all.py [seed]
 
-Prints one summary line per suite, with the seconds its ``run`` and its
+Prints the seconds ``import geodiff.cli`` takes in a fresh interpreter,
+then one summary line per suite, with the seconds its ``run`` and its
 ``write_report`` took (``time.perf_counter``; timings stay out of the
 reports), then the derive report as a table: the fitted RK4 order (``exact``
 where RK4 integrates exactly) and the relative endpoint error at h = 1e-3 of
@@ -11,11 +12,27 @@ each anchored derivation, and the defect of each residual-mode one.  Exits
 nonzero if any record failed.
 """
 
+import os
 import pathlib
+import subprocess
 import sys
 import time
 
+import geodiff
 from geodiff.cli import RunConfig, run, write_report
+
+_TIMED_IMPORT = ("import time; t0 = time.perf_counter(); import geodiff.cli; "
+                 "print(time.perf_counter() - t0)")
+
+
+def import_seconds() -> float:
+    """Seconds ``import geodiff.cli`` takes in a fresh interpreter, from the
+    geodiff this script imported: the set-up every geodiff process pays."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(geodiff.__file__)))
+    out = subprocess.run([sys.executable, "-c", _TIMED_IMPORT],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    return float(out.stdout)
 
 
 def _order(actual: str) -> str:
@@ -55,6 +72,8 @@ def main() -> int:
     out_dir = pathlib.Path(__file__).resolve().parent.parent / "out"
     out_dir.mkdir(exist_ok=True)
 
+    print(f"{'import':<9} geodiff.cli in a fresh interpreter"
+          f"  import={import_seconds():.3f}s")
     failures = 0
     derive = None
     for suite, cases in (("theorems", 10000), ("derive", 1000),

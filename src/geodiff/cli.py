@@ -28,7 +28,7 @@ import operator
 import random
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 from . import __version__, dual, geom, homogeneity, odes, ops, oracle, polyroots
 
@@ -48,42 +48,78 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class _RunFields(NamedTuple):
     suite: str = "all"
     cases: int = 1000
     seed: int = 0
     output: str | None = None
     format: str = "csv"
 
-    def __post_init__(self):
+
+class RunConfig(_RunFields):
+    """The flags of one run; an invalid one raises ConfigError here, and in
+    ``_replace``, which builds through ``_make``."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.suite not in SUITES:
             raise ConfigError(f"unknown suite {self.suite!r}")
         if self.cases < 1:
             raise ConfigError("cases must be >= 1")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"unknown format {self.format!r}")
+        return self
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
 
-@dataclass(slots=True)
 class Record:
-    suite: str
-    case_id: int
-    op: str
-    inputs: str
-    expected: str
-    actual: str
-    rel_err: float
-    passed: bool
+    """One judged comparison, a report row.  A slotted class, not a
+    NamedTuple, whose Python-level ``__new__`` would slow the building of
+    every record.  ``__eq__`` and ``__repr__`` read the fields in
+    ``__slots__`` order: records of one class with equal fields are equal,
+    and the text is ``Record(suite='...', case_id=..., ...)``."""
+
+    __slots__ = ("suite", "case_id", "op", "inputs", "expected", "actual",
+                 "rel_err", "passed")
+    __hash__ = None
+
+    def __init__(self, suite: str, case_id: int, op: str, inputs: str,
+                 expected: str, actual: str, rel_err: float, passed: bool):
+        self.suite = suite
+        self.case_id = case_id
+        self.op = op
+        self.inputs = inputs
+        self.expected = expected
+        self.actual = actual
+        self.rel_err = rel_err
+        self.passed = passed
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ([getattr(self, name) for name in self.__slots__]
+                == [getattr(other, name) for name in self.__slots__])
+
+    def __repr__(self):
+        return "Record(%s)" % ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__)
 
 
-@dataclass
 class Report:
-    config: RunConfig
-    records: list[Record] = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
-    version: str = __version__
-    timestamp: str = ""
+    """A run's config and records, the summary ``run`` makes of them, and
+    the version and start time a JSON report's header carries."""
+
+    def __init__(self, config: RunConfig, timestamp: str = ""):
+        self.config = config
+        self.records: list[Record] = []
+        self.summary: dict = {}
+        self.version = __version__
+        self.timestamp = timestamp
 
 
 def _fmt(*values: float) -> str:
@@ -328,7 +364,7 @@ def write_report(report: Report, path: str, fmt: str) -> None:
         header = json.dumps({
             "timestamp": report.timestamp,
             "version": report.version,
-            "config": asdict(report.config),
+            "config": report.config._asdict(),
             "summary": report.summary,
         }, indent=1)
         with open(path, "w", encoding="utf-8") as fh:

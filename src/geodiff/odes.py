@@ -20,8 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .dual import der, rel, seed
 
@@ -30,8 +29,7 @@ class SingularityError(RuntimeError):
     """The right-hand side became non-finite during integration."""
 
 
-@dataclass(frozen=True)
-class OdeProblem:
+class OdeProblem(NamedTuple):
     """One derivation: F varies with s, everything in params is frozen.
 
     ``kernel`` is the closed form F, called with s at argument position
@@ -59,14 +57,12 @@ class OdeProblem:
         return self.anchor is None
 
 
-@dataclass(frozen=True)
-class ResidualResult:
+class ResidualResult(NamedTuple):
     max_residual: float
     skipped: tuple[float, ...] = ()
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     endpoints: tuple[float, ...]
     errors: tuple[float, ...]
     floor: float  # an error at or below it is rounding, not truncation

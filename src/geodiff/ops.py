@@ -23,9 +23,8 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import formulas, odes, oracle, sampling
 
@@ -82,8 +81,7 @@ def _heron_discriminant(x, y, z):
             - x ** 4 - y ** 4 - z ** 4)
 
 
-@dataclass(frozen=True)
-class Op:
+class Op(NamedTuple):
     """One metric relation.  ``point`` and ``oracle`` read a ``Case``: the
     closed form's arguments and the measured value it must reproduce.  An
     operation without an oracle takes no part in the theorems suite.

@@ -29,7 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 LEADING_TOL = 1e-12
 FINAL_RESIDUAL_TOL = 1e-8
@@ -66,20 +66,30 @@ def _horner(coeffs, x: complex) -> complex:
     return acc
 
 
-@dataclass(frozen=True)
-class Poly:
-    """Coefficients a_0..a_n, low order first."""
-
+class _PolyFields(NamedTuple):
     coeffs: tuple[complex, ...]
 
-    def __post_init__(self):
-        if len(self.coeffs) < 2:
+
+class Poly(_PolyFields):
+    """Coefficients a_0..a_n, low order first, stored as complex; invalid ones
+    raise ValueError here, and in ``_replace``, which builds through
+    ``_make``."""
+
+    __slots__ = ()
+
+    def __new__(cls, coeffs):
+        if len(coeffs) < 2:
             raise ValueError("degree must be at least 1")
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
+        self = super().__new__(cls, tuple(complex(c) for c in coeffs))
         if not all(map(cmath.isfinite, self.coeffs)):
             raise ValueError("coefficients must be finite")
         if abs(self.coeffs[-1]) <= LEADING_TOL * self.scale:
             raise ValueError("leading coefficient is numerically zero")
+        return self
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
     @property
     def degree(self) -> int:
@@ -101,16 +111,26 @@ def unit_roots(n: int) -> tuple[complex, ...]:
     return tuple(cmath.exp(2j * math.pi * k / n) for k in range(n))
 
 
-@dataclass(frozen=True)
-class ContinuationPath:
-    """Linear coefficient homotopy (1-t)*gamma*(x^n - 1) + t*target."""
-
+class _PathFields(NamedTuple):
     target: Poly
     gamma: complex = 1.0 + 0.0j
 
-    def __post_init__(self):
+
+class ContinuationPath(_PathFields):
+    """Linear coefficient homotopy (1-t)*gamma*(x^n - 1) + t*target; a gamma
+    off the unit circle raises ValueError here and in ``_replace``."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not abs(abs(self.gamma) - 1.0) <= 1e-12:  # a NaN gamma fails too
             raise ValueError("gamma must have unit magnitude")
+        return self
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
     def at(self, t: float) -> Poly:
         """P_t; PathSingularityError where it drops degree (Poly's ValueError)."""

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import gc
 import io
 import json
@@ -10,7 +9,6 @@ import re
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import asdict
 
 import pytest
 
@@ -35,6 +33,68 @@ class TestParseConfig:
     def test_zero_cases_rejected(self):
         with pytest.raises(ConfigError):
             parse_config(["--cases", "0"])
+
+    def test_replace_validates(self):
+        cfg = RunConfig(suite="roots")
+        assert cfg._replace(cases=5) == RunConfig("roots", 5)
+        assert cfg._asdict() == {"suite": "roots", "cases": 1000, "seed": 0,
+                                 "output": None, "format": "csv"}
+        with pytest.raises(ConfigError, match="cases must be >= 1"):
+            cfg._replace(cases=0)
+        with pytest.raises(ConfigError, match="unknown format 'xml'"):
+            cfg._replace(format="xml")
+
+
+RECORD = dict(suite="theorems", case_id=3, op="median", inputs="1.0;2.0;2.5",
+              expected="1.5", actual="1.5000000000000002",
+              rel_err=1.4802973661668753e-16, passed=True)
+OTHER = dict(suite="scale", case_id=4, op="area", inputs="1.0", expected="0.5",
+             actual="0.25", rel_err=0.5, passed=False)
+
+
+class TestRecord:
+    """Record's methods are written out, so its value semantics are pinned:
+    the reports, the digests and several tests compare or print records."""
+
+    def test_fields_in_slot_order(self):
+        assert Record.__slots__ == tuple(RECORD)
+        r = Record(**RECORD)
+        assert [getattr(r, name) for name in r.__slots__] == list(RECORD.values())
+        assert Record(*RECORD.values()) == r
+
+    def test_equal_records_compare_equal(self):
+        assert Record(**RECORD) == Record(**RECORD)
+        assert not Record(**RECORD) != Record(**RECORD)
+
+    @pytest.mark.parametrize("name", list(RECORD))
+    def test_one_field_changed_makes_records_unequal(self, name):
+        changed = Record(**{**RECORD, name: OTHER[name]})
+        assert changed != Record(**RECORD)
+        assert not changed == Record(**RECORD)
+
+    def test_other_types_are_not_equal(self):
+        r = Record(**RECORD)
+        assert r != tuple(RECORD.values())
+        assert r.__eq__(tuple(RECORD.values())) is NotImplemented
+
+    def test_repr(self):
+        assert repr(Record(**RECORD)) == (
+            "Record(suite='theorems', case_id=3, op='median', "
+            "inputs='1.0;2.0;2.5', expected='1.5', actual='1.5000000000000002', "
+            "rel_err=1.4802973661668753e-16, passed=True)")
+
+    def test_unhashable_and_slotted(self):
+        r = Record(**RECORD)
+        with pytest.raises(TypeError):
+            hash(r)
+        with pytest.raises(AttributeError):
+            r.note = "x"
+
+    def test_construction_needs_every_field(self):
+        with pytest.raises(TypeError):
+            Record(**RECORD, extra=1)
+        with pytest.raises(TypeError):
+            Record(*list(RECORD.values())[:-1])
 
 
 class TestSuites:
@@ -112,7 +172,7 @@ class TestSuites:
             return high
 
         monkeypatch.setattr(ops, "table", lambda: [
-            dataclasses.replace(op, closed=one_ulp_high_on_floats(op.closed))
+            op._replace(closed=one_ulp_high_on_floats(op.closed))
             for op in table()])
         lam = [r for r in run(RunConfig(suite="scale", cases=2, seed=1)).records
                if ":lam=" in r.op]
@@ -407,8 +467,7 @@ def failure_report(monkeypatch):
 
     def singular_derivations():
         entries = derivations()
-        entries[1] = dataclasses.replace(entries[1],
-                                         rhs=lambda *args: 1.0 / 0.0)
+        entries[1] = entries[1]._replace(rhs=lambda *args: 1.0 / 0.0)
         return entries
 
     def singular_path(path):
@@ -437,9 +496,10 @@ def _json_dump_bytes(report):
     payload = {
         "timestamp": report.timestamp,
         "version": report.version,
-        "config": asdict(report.config),
+        "config": report.config._asdict(),
         "summary": report.summary,
-        "records": [asdict(r) for r in report.records],
+        "records": [{name: getattr(r, name) for name in r.__slots__}
+                    for r in report.records],
     }
     return json.dumps(payload, indent=1) + "\n"
 
@@ -624,25 +684,39 @@ class TestMain:
             assert main(["--suite", "scale", "--cases", "1", flag, value]) == 2
 
 
-def foreign_modules(statement, cwd=None):
-    """Top-level modules, neither stdlib nor geodiff, that ``statement``
-    loads in a fresh interpreter with ``PYTHONPATH=src``.  Modules that
-    interpreter start-up loads (``.pth`` hooks) are not the statement's."""
+def new_modules(statement, cwd=None) -> set[str]:
+    """Modules that ``statement`` loads in a fresh interpreter with
+    ``PYTHONPATH=src``.  Modules that interpreter start-up loads (``.pth``
+    hooks) are not the statement's."""
     src = os.path.dirname(os.path.dirname(geodiff.__file__))
     code = (f"import sys; before = set(sys.modules); {statement}; "
-            "allowed = {*sys.stdlib_module_names, 'geodiff'}; "
-            "print(sorted({m.partition('.')[0] for m in set(sys.modules) - before}"
-            " - allowed))")
+            "print(' '.join(sorted(set(sys.modules) - before)))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, cwd=cwd,
                          env={**os.environ, "PYTHONPATH": src})
-    return out.stdout.splitlines()[-1]
+    return set(out.stdout.splitlines()[-1].split())
+
+
+def foreign_modules(statement, cwd=None) -> set[str]:
+    """Top-level modules, neither stdlib nor geodiff, that ``statement``
+    loads in a fresh interpreter."""
+    top = {name.partition(".")[0] for name in new_modules(statement, cwd)}
+    return top - {*sys.stdlib_module_names, "geodiff"}
 
 
 def test_cli_import_loads_neither_numpy_nor_scipy():
     """``import geodiff.cli`` loads only the standard library and geodiff,
     so the runtime needs none of numpy, scipy, mpmath or sympy."""
-    assert foreign_modules("import geodiff.cli") == "[]"
+    assert foreign_modules("import geodiff.cli") == set()
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """Every geodiff process pays for its imports in set-up time, and
+    ``dataclasses`` with ``inspect`` (which loads ``ast``, ``dis`` and
+    ``tokenize``) took about a third of ``import geodiff.cli``."""
+    loaded = new_modules("import geodiff.cli")
+    assert "geodiff.cli" in loaded
+    assert {"dataclasses", "inspect"} & loaded == set()
 
 
 def test_every_suite_runs_on_the_standard_library_alone(tmp_path):
@@ -650,4 +724,4 @@ def test_every_suite_runs_on_the_standard_library_alone(tmp_path):
     the standard library and geodiff, as the README promises."""
     assert foreign_modules("import geodiff.cli; "
                            "geodiff.cli.main(['--suite', 'all', '--cases', '2'])",
-                           cwd=tmp_path) == "[]"
+                           cwd=tmp_path) == set()

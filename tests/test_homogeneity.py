@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -77,7 +76,7 @@ class TestScaleResidual:
                 assert homogeneity.partials(op, point)[0] == want, (op.name, point)
 
     def test_dimension_slip_is_caught(self):
-        wrong = dataclasses.replace(BY_NAME["median"], out_dim=2)
+        wrong = BY_NAME["median"]._replace(out_dim=2)
         assert scale_residual(wrong, (3.0, 4.0, 5.0))[0] > 0.1
 
     def test_sweep_all_formulas(self, rng):
@@ -116,7 +115,7 @@ class TestFiniteLambdaScaling:
                 kind = "pass" if any(isinstance(a, complex) for a in args) else "float"
                 calls[op.name, kind] = calls.get((op.name, kind), 0) + 1
                 return op.closed(*args)
-            return dataclasses.replace(op, closed=closed)
+            return op._replace(closed=closed)
 
         monkeypatch.setattr(ops, "table", lambda: [counted(op) for op in original()])
         cases = 3

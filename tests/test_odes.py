@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import math
 import pathlib
@@ -131,7 +130,7 @@ class TestSigns:
 
     def test_bispart_needs_the_leading_minus(self):
         p = BY_NAME["bispart"]
-        flipped = dataclasses.replace(p, rhs=lambda *a: -p.rhs(*a))
+        flipped = p._replace(rhs=lambda *a: -p.rhs(*a))
         exact = odes.reference_endpoint(p)
         assert abs(odes.integrate(p, 1e-3) - exact) < ENDPOINT_TOL * exact
         assert abs(odes.integrate(flipped, 1e-3) - exact) > 1.0 * exact
@@ -146,7 +145,7 @@ class TestSigns:
                 / (s * math.sqrt(ops._heron_discriminant(s, y, z)))
 
         assert odes.residual(p, 1000).max_residual < RESIDUAL_TOL
-        wrong = dataclasses.replace(p, rhs=flipped)
+        wrong = p._replace(rhs=flipped)
         assert odes.residual(wrong, 1000).max_residual > 1.0
 
 

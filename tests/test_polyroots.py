@@ -61,6 +61,12 @@ class TestPoly:
         with pytest.raises(ValueError, match="finite"):
             Poly(coeffs)
 
+    def test_replace_validates(self):
+        p = Poly((-4.0, 0.0, 1.0))
+        assert p._replace(coeffs=(1, 2)) == Poly((1.0 + 0j, 2.0 + 0j))
+        with pytest.raises(ValueError, match="leading"):
+            p._replace(coeffs=(1.0, 1.0, 1e-20))
+
 
 class TestTrack:
     def test_square_stretch(self):
@@ -96,6 +102,12 @@ class TestTrack:
     def test_nan_gamma_rejected(self, gamma):
         with pytest.raises(ValueError, match="unit magnitude"):
             ContinuationPath(Poly((-4.0, 0.0, 1.0)), gamma=gamma)
+
+    def test_replace_validates_gamma(self):
+        path = ContinuationPath(Poly((-4.0, 0.0, 1.0)))
+        assert path._replace(gamma=1j).gamma == 1j
+        with pytest.raises(ValueError, match="unit magnitude"):
+            path._replace(gamma=2.0 + 0j)
 
     def test_first_step_does_not_change_the_roots(self, monkeypatch):
         # FIRST_STEP only sets the first step; the error control sets the rest

@@ -11,7 +11,6 @@ Print the digests for the running interpreter (no pytest needed) with
 import ast
 import hashlib
 import pathlib
-from dataclasses import astuple
 
 import geodiff
 from geodiff.cli import SUITES, RunConfig, run
@@ -29,7 +28,8 @@ def record_digest(suite: str) -> str:
     """sha256 over the repr of every record of a 20-case seed-0 run."""
     h = hashlib.sha256()
     for r in run(RunConfig(suite=suite, cases=20, seed=0)).records:
-        h.update(repr(astuple(r)).encode() + b"\n")
+        fields = tuple(getattr(r, name) for name in r.__slots__)
+        h.update(repr(fields).encode() + b"\n")
     return h.hexdigest()
 
 

@@ -8,13 +8,17 @@ from geodiff.cli import ORDER_RANGE, run_derive
 SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "verify_all.py"
 
 
-def derive_rows() -> dict[str, list[str]]:
-    """verify_all.derive_table over a 2-case derive run, as name ->
-    [order, rel@1e-3, residual, passed], in table order."""
+def load_script():
     spec = importlib.util.spec_from_file_location("verify_all", SCRIPT)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    lines = script.derive_table(run_derive(random.Random(0), 2))
+    return script
+
+
+def derive_rows() -> dict[str, list[str]]:
+    """verify_all.derive_table over a 2-case derive run, as name ->
+    [order, rel@1e-3, residual, passed], in table order."""
+    lines = load_script().derive_table(run_derive(random.Random(0), 2))
     assert lines[0].split() == ["derivation", "order", "rel@1e-3", "residual",
                                 "passed"]
     return {name: rest for name, *rest in map(str.split, lines[1:])}
@@ -47,3 +51,8 @@ def test_derive_table_names_the_exception_that_stopped_an_entry(monkeypatch):
     rows = derive_rows()
     assert rows["pythagoras"] == ["SingularityError", "inf", "--", "False"]
     assert rows["pyth_alt"][3] == "True"
+
+
+def test_import_is_timed_in_a_fresh_interpreter():
+    # a fresh interpreter pays for the import; this one has it cached
+    assert 0.0 < load_script().import_seconds() < 60.0
