@@ -77,49 +77,30 @@ class RunConfig(_RunFields):
         return cls(*fields)
 
 
-class Record:
-    """One judged comparison, a report row.  A slotted class, not a
-    NamedTuple, whose Python-level ``__new__`` would slow the building of
-    every record.  ``__eq__`` and ``__repr__`` read the fields in
-    ``__slots__`` order: records of one class with equal fields are equal,
-    and the text is ``Record(suite='...', case_id=..., ...)``."""
+class Record(NamedTuple):
+    """One judged comparison, a report row.  The builders below make it with
+    ``tuple.__new__``, which skips the Python-level ``__new__`` every record
+    would otherwise pay for, and its arity check: a test checks that each
+    builder gives all eight fields."""
 
-    __slots__ = ("suite", "case_id", "op", "inputs", "expected", "actual",
-                 "rel_err", "passed")
-    __hash__ = None
-
-    def __init__(self, suite: str, case_id: int, op: str, inputs: str,
-                 expected: str, actual: str, rel_err: float, passed: bool):
-        self.suite = suite
-        self.case_id = case_id
-        self.op = op
-        self.inputs = inputs
-        self.expected = expected
-        self.actual = actual
-        self.rel_err = rel_err
-        self.passed = passed
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ([getattr(self, name) for name in self.__slots__]
-                == [getattr(other, name) for name in self.__slots__])
-
-    def __repr__(self):
-        return "Record(%s)" % ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+    suite: str
+    case_id: int
+    op: str
+    inputs: str
+    expected: str
+    actual: str
+    rel_err: float
+    passed: bool
 
 
-class Report:
+class Report(NamedTuple):
     """A run's config and records, the summary ``run`` makes of them, and
-    the version and start time a JSON report's header carries."""
+    the start time a JSON report's header carries."""
 
-    def __init__(self, config: RunConfig, timestamp: str = ""):
-        self.config = config
-        self.records: list[Record] = []
-        self.summary: dict = {}
-        self.version = __version__
-        self.timestamp = timestamp
+    config: RunConfig
+    records: list[Record]
+    summary: dict
+    timestamp: str
 
 
 def _fmt(*values: float) -> str:
@@ -136,14 +117,16 @@ def _record(suite, case_id, op, inputs, expected: float, actual: float,
     (zeros have signs); for floats, repr is what _fmt gives."""
     err = _rel(actual - expected, expected)
     text = repr(expected)
-    return Record(suite, case_id, op, inputs, text,
-                  text if actual == expected and expected else repr(actual),
-                  err, actual == expected if tol is None else err < tol)
+    return tuple.__new__(Record, (
+        suite, case_id, op, inputs, text,
+        text if actual == expected and expected else repr(actual),
+        err, actual == expected if tol is None else err < tol))
 
 
 def _defect(suite, case_id, op, inputs, value: float, tol) -> Record:
     """Record of a value that should be 0, passing below tol."""
-    return Record(suite, case_id, op, inputs, "0.0", repr(value), value, value < tol)
+    return tuple.__new__(Record, (suite, case_id, op, inputs, "0.0", repr(value),
+                                  value, value < tol))
 
 
 def _failed(suite, case_id, op, inputs, expected: str, exc) -> Record:
@@ -157,12 +140,11 @@ def _failed(suite, case_id, op, inputs, expected: str, exc) -> Record:
 
 def run_theorems(rng: random.Random, cases: int) -> list[Record]:
     out = []
-    theorem_ops = [(op.name, op.point, op.closed, op.oracle) for op in
-                   sorted((op for op in ops.table() if op.oracle),
-                          key=lambda op: ops.FAMILIES.index(op.family))]
+    theorem_ops = [(op.name, op.point, op.closed, op.oracle)
+                   for op in ops.table() if op.oracle]
     for i in range(cases):
         case = ops.Case(rng)
-        formatted = {}  # a family's operations share one point
+        formatted = {}  # operations on one draw share one point
         for name, point_of, closed_form, measure in theorem_ops:
             try:
                 point = point_of(case)
@@ -314,38 +296,39 @@ SUITES = (*RUNNERS, "all")
 
 
 def run(config: RunConfig) -> Report:
-    report = Report(config=config,
-                    timestamp=time.strftime("%Y-%m-%dT%H:%M:%S"))
+    timestamp = time.strftime("%Y-%m-%dT%H:%M:%S")
     wanted = RUNNERS if config.suite == "all" else (config.suite,)
-    # Every case keeps its Records (17 per theorems case, each tracked by the
-    # cyclic collector) until the report is written, and the suites make no
-    # reference cycles: each generational pass would re-walk all of them and
-    # free nothing, so the collector is paused while they run.
+    # Every case keeps its Records (17 per theorems case) until the report is
+    # written, and the suites make no reference cycles.  A Record is a tuple,
+    # which the cyclic collector tracks until a pass finds it holds no
+    # container: each generational pass would re-walk the newest records and
+    # free nothing, so the collector is paused while they are made.
+    records = []
     collecting = gc.isenabled()
     gc.disable()
     try:
         for name in wanted:
             rng = random.Random(f"{config.seed}:{name}")
-            report.records.extend(RUNNERS[name](rng, config.cases))
+            records.extend(RUNNERS[name](rng, config.cases))
     finally:
         if collecting:
             gc.enable()
     # one pass; top skips NaN and infinities; a finite :order record's actual is its fit
     failures, top, orders, inf = 0, -math.inf, {}, math.inf
-    for r in report.records:
+    for r in records:
         failures += not r.passed
         if r.op.endswith(":order"):
             if math.isfinite(r.rel_err):
                 orders[r.op.removesuffix(":order")] = float(r.actual)
         elif top < r.rel_err < inf:
             top = r.rel_err
-    report.summary = {
-        "records": len(report.records),
+    summary = {
+        "records": len(records),
         "failures": failures,
         "max_rel_err": 0.0 if top == -inf else top,
         "fitted_orders": orders,
     }
-    return report
+    return Report(config, records, summary, timestamp)
 
 
 def write_report(report: Report, path: str, fmt: str) -> None:
@@ -363,7 +346,7 @@ def write_report(report: Report, path: str, fmt: str) -> None:
     elif fmt == "json":
         header = json.dumps({
             "timestamp": report.timestamp,
-            "version": report.version,
+            "version": __version__,
             "config": report.config._asdict(),
             "summary": report.summary,
         }, indent=1)
@@ -383,9 +366,8 @@ def _write_csv(fh, records) -> None:
     one template row per record and 4096 rows per write."""
     fh.write("suite,case_id,op,inputs,expected,actual,rel_err,passed\r\n")
     for start in range(0, len(records), 4096):
-        fh.write("".join(["%s,%d,%s,%s,%s,%s,%r,%s\r\n" % (
-            r.suite, r.case_id, r.op, r.inputs, r.expected, r.actual,
-            r.rel_err, r.passed) for r in records[start:start + 4096]]))
+        fh.write("".join(["%s,%d,%s,%s,%s,%s,%r,%s\r\n" % r
+                          for r in records[start:start + 4096]]))
 
 
 _JSON_RECORD = ('\n  {\n   "suite": "%s",\n   "case_id": %d,\n   "op": "%s",'

@@ -5,8 +5,9 @@ dimension table, the scale suite's sampler, the differential re-derivations
 the closed form solves and, for a theorem operation, the coordinate
 construction the theorems suite compares it with.  ``table()`` is built per
 call, so it sees whatever ``formulas``, ``oracle`` and ``sampling`` hold then
-(a tracer wraps them); its order fixes the scale suite's rng stream and, after
-Thales, the derive suite's record order.
+(a tracer wraps them).  Its order fixes the theorems suite's record order
+within a case, the scale suite's rng stream and, after Thales, the derive
+suite's record order.
 
 Two right-hand sides differ by a sign from forms sometimes quoted for them;
 the quoted forms fail their gates, as ``tests/test_odes.py::TestSigns``
@@ -27,10 +28,6 @@ from functools import cached_property
 from typing import Callable, NamedTuple
 
 from . import formulas, odes, oracle, sampling
-
-# theorems records come grouped by the draw they read, in this order
-FAMILIES = ("triangle", "pair", "third", "theta", "trirect", "quad")
-
 
 class _Built(cached_property):
     """cached_property without the lock it takes on each first read up to
@@ -93,7 +90,6 @@ class Op(NamedTuple):
     out_dim: int
     arg_dims: tuple[int, ...]
     sample: Callable[[random.Random], tuple[float, ...]]
-    family: str | None = None
     point: Callable[[Case], tuple[float, ...]] | None = None
     oracle: Callable[[Case], float] | None = None
     derive: tuple[tuple, ...] = ()
@@ -121,13 +117,13 @@ def table() -> list[Op]:
 
     def on_triangle(name, closed, out_dim, measure, *derive):
         return Op(name, closed, out_dim, (1, 1, 1), sampling.triangle,
-                  "triangle", lambda c: c.triangle, measure, derive)
+                  lambda c: c.triangle, measure, derive)
 
     def on_quad(name, closed, out_dim, measure, *derive):
         return Op(name, closed, out_dim, (1, 1, 1, 1),
                   lambda rng: oracle.cyclic_sides(
                       oracle.embed_cyclic(*sampling.cyclic_quad(rng))),
-                  "quad", lambda c: c.quad_sides, lambda c: measure(c.cyclic), derive)
+                  lambda c: c.quad_sides, lambda c: measure(c.cyclic), derive)
 
     def cevian(rng):
         x, y, z = sampling.triangle(rng)
@@ -139,7 +135,7 @@ def table() -> list[Op]:
 
     return [
         Op("hypotenuse", formulas.hypotenuse, 1, (1, 1),
-           lambda rng: (length(rng), length(rng)), "pair", lambda c: c.pair,
+           lambda rng: (length(rng), length(rng)), lambda c: c.pair,
            lambda c: oracle.right_triangle_hypotenuse(*c.pair), (
                # a vanishing leg leaves z = y
                ("pythagoras", (0.0, 4.0), {"y": 3.0}, lambda y, s, f: s / f, 0, 3.0),
@@ -150,8 +146,8 @@ def table() -> list[Op]:
                     # collapsed side: the median to z is z/2, which presumes y = z
                     ("apollonius", (0.0, 3.0), {"y": 2.0, "z": 2.0},
                      lambda y, z, s, f: s / (2.0 * f), 0, 1.0)),
-        Op("cevian", formulas.cevian, 1, (1, 1, 1, 1), cevian, "triangle",
-           lambda c: c.cevian, lambda c: oracle.measure_cevian(*c.e, *c.cevian[2:]), (
+        Op("cevian", formulas.cevian, 1, (1, 1, 1, 1), cevian, lambda c: c.cevian,
+           lambda c: oracle.measure_cevian(*c.e, *c.cevian[2:]), (
                # collapsed x-side: the cevian degenerates to m, which presumes
                # y = m + n
                ("stewart", (0.0, 4.0), {"y": 5.0, "m": 2.0, "n": 3.0},
@@ -187,13 +183,13 @@ def table() -> list[Op]:
         on_triangle("incenter_ratio", formulas.incenter_ratio, 0,
                     lambda c: c.to_incenter / c.full),
         Op("trirect_face_area", formulas.trirect_face_area, 2, (1, 1, 1),
-           sampling.trirect, "trirect", lambda c: c.trirect,
+           sampling.trirect, lambda c: c.trirect,
            lambda c: oracle.measure_trirect(*c.trirect), (
                # collapsed edge: the slant face folds onto the yz face
                ("degua", (0.0, 3.0), {"y": 4.0, "z": 12.0},
                 lambda y, z, s, f: (y * y + z * z) * s / (4.0 * f), 0, 24.0),)),
         Op("inscribed_angle", formulas.inscribed_angle, 0, (0,),
-           lambda rng: (sampling.central_angle(rng),), "theta", lambda c: c.theta,
+           lambda rng: (sampling.central_angle(rng),), lambda c: c.theta,
            lambda c: oracle.inscribed_angle_by_construction(*c.theta, c.apex), (
                # a zero arc subtends a zero angle
                ("inscribed", (0.0, math.pi), {}, lambda s, f: 0.5, 0, 0.0),)),
@@ -215,13 +211,13 @@ def table() -> list[Op]:
                          / (2.0 * s * math.sqrt(_heron_discriminant(s, y, z)))),
                      0, None)),
         Op("euler_distance", formulas.euler_distance, 1, (1, 1),
-           sampling.incircle_pair, "triangle", lambda c: (c.r, c.big_r),
+           sampling.incircle_pair, lambda c: (c.r, c.big_r),
            lambda c: oracle.measure_euler_distance(*c.e), (
                # point incircle: centers R apart; stop short of the d -> 0 pole
                ("euler", (0.0, 1.0), {"big_r": 2.5},
                 lambda big_r, s, f: -big_r / f, 0, 2.5),)),
-        Op("third_side", formulas.third_side, 1, (1, 0, 0), third, "third",
-           lambda c: c.third, lambda c: oracle.third_side_by_construction(*c.third), (
+        Op("third_side", formulas.third_side, 1, (1, 0, 0), third, lambda c: c.third,
+           lambda c: oracle.third_side_by_construction(*c.third), (
                # beta + gamma = pi/2: y = x sin(beta)
                ("sines", (math.pi / 2.0 - 0.7, 2.0), {"x": 2.0, "beta": 0.7},
                 lambda x, beta, s, f: -f * math.cos(beta + s) / math.sin(beta + s),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 
 from conftest import assert_close, quads, ravi_triangles, triangles, valid_quad
-from geodiff import dual, formulas, geom, oracle, sampling
+from geodiff import dual, formulas, geom, ops, oracle, sampling
 
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
@@ -450,6 +450,41 @@ def test_quad_symmetries(q):
     ref = formulas.cyclic_quad_area(*sides)
     for p in itertools.permutations(sides):
         assert_close(formulas.cyclic_quad_area(*p), ref, 1e-12)
+
+
+def _swap_xy(x, y, *rest):
+    return (y, x, *rest)
+
+
+# argument swaps under which a kernel's bits do not move, per op; the swaps
+# above that move them are checked at 1e-12
+SWAPS = {
+    "hypotenuse": [_swap_xy],
+    "median": [_swap_xy],
+    "angle_from_sides": [_swap_xy],
+    "bisector_full": [_swap_xy],
+    "bisector_to_incenter": [_swap_xy],
+    "incenter_ratio": [_swap_xy],
+    "cevian": [lambda x, y, m, n: (y, x, n, m)],
+    "ptolemy_diagonal": [lambda x, y, u, v: (y, x, v, u),
+                         lambda x, y, u, v: (v, u, y, x)],
+}
+
+
+@pytest.mark.parametrize("name", list(SWAPS))
+def test_symmetric_arguments_give_the_same_bits(name):
+    """On floats and on carriers, each seeded with its own derivative, over
+    the op's own sampler."""
+    [op] = [op for op in ops.table() if op.name == name]
+    rng = random.Random(name)
+    for i in range(2000):
+        point = op.sample(rng)
+        for swap in SWAPS[name]:
+            assert op.closed(*swap(*point)) == op.closed(*point), point
+        if i % 4 == 0:
+            carriers = tuple(dual.seed(v, rng.uniform(-1.0, 1.0)) for v in point)
+            for swap in SWAPS[name]:
+                assert op.closed(*swap(*carriers)) == op.closed(*carriers), carriers
 
 
 @given(triangles)

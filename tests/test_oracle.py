@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import assert_close, quads, rotate_translate, triangles
-from geodiff import formulas, oracle, sampling
+from geodiff import formulas, ops, oracle, sampling
 
 
 class TestEmbedding:
@@ -245,3 +245,38 @@ def test_cevian_split_adds_up_to_its_side():
 def test_cyclic_vertices_concyclic(q):
     for p in oracle.embed_cyclic(*q):
         assert_close(math.hypot(*p), q[0], 1e-12)
+
+
+def _scaled(case, lam):
+    """case with every length draw times lam; the angles, the apex and the
+    cuts stay."""
+    scaled = ops.Case.__new__(ops.Case)
+    scaled.triangle = tuple(lam * v for v in case.triangle)
+    scaled.cevian = tuple(lam * v for v in case.cevian)
+    scaled.pair = tuple(lam * v for v in case.pair)
+    length, *angles = case.third
+    scaled.third = (lam * length, *angles)
+    scaled.theta, scaled.apex = case.theta, case.apex
+    scaled.trirect = tuple(lam * v for v in case.trirect)
+    radius, *cuts = case.quad
+    scaled.quad = (lam * radius, *cuts)
+    return scaled
+
+
+def test_oracle_obeys_the_scale_transformation_exactly():
+    """The paper's closing transformation: the figure scaled by lam has every
+    length times lam, every area times lam^2 and every angle unchanged.  A
+    power-of-two lam scales every float without rounding, so each measured
+    value must scale to the bit."""
+    theorem_ops = [op for op in ops.table() if op.oracle]
+    assert len(theorem_ops) == 16
+    draws = set(vars(ops.Case(random.Random(0))))
+    rng = random.Random(44)
+    for _ in range(300):
+        case = ops.Case(rng)
+        for lam in (2.0 ** -5, 0.5, 2.0, 2.0 ** 5):
+            scaled = _scaled(case, lam)
+            assert set(vars(scaled)) == draws
+            for op in theorem_ops:
+                assert op.oracle(scaled) == lam ** op.out_dim * op.oracle(case), \
+                    (op.name, lam, vars(case))
