@@ -9,8 +9,8 @@ import random
 import sys
 import time
 
-from geodiff import formulas, geom, homogeneity, odes, ops, sampling
-from geodiff.cli import RunConfig, run, run_derive, run_roots
+from geodiff import formulas, geom, odes, ops, sampling
+from geodiff.cli import RunConfig, run, run_derive, run_roots, run_scale
 
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
@@ -92,26 +92,18 @@ def test_criterion_4_residual_mode():
 
 
 def test_criterion_5_homogeneity():
-    rng = random.Random(55)
-    worst_res = 0.0
-    worst_lam = 0.0
-    for op in ops.table():
-        for _ in range(1000):
-            point = op.sample(rng)
-            worst_res = max(worst_res, homogeneity.scale_residual(op, point)[0])
-        for _ in range(100):
-            point = op.sample(rng)
-            f_val = homogeneity.scale_residual(op, point)[1]  # as the scale suite reads f
-            for _, lam_n, factors in homogeneity.finite_scaling(op):
-                got = op.closed(*(xi * k for xi, k in zip(point, factors)))
-                want = lam_n * f_val
-                worst_lam = max(worst_lam,
-                                abs(got - want) / max(abs(want), 1e-30))
-    ok = worst_res < 1e-10 and worst_lam < 1e-12
+    # per point: the identity's defect record, then one :lam= record per
+    # scale factor, lam**n f(x) against f at the scaled point
+    records = run_scale(random.Random(55), 1000)
+    worst_res = max(r.rel_err for r in records if ":lam=" not in r.op)
+    worst_lam = max(r.rel_err for r in records if ":lam=" in r.op)
+    ok = (all(r.passed for r in records)
+          and worst_res < 1e-10 and worst_lam < 1e-12)
     report(5, ok,
-           f"scale identity at 10^3 points per formula: residual "
-           f"{worst_res:.2e} < 1e-10; finite scaling defect "
-           f"{worst_lam:.2e} < 1e-12")
+           f"scale identity and finite scaling at 10^3 points per formula: "
+           f"residual {worst_res:.2e} < 1e-10; finite scaling defect "
+           f"{worst_lam:.2e} < 1e-12; {sum(not r.passed for r in records)} "
+           f"failing records")
 
 
 def test_criterion_6_bisector_problem_roundtrip():
