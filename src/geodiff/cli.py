@@ -30,7 +30,7 @@ import sys
 import time
 from typing import NamedTuple
 
-from . import __version__, dual, geom, homogeneity, odes, ops, oracle, polyroots
+from . import __version__, dual, geom, homogeneity, odes, ops, oracle
 
 DEFAULT_H = (1e-1, 1e-2, 1e-3)
 
@@ -215,6 +215,7 @@ def run_scale(rng: random.Random, cases: int) -> list[Record]:
 
 
 def run_roots(rng: random.Random, cases: int) -> list[Record]:
+    from . import polyroots  # not at the top: only route 4 pays for compiling it
     out = []
     for i in range(cases):
         degree = rng.randint(2, 8)
@@ -257,6 +258,7 @@ def quad_sens_error(a: float, b: float, c: float, r2: float) -> float:
     derivative with ``dual.der`` (Squire & Trapp, SIAM Review 40, 1998): no
     difference is taken, so nothing cancels, even for a root near 0.
     """
+    from . import polyroots  # not at the top: only route 4 pays for compiling it
     x = _quad_root_near(a, b, c, r2)
     sens = polyroots.quadratic_sensitivities(a, b, c, x)
     refs = (dual.der(_quad_root_near(dual.seed(a), b, c, x)),

@@ -727,13 +727,41 @@ def test_cli_import_loads_neither_numpy_nor_scipy():
     assert foreign_modules("import geodiff.cli") == set()
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    """Every geodiff process pays for its imports in set-up time, and
+@pytest.mark.parametrize("unwanted", [{"dataclasses", "inspect"},
+                                      {"geodiff.polyroots", "cmath"}],
+                         ids=["dataclasses-inspect", "polyroots-cmath"])
+def test_cli_import_loads_neither(unwanted):
+    """Every geodiff process pays for its imports in set-up time.
     ``dataclasses`` with ``inspect`` (which loads ``ast``, ``dis`` and
-    ``tokenize``) took about a third of ``import geodiff.cli``."""
+    ``tokenize``) took about a third of ``import geodiff.cli``, and compiling
+    ``polyroots``, which only the roots route reads, about a fifth of what
+    was left."""
     loaded = new_modules("import geodiff.cli")
     assert "geodiff.cli" in loaded
-    assert {"dataclasses", "inspect"} & loaded == set()
+    assert unwanted & loaded == set()
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_only_the_roots_route_loads_polyroots(suite, tmp_path):
+    loaded = new_modules("import geodiff.cli; geodiff.cli.main(['--suite', "
+                         f"'{suite}', '--cases', '2'])", cwd=tmp_path)
+    assert ("geodiff.polyroots" in loaded) == (suite in ("roots", "all"))
+
+
+def test_polyroots_loads_on_first_access():
+    """``geodiff.__getattr__`` (PEP 562) loads polyroots when it is first
+    read, and any other missing name is an ``AttributeError``."""
+    assert "geodiff.polyroots" not in new_modules(
+        "import geodiff; assert not hasattr(geodiff, 'nosuch')")
+    assert {"geodiff.polyroots", "cmath"} <= new_modules(
+        "import geodiff; geodiff.polyroots.track")
+    # new_modules fails on the assert if `import *` misses a name of __all__
+    assert "geodiff.polyroots" in new_modules(
+        "from geodiff import *; import geodiff; "
+        "assert all(name in globals() for name in geodiff.__all__)")
+    with pytest.raises(AttributeError,
+                       match="^module 'geodiff' has no attribute 'nosuch'$"):
+        geodiff.nosuch
 
 
 def test_every_suite_runs_on_the_standard_library_alone(tmp_path):

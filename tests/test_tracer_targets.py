@@ -1,6 +1,8 @@
 """The benchmark's tracer (``perfbench/tracer.py``) wraps geodiff's functions
 by attribute name from outside, so a name it reads that ``src/`` drops breaks
-``perfbench/run.py --trace 1``."""
+``perfbench/run.py --trace 1``.  ``import geodiff.cli`` leaves
+``geodiff.polyroots`` unloaded; in a traced run, the tracer's read of
+``geodiff.polyroots`` is what loads it."""
 
 import os
 import sys
