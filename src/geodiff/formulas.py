@@ -102,7 +102,8 @@ def euler_distance(r, big_r):
 
 
 def third_side(x, beta, gamma):
-    """Side opposite beta, given the x-side and its two adjacent angles."""
+    """Side opposite beta, given the x-side and its two adjacent angles.
+    At frozen angles it is Thales' map x -> kx."""
     return x * sin(beta) / sin(beta + gamma)
 
 

@@ -6,8 +6,8 @@ the closed form solves and, for a theorem operation, the coordinate
 construction the theorems suite compares it with.  ``table()`` is built per
 call, so it sees whatever ``formulas``, ``oracle`` and ``sampling`` hold then
 (a tracer wraps them).  Its order fixes the theorems suite's record order
-within a case, the scale suite's rng stream and, after Thales, the derive
-suite's record order.
+within a case, the scale suite's rng stream and the derive suite's record
+order.
 
 Two right-hand sides differ by a sign from forms sometimes quoted for them;
 the quoted forms fail their gates, as ``tests/test_odes.py::TestSigns``
@@ -22,7 +22,6 @@ checks:
 from __future__ import annotations
 
 import math
-import operator
 import random
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -95,18 +94,12 @@ class Op(NamedTuple):
     derive: tuple[tuple, ...] = ()
 
 
-# Thales' map s -> k s has a derivation but no op, as an op would add
-# theorems and scale records; the parallel-side map sends 0 to 0
-THALES = odes.OdeProblem("thales", (0.0, 2.0), {"k": 1.5}, lambda k, s, f: k,
-                         operator.mul, 1, 0.0)
-
-
 def derivations() -> list[odes.OdeProblem]:
-    """All twenty-one derivations: Thales, then each op's in table order, each
-    solved by its op's closed form with s at argument position ``at``."""
-    return [THALES, *(odes.OdeProblem(name, s_range, params, rhs, op.closed, at, anchor)
-                      for op in table()
-                      for name, s_range, params, rhs, at, anchor in op.derive)]
+    """All twenty-one derivations, each op's in table order, each solved by
+    its op's closed form with s at argument position ``at``."""
+    return [odes.OdeProblem(name, s_range, params, rhs, op.closed, at, anchor)
+            for op in table()
+            for name, s_range, params, rhs, at, anchor in op.derive]
 
 
 def table() -> list[Op]:
@@ -221,7 +214,11 @@ def table() -> list[Op]:
                # beta + gamma = pi/2: y = x sin(beta)
                ("sines", (math.pi / 2.0 - 0.7, 2.0), {"x": 2.0, "beta": 0.7},
                 lambda x, beta, s, f: -f * math.cos(beta + s) / math.sin(beta + s),
-                2, 2.0 * math.sin(0.7)),)),
+                2, 2.0 * math.sin(0.7)),
+               # frozen angles make Thales' map x -> kx: a zero base leaves a point
+               ("thales", (0.0, 2.0), {"beta": 0.7, "gamma": math.pi / 2.0 - 0.7},
+                lambda beta, gamma, s, f: math.sin(beta) / math.sin(beta + gamma),
+                0, 0.0))),
         on_quad("ptolemy_diagonal", formulas.ptolemy_diagonal, 1, oracle.cyclic_diagonal,
                 # the natural vertex-merge anchor x -> 0 is a 0/0 right-hand side
                 ("ptolemy", (0.5, 2.0), {"y": 2.0, "u": 1.5, "v": 1.8},

@@ -17,10 +17,10 @@ from geodiff.cli import SUITES, RunConfig, run
 
 DIGESTS = {
     "theorems": "28c8c9240217930cc81b16a5d2a3151e0b99ccb067436dfad8429eadea663936",
-    "derive": "439d1566d091a350d2ecfbf303279a9241f5dd12b08213c43ab8b887ecfd2e26",
+    "derive": "45e792c8601aef5e0f9254a8a68489e77c66b2c0b25da2a4c508ac44e330fe78",
     "scale": "6341e9228bbe47d6af412bbf215aeb86d6d90ae4a536a483055f497163573273",
     "roots": "efa293d02fc4de7a108283d89b9fd9b838fe8d019f3e7f8c8f2a11ef8b72149e",
-    "all": "204f88740f3783dc9ed0d2c9ac6ec8b4f7fa3ed2b268095f0670df2f3c3d7dd7",
+    "all": "28687c8d09cec26ae3a2a8a4f2905f1c6745e011d872ae1bf688f0fe7f73b171",
 }
 
 
