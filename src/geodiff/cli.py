@@ -165,17 +165,18 @@ def run_derive(rng: random.Random, cases: int) -> list[Record]:
                                _fmt(*entry.s_range), res.max_residual,
                                RESIDUAL_TOL))
             continue
-        exact = odes.reference_endpoint(entry)
         try:
             rep = odes.convergence(entry, DEFAULT_H)
         except odes.SingularityError as exc:
             # the entry's usual records, each failing under the exception name
+            expected = repr(entry.closed(entry.s_range[1]))
             out.extend(_failed("derive", 0, f"{entry.name}:h={h:g}", repr(h),
-                               repr(exact), exc)
+                               expected, exc)
                        for h in DEFAULT_H)
             out.append(_failed("derive", 0, f"{entry.name}:order",
                                _fmt(*DEFAULT_H), "4.0", exc))
             continue
+        exact = rep.exact
         for h, endpoint, err in zip(DEFAULT_H, rep.endpoints, rep.errors):
             judged = h == min(DEFAULT_H)
             out.append(Record("derive", 0, f"{entry.name}:h={h:g}", repr(h),
@@ -237,34 +238,8 @@ def run_roots(rng: random.Random, cases: int) -> list[Record]:
         r2 = r1 + rng.uniform(0.5, 3.0)
         b, c = -a * (r1 + r2), a * r1 * r2
         out.append(_defect("roots", i, "quad_sens", _fmt(a, b, c, r2),
-                           quad_sens_error(a, b, c, r2), SENS_TOL))
+                           polyroots.quad_sens_error(a, b, c, r2), SENS_TOL))
     return out
-
-
-def _quad_root_near(a, b, c, near: float):
-    # q carries the sign of b, so neither root comes from a cancelling -b + disc
-    q = -0.5 * (b + math.copysign(1.0, b.real) * dual.sqrt(b * b - 4.0 * a * c))
-    return min((q / a, c / q), key=lambda r: abs(r.real - near))
-
-
-def quad_sens_error(a: float, b: float, c: float, r2: float) -> float:
-    """Worst relative gap between d x/d(a, b, c) and complex-step derivatives.
-
-    Both sides are taken at x, the root of a x^2 + b x + c nearest r2 that
-    the stable formula gives: the drawn r2 is not an exact root of the rounded
-    coefficients.  The roots are real (``dual.sqrt`` raises on a negative
-    discriminant).  The reference re-solves the quadratic with one
-    coefficient at a time seeded by ``dual.seed`` and reads the root's
-    derivative with ``dual.der`` (Squire & Trapp, SIAM Review 40, 1998): no
-    difference is taken, so nothing cancels, even for a root near 0.
-    """
-    from . import polyroots  # not at the top: only route 4 pays for compiling it
-    x = _quad_root_near(a, b, c, r2)
-    sens = polyroots.quadratic_sensitivities(a, b, c, x)
-    refs = (dual.der(_quad_root_near(dual.seed(a), b, c, x)),
-            dual.der(_quad_root_near(a, dual.seed(b), c, x)),
-            dual.der(_quad_root_near(a, b, dual.seed(c), x)))
-    return max(_rel(s - f, f) for s, f in zip(sens, refs))
 
 
 # --- driver ---------------------------------------------------------------------

@@ -19,7 +19,7 @@ below 0.  ``sqrt``, ``sin`` and ``atan`` apply ``math`` to the real part and
 their chain rule to the imaginary part; ``cmath`` would not do, since
 ``cmath.sqrt(-1)`` is ``1j`` and ``cmath.atan``'s real part is not
 ``math.atan``'s.  ``rel``, the one floored relative error, lives here because
-``cli``, ``odes`` and ``homogeneity`` all import this module.
+``cli``, ``odes``, ``homogeneity`` and ``polyroots`` all import this module.
 """
 
 from __future__ import annotations

@@ -63,6 +63,7 @@ class ResidualResult(NamedTuple):
 
 
 class ConvergenceReport(NamedTuple):
+    exact: float  # the closed form at the far end of s_range
     endpoints: tuple[float, ...]
     errors: tuple[float, ...]
     floor: float  # an error at or below it is rounding, not truncation
@@ -146,11 +147,6 @@ def residual(problem: OdeProblem, samples: int) -> ResidualResult:
                           tuple(skipped))
 
 
-def reference_endpoint(problem: OdeProblem) -> float:
-    """Closed-form value at the far end of s_range."""
-    return problem.closed(problem.s_range[1])
-
-
 def _slope(xs, ys) -> float:
     """Least-squares slope of ys on xs: fsum means, centre, fsum products."""
     xbar = math.fsum(xs) / len(xs)
@@ -161,7 +157,8 @@ def _slope(xs, ys) -> float:
 
 
 def convergence(problem: OdeProblem, h_values) -> ConvergenceReport:
-    """Endpoint errors per nominal step size and the least-squares order fit.
+    """The closed form at the far end of s_range, the endpoint errors against
+    it per nominal step size, and the least-squares order fit.
 
     The order is fitted against the step each run actually takes, on the
     errors above the roundoff floor (50 ulp of the endpoint) only; with fewer
@@ -171,12 +168,12 @@ def convergence(problem: OdeProblem, h_values) -> ConvergenceReport:
     h_values = tuple(h_values)
     if len(h_values) < 3:
         raise ValueError("need at least three step sizes to fit an order")
-    exact = reference_endpoint(problem)
+    exact = problem.closed(problem.s_range[1])
     endpoints = tuple(integrate(problem, h) for h in h_values)
     errors = tuple(abs(e - exact) for e in endpoints)
     floor = 50.0 * sys.float_info.epsilon * max(1.0, abs(exact))
     fit = [(math.log(abs(_grid(problem, h)[1])), math.log(e))
            for h, e in zip(h_values, errors) if e > floor]
     fitted = _slope(*zip(*fit)) if len(fit) >= 2 else None
-    return ConvergenceReport(endpoints, errors, floor, fitted)
+    return ConvergenceReport(exact, endpoints, errors, floor, fitted)
 

@@ -31,6 +31,8 @@ import math
 import random
 from typing import NamedTuple
 
+from .dual import der, rel, seed, sqrt
+
 LEADING_TOL = 1e-12
 FINAL_RESIDUAL_TOL = 1e-8
 DERIV_FLOOR = 1e-12
@@ -333,6 +335,31 @@ def quadratic_sensitivities(a: float, b: float, c: float,
     if abs(denom) < 1e-12 * max(abs(a), abs(b), abs(c), 1.0):
         raise RepeatedRootError(f"2ax + b vanishes at x={x}")
     return (-x * x / denom, -x / denom, -1.0 / denom)
+
+
+def _quad_root_near(a, b, c, near: float):
+    # q carries the sign of b, so neither root comes from a cancelling -b + disc
+    q = -0.5 * (b + math.copysign(1.0, b.real) * sqrt(b * b - 4.0 * a * c))
+    return min((q / a, c / q), key=lambda r: abs(r.real - near))
+
+
+def quad_sens_error(a: float, b: float, c: float, r2: float) -> float:
+    """Worst relative gap between d x/d(a, b, c) and complex-step derivatives.
+
+    Both sides are taken at x, the root of a x^2 + b x + c nearest r2 that
+    the stable formula gives: the drawn r2 is not an exact root of the rounded
+    coefficients.  The roots are real (``dual.sqrt`` raises on a negative
+    discriminant).  The reference re-solves the quadratic with one
+    coefficient at a time seeded by ``dual.seed`` and reads the root's
+    derivative with ``dual.der`` (Squire & Trapp, SIAM Review 40, 1998): no
+    difference is taken, so nothing cancels, even for a root near 0.
+    """
+    x = _quad_root_near(a, b, c, r2)
+    sens = quadratic_sensitivities(a, b, c, x)
+    refs = (der(_quad_root_near(seed(a), b, c, x)),
+            der(_quad_root_near(a, seed(b), c, x)),
+            der(_quad_root_near(a, b, seed(c), x)))
+    return max(rel(s - f, f) for s, f in zip(sens, refs))
 
 
 def oracle_roots(p: Poly) -> list[complex]:

@@ -1,9 +1,11 @@
+import ast
 import csv
 import gc
 import io
 import json
 import math
 import os
+import pathlib
 import random
 import re
 import subprocess
@@ -14,8 +16,9 @@ import pytest
 
 import geodiff
 from geodiff import cli, geom, homogeneity, odes, ops, oracle, polyroots
-from geodiff.cli import (SUITES, Record, RunConfig, main,
-                         parse_config, quad_sens_error, run, write_report)
+from geodiff.cli import (SUITES, Record, RunConfig, main, parse_config, run,
+                         write_report)
+from geodiff.polyroots import quad_sens_error
 
 
 class TestParseConfig:
@@ -156,9 +159,26 @@ class TestSuites:
         [failed] = [r for r in report.records if not r.passed]
         assert failed.op == "thales:exact"
         assert float(failed.actual) == pytest.approx(1e-8)
-        exact = odes.reference_endpoint(next(p for p in ops.derivations()
-                                             if p.name == "thales"))
+        thales = next(p for p in ops.derivations() if p.name == "thales")
+        exact = odes.convergence(thales, cli.DEFAULT_H).exact
         assert failed.rel_err == float(failed.actual) / max(1.0, abs(exact))
+
+    def test_each_reference_endpoint_is_computed_once(self, monkeypatch):
+        """odes.convergence evaluates an anchored entry's closed form at the
+        far end of s_range, and run_derive reads it from the report."""
+        closed = odes.OdeProblem.closed
+        calls = Counter()
+
+        def counted(problem, s):
+            if type(s) is float and s == problem.s_range[1]:
+                calls[problem.name] += 1
+            return closed(problem, s)
+
+        monkeypatch.setattr(odes.OdeProblem, "closed", counted)
+        run(RunConfig(suite="derive", cases=10))
+        anchored = [p.name for p in ops.derivations() if not p.residual_only]
+        assert len(anchored) == 17
+        assert calls == Counter(anchored)
 
     def test_scale_small_run(self):
         report = run(RunConfig(suite="scale", cases=5, seed=1))
@@ -495,6 +515,12 @@ def failure_report(monkeypatch):
                       ("derive", "SingularityError"), ("scale", "nan"),
                       ("roots", "PathSingularityError")}
     assert any(r.inputs == "" for r in report.records)
+    # no report to read the reference endpoint from: run_derive evaluates it
+    singular = derivations()[1]
+    expected = repr(singular.closed(singular.s_range[1]))
+    steps = [r for r in report.records if r.op.startswith(f"{singular.name}:h=")]
+    assert [r.inputs for r in steps] == [repr(h) for h in cli.DEFAULT_H]
+    assert all(r.expected == expected and not r.passed for r in steps)
     return report
 
 
@@ -748,6 +774,21 @@ def test_only_the_roots_route_loads_polyroots(suite, tmp_path):
     loaded = new_modules("import geodiff.cli; geodiff.cli.main(['--suite', "
                          f"'{suite}', '--cases', '2'])", cwd=tmp_path)
     assert ("geodiff.polyroots" in loaded) == (suite in ("roots", "all"))
+
+
+def test_cli_leaves_route_4_numerics_to_polyroots():
+    """``run_roots`` is the one place cli imports polyroots, and the
+    quadratic-sensitivity check it judges builds its complex steps there:
+    cli reads no derivative of its own."""
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    imports = [ast.unparse(node) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level
+               and "polyroots" in (alias.name for alias in node.names)]
+    assert imports == ["from . import polyroots"]
+    steps = [ast.unparse(node) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and ast.unparse(node) in ("dual.seed", "dual.der")]
+    assert steps == []
 
 
 def test_polyroots_loads_on_first_access():

@@ -7,9 +7,10 @@ from hypothesis import example, given, strategies as st
 
 from conftest import ravi_triangles
 from geodiff import dual, homogeneity, sampling
-from geodiff.cli import RunConfig, quad_sens_error, run
+from geodiff.cli import RunConfig, run
 from geodiff.dual import atan, der, seed, sin, sqrt
 from geodiff.ops import table
+from geodiff.polyroots import quad_sens_error
 
 finite = st.floats(min_value=-10.0, max_value=10.0,
                    allow_nan=False, allow_infinity=False)

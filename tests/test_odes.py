@@ -131,7 +131,7 @@ class TestSigns:
     def test_bispart_needs_the_leading_minus(self):
         p = BY_NAME["bispart"]
         flipped = p._replace(rhs=lambda *a: -p.rhs(*a))
-        exact = odes.reference_endpoint(p)
+        exact = p.closed(p.s_range[1])
         assert abs(odes.integrate(p, 1e-3) - exact) < ENDPOINT_TOL * exact
         assert abs(odes.integrate(flipped, 1e-3) - exact) > 1.0 * exact
 
