@@ -29,7 +29,6 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from typing import NamedTuple
 
 from .dual import der, rel, seed, sqrt
 
@@ -68,38 +67,23 @@ def _horner(coeffs, x: complex) -> complex:
     return acc
 
 
-class _PolyFields(NamedTuple):
-    coeffs: tuple[complex, ...]
+class Poly:
+    """Coefficients a_0..a_n, low order first, stored as complex with the
+    degree n and the scale max|a_k| that the checks compute; invalid ones
+    raise ValueError here."""
 
+    __slots__ = ("coeffs", "degree", "scale")
 
-class Poly(_PolyFields):
-    """Coefficients a_0..a_n, low order first, stored as complex; invalid ones
-    raise ValueError here, and in ``_replace``, which builds through
-    ``_make``."""
-
-    __slots__ = ()
-
-    def __new__(cls, coeffs):
+    def __init__(self, coeffs):
         if len(coeffs) < 2:
             raise ValueError("degree must be at least 1")
-        self = super().__new__(cls, tuple(complex(c) for c in coeffs))
+        self.coeffs = tuple(complex(c) for c in coeffs)
+        self.degree = len(self.coeffs) - 1
         if not all(map(cmath.isfinite, self.coeffs)):
             raise ValueError("coefficients must be finite")
+        self.scale = max(map(abs, self.coeffs))
         if abs(self.coeffs[-1]) <= LEADING_TOL * self.scale:
             raise ValueError("leading coefficient is numerically zero")
-        return self
-
-    @classmethod
-    def _make(cls, fields):
-        return cls(*fields)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def scale(self) -> float:
-        return max(abs(c) for c in self.coeffs)
 
     def __call__(self, x: complex) -> complex:
         return _horner(reversed(self.coeffs), x)
@@ -113,26 +97,16 @@ def unit_roots(n: int) -> tuple[complex, ...]:
     return tuple(cmath.exp(2j * math.pi * k / n) for k in range(n))
 
 
-class _PathFields(NamedTuple):
-    target: Poly
-    gamma: complex = 1.0 + 0.0j
-
-
-class ContinuationPath(_PathFields):
+class ContinuationPath:
     """Linear coefficient homotopy (1-t)*gamma*(x^n - 1) + t*target; a gamma
-    off the unit circle raises ValueError here and in ``_replace``."""
+    off the unit circle raises ValueError here."""
 
-    __slots__ = ()
+    __slots__ = ("target", "gamma")
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not abs(abs(self.gamma) - 1.0) <= 1e-12:  # a NaN gamma fails too
+    def __init__(self, target: Poly, gamma: complex = 1.0 + 0.0j):
+        if not abs(abs(gamma) - 1.0) <= 1e-12:  # a NaN gamma fails too
             raise ValueError("gamma must have unit magnitude")
-        return self
-
-    @classmethod
-    def _make(cls, fields):
-        return cls(*fields)
+        self.target, self.gamma = target, gamma
 
     def at(self, t: float) -> Poly:
         """P_t; PathSingularityError where it drops degree (Poly's ValueError)."""
@@ -180,7 +154,7 @@ def path_kernels(path: ContinuationPath) -> tuple:
     (dq0, _), *body = [(k * q[k], q[k]) for k in range(n, 0, -1)]
     ds0, num0, r0 = n * gamma, q[n] - gamma, q[0] + gamma
     body, n1 = tuple(body), n - 1
-    floor = DERIV_FLOOR * (max(abs(gamma), max(map(abs, q))) * (1.0 + 1e-12))
+    floor = DERIV_FLOOR * (max(abs(gamma), path.target.scale) * (1.0 + 1e-12))
     inner = [abs(c) for c in q[1:n]]
     mid = max(inner, default=0.0)
     band0, band1 = (8 * n * 2.0 ** -52 * a  # |r_n| = |num0|, |r_0| = |r0|

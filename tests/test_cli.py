@@ -15,7 +15,8 @@ from collections import Counter
 import pytest
 
 import geodiff
-from geodiff import cli, geom, homogeneity, odes, ops, oracle, polyroots
+from geodiff import (cli, geom, homogeneity, odes, ops, oracle, polyroots,
+                     sampling)
 from geodiff.cli import (SUITES, Record, RunConfig, main, parse_config, run,
                          write_report)
 from geodiff.polyroots import quad_sens_error
@@ -305,6 +306,19 @@ class TestSuites:
         assert [r.op for r in failed] == ["cevian", "cevian"]
         assert all(r.actual == "OracleError" and r.rel_err == math.inf
                    and float(r.expected) > 0.0 for r in failed)
+
+    def test_closed_form_failure_becomes_a_record(self, monkeypatch):
+        """At sides (3, 3, 3) the measured R - 2r rounds below 0, so
+        euler_distance's sqrt raises; the run goes on."""
+        monkeypatch.setattr(sampling, "triangle", lambda rng: (3.0, 3.0, 3.0))
+        records = cli.run_theorems(random.Random(0), 1)
+        assert len(records) == 17
+        failed = [r for r in records if not r.passed]
+        assert [(r.op, r.actual, r.expected) for r in failed] == [
+            ("euler_distance", "ValueError", "")]
+        case = ops.Case(random.Random(0))
+        assert failed[0].inputs == cli._fmt(case.r, case.big_r)
+        assert case.big_r - 2.0 * case.r < 0.0
 
     def test_derive_singularity_becomes_records(self, monkeypatch):
         integrate = odes.integrate
@@ -664,7 +678,7 @@ class TestRecordAlphabet:
     def test_exception_names(self):
         """Every class a runner's except clause catches, subclasses included,
         since _failed writes its name into actual."""
-        todo = [oracle.OracleError, geom.GeometryError, odes.SingularityError,
+        todo = [ValueError, ArithmeticError, odes.SingularityError,
                 polyroots.PathSingularityError, polyroots.TrackingFailureError,
                 polyroots.OracleFailureError]
         names = []
